@@ -27,8 +27,6 @@ __all__ = [
     "gumbel_limit_cdf",
     "expected_stationarity_time",
     "holding_mean",
-    "step_up_probability",
-    "step_down_probability",
     "expected_hitting_step",
     "expected_hitting_step_series",
     "expected_hitting",
@@ -138,18 +136,6 @@ def expected_stationarity_time(d: DerivedParams) -> float:
 def holding_mean(k: int, d: DerivedParams) -> float:
     """Mean holding time of the edge-count chain in state k."""
     return 1.0 / (birth_rate(k, d) + death_rate(k, d))
-
-
-def step_up_probability(k: int, d: DerivedParams) -> float:
-    """Probability that the next jump from k goes to k+1."""
-    lam = birth_rate(k, d)
-    return lam / (lam + death_rate(k, d))
-
-
-def step_down_probability(k: int, d: DerivedParams) -> float:
-    """Probability that the next jump from k goes to k-1."""
-    mu = death_rate(k, d)
-    return mu / (birth_rate(k, d) + mu)
 
 
 def _hitting_step_logs(d: DerivedParams, count: int) -> np.ndarray:

@@ -137,7 +137,7 @@ def _derived(args):
 
 
 def _as_count(value, flag):
-    if value != int(value):
+    if not math.isfinite(value) or value != int(value):
         raise ValueError(f"--{flag} must be an integer edge count, got {value!r}")
     return int(value)
 
@@ -423,9 +423,7 @@ def _cmd_simulate_escape(args):
     j = _as_count(args.from_count, "from")
     i = _as_count(args.to_count, "to")
     s = args.floor_count
-    wins = sim.run_replicas(
-        sim._escape_one, (d, j, i, s, args.seed), args.replicas, args.workers
-    )
+    wins = sim.sample_escapes(d, j, i, s, args.replicas, args.seed, workers=args.workers)
     est = mean_ci(wins)
     meta = _meta(args, "escape", seed=args.seed, replicas=args.replicas,
                  floor=s, **{"from": j, "to": i})

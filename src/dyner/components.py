@@ -2,10 +2,12 @@
 
 Unlike the aggregate edge-count chain, this module keeps per-edge identity:
 deletions remove a uniform present edge, insertions add a uniform absent
-pair, which reproduces the per-pair on-off dynamics exactly.  Components are
-maintained incrementally: insertions merge the smaller component into the
-larger, deletions repair connectivity with a bidirectional search over the
-affected component only.
+pair, which reproduces the per-pair on-off dynamics exactly.  One event
+loop, the `_edge_flips` generator, drives every labeled sampler; each
+sampler only adds its own stop rule.  Components are maintained
+incrementally by `GraphState`: insertions merge the smaller component into
+the larger, deletions repair connectivity with a bidirectional search over
+the affected component only.
 """
 
 import math
@@ -16,7 +18,7 @@ import numpy as np
 
 from .analytic import c_epsilon
 from .model import DerivedParams, closest_integer
-from .simulate import HittingSample, _Uniforms, default_hitting_cap, replica_rng, run_replicas
+from .simulate import HittingSample, _uniforms, default_hitting_cap, replica_rng, run_replicas
 
 __all__ = [
     "GraphEvent",
@@ -25,7 +27,6 @@ __all__ = [
     "largest_component_size",
     "simulate_graph",
     "sample_component_hitting",
-    "component_hitting_samples",
     "emergence_run",
     "emergence_samples",
     "domination_run",
@@ -84,9 +85,6 @@ class GraphState:
 
     def largest_component_size(self) -> int:
         return self._largest
-
-    def component_sizes(self):
-        return sorted((len(m) for m in self.members.values()), reverse=True)
 
     def _count_change(self, size: int, delta: int) -> None:
         counts = self._size_counts
@@ -214,66 +212,55 @@ def largest_component_size(state: GraphState) -> int:
     return state.largest_component_size()
 
 
-class _GraphRun:
-    """Shared event loop: advances a GraphState under the edge-flip dynamics."""
+def _edge_flips(d: DerivedParams, uniform, horizon: float, edges: list, state=None):
+    """The event loop of the labeled chain: yields (time, added, key) per flip.
 
-    __slots__ = ("d", "state", "_u", "_birth_scale", "_time")
-
-    def __init__(self, d: DerivedParams, seed: int, replica: int):
-        self.d = d
-        self.state = GraphState(d.n)
-        self._u = _Uniforms(replica_rng(seed, replica))
-        self._birth_scale = d.beta / (d.n - 1)
-        self._time = 0.0
-
-    def step(self, limit: float | None = None):
-        """Advance one event and return (time, added, u, v).
-
-        When the next event would land past `limit`, nothing is applied and
-        None is returned (the state is then valid as of `limit`).
-        """
-        d = self.d
-        state = self.state
-        u = self._u
-        m = len(state.edges)
-        del_rate = m * d.alpha
-        tot = del_rate + (d.N - m) * self._birth_scale
-        t = self._time - math.log(1.0 - u.take()) / tot
-        if limit is not None and t > limit:
-            return None
-        self._time = t
-        if u.take() * tot < del_rate:
-            a, b = state.edges[int(u.take() * m)]
-            state.remove_edge(a, b)
+    `edges` holds the keys a*n+b (a < b) of the present edges, is updated in
+    place with swap-remove, and must start empty.  Deletions remove a
+    uniform present edge; insertions draw ordered pairs until one is absent,
+    which is exact at any density.  When `state` is given, each flip is also
+    applied to it.  The generator stops when the next event would pass
+    `horizon`.
+    """
+    n, alpha, N = d.n, d.alpha, d.N
+    birth_scale = d.beta / (n - 1)
+    pos = {}
+    t = 0.0
+    log_ = math.log
+    while True:
+        m = len(edges)
+        del_rate = m * alpha
+        tot = del_rate + (N - m) * birth_scale
+        t += -log_(1.0 - uniform()) / tot
+        if t > horizon:
+            return
+        if uniform() * tot < del_rate:
+            key = edges[int(uniform() * m)]
+            last = edges.pop()
+            idx = pos.pop(key)
+            if key != last:
+                edges[idx] = last
+                pos[last] = idx
+            if state is not None:
+                state.remove_edge(*divmod(key, n))
             added = False
         else:
-            a, b = self._draw_absent_pair(m)
-            state.add_edge(a, b)
-            added = True
-        state.time = t
-        return t, added, a, b
-
-    def _draw_absent_pair(self, m: int):
-        d = self.d
-        u = self._u
-        n = d.n
-        adj = self.state.adj
-        if 2 * m < d.N:
             while True:
-                a = int(u.take() * n)
-                b = int(u.take() * (n - 1))
+                a = int(uniform() * n)
+                b = int(uniform() * (n - 1))
                 if b >= a:
                     b += 1
-                if b not in adj[a]:
-                    return (a, b) if a < b else (b, a)
-        # dense fallback: enumerate absent pairs (never hit in the sparse regimes)
-        absent = [
-            (a, b)
-            for a in range(n)
-            for b in range(a + 1, n)
-            if b not in adj[a]
-        ]
-        return absent[int(u.take() * len(absent))]
+                key = a * n + b if a < b else b * n + a
+                if key not in pos:
+                    break
+            pos[key] = m
+            edges.append(key)
+            if state is not None:
+                state.add_edge(a, b)
+            added = True
+        if state is not None:
+            state.time = t
+        yield t, added, key
 
 
 def simulate_graph(
@@ -292,23 +279,19 @@ def simulate_graph(
     """
     if not (horizon > 0):
         raise ValueError(f"horizon must be positive, got {horizon!r}")
-    run = _GraphRun(d, seed, replica)
-    state = run.state
-    while True:
-        ev = run.step(horizon)
-        if ev is None:
-            state.time = horizon
-            break
-        t, added, a, b = ev
+    state = GraphState(d.n)
+    for t, added, key in _edge_flips(d, _uniforms(seed, replica), horizon, [], state):
         if verify:
             state.verify()
         if observers:
+            a, b = divmod(key, d.n)
             event = GraphEvent(
                 time=t, added=added, u=a, v=b,
                 edge_count=state.edge_count, largest=state._largest,
             )
             for ob in observers:
                 ob(event)
+    state.time = horizon
     return state
 
 
@@ -330,14 +313,11 @@ def sample_component_hitting(
     threshold = _component_threshold(eps, d.n)
     if threshold <= 1:
         return HittingSample(0, threshold, 0.0, False, cap, seed, replica)
-    run = _GraphRun(d, seed, replica)
-    state = run.state
-    while True:
-        ev = run.step(cap)
-        if ev is None:
-            return HittingSample(0, threshold, cap, True, cap, seed, replica)
+    state = GraphState(d.n)
+    for t, _, _ in _edge_flips(d, _uniforms(seed, replica), cap, [], state):
         if state._largest >= threshold:
-            return HittingSample(0, threshold, ev[0], False, cap, seed, replica)
+            return HittingSample(0, threshold, t, False, cap, seed, replica)
+    return HittingSample(0, threshold, cap, True, cap, seed, replica)
 
 
 @dataclass(frozen=True, slots=True)
@@ -387,21 +367,18 @@ def emergence_run(
     edge_target = closest_integer(c_epsilon(eps + delta) * d.n)
     if edge_target > d.N:
         raise ValueError(f"edge target {edge_target} exceeds the pair count {d.N}")
-    run = _GraphRun(d, seed, replica)
-    state = run.state
+    state = GraphState(d.n)
     tau_component = None if threshold > 1 else 0.0
     tau_edges = None
     dominated = None
-    while tau_component is None or tau_edges is None:
-        ev = run.step(cap)
-        if ev is None:
-            break
-        t = ev[0]
+    for t, _, _ in _edge_flips(d, _uniforms(seed, replica), cap, [], state):
         if tau_component is None and state._largest >= threshold:
             tau_component = t
         if tau_edges is None and state.edge_count >= edge_target:
             tau_edges = t
             dominated = tau_component is not None and tau_component <= t
+        if tau_component is not None and tau_edges is not None:
+            break
     return EmergenceSample(
         eps=eps,
         delta=delta,
@@ -418,11 +395,6 @@ def emergence_run(
     )
 
 
-def _component_hitting_one(args, replica):
-    d, eps, seed, cap = args
-    return sample_component_hitting(d, eps, seed, cap=cap, replica=replica)
-
-
 def _emergence_one(args, replica):
     d, eps, delta, seed, cap = args
     return emergence_run(d, eps, delta, seed, cap=cap, replica=replica)
@@ -431,15 +403,6 @@ def _emergence_one(args, replica):
 def _static_one(args, replica):
     n, m, seed = args
     return static_er_largest_component(n, m, seed, replica=replica)
-
-
-def component_hitting_samples(
-    d: DerivedParams, eps: float, replicas: int, seed: int,
-    cap: float | None = None, workers: int = 1,
-) -> list:
-    if cap is None:
-        cap = default_hitting_cap(d)
-    return run_replicas(_component_hitting_one, (d, eps, seed, cap), replicas, workers)
 
 
 def emergence_samples(
@@ -484,48 +447,19 @@ def domination_run(
         raise ValueError(f"edge target {edge_target} exceeds the pair count {d.N}")
     if edge_target == 0:
         return threshold <= 1
-    u = _Uniforms(replica_rng(seed, replica))
-    take = u.take
-    n, alpha, N = d.n, d.alpha, d.N
-    birth_scale = d.beta / (n - 1)
+    n = d.n
     edges = []
-    pos = {}
-    t = 0.0
-    log_ = math.log
     reached = threshold <= 1
     until_check = _DOMINATION_CHECK_EVERY
-    while True:
-        m = len(edges)
-        del_rate = m * alpha
-        tot = del_rate + (N - m) * birth_scale
-        t += -log_(1.0 - take()) / tot
-        if t > cap:
-            return None
-        if take() * tot < del_rate:
-            key = edges[int(take() * m)]
-            last = edges.pop()
-            idx = pos.pop(key)
-            if key != last:
-                edges[idx] = last
-                pos[last] = idx
-        else:
-            while True:
-                a = int(take() * n)
-                b = int(take() * (n - 1))
-                if b >= a:
-                    b += 1
-                key = a * n + b if a < b else b * n + a
-                if key not in pos:
-                    break
-            pos[key] = m
-            edges.append(key)
-            if m + 1 == edge_target:
-                return reached or _largest_from_edge_keys(edges, n) >= threshold
+    for _, added, _ in _edge_flips(d, _uniforms(seed, replica), cap, edges):
+        if added and len(edges) == edge_target:
+            return reached or _largest_from_edge_keys(edges, n) >= threshold
         if not reached:
             until_check -= 1
             if until_check <= 0:
                 until_check = _DOMINATION_CHECK_EVERY
                 reached = _largest_from_edge_keys(edges, n) >= threshold
+    return None
 
 
 def _largest_from_edge_keys(edges, n: int) -> int:
@@ -585,9 +519,9 @@ def static_er_largest_component(n: int, m: int, seed: int, replica: int = 0) -> 
     pairs = n * (n - 1) // 2
     if not (0 <= m <= pairs):
         raise ValueError(f"edge count must be in [0, {pairs}], got {m}")
+    rng = replica_rng(seed, replica)
     if m == 0:
         return 1
-    rng = replica_rng(seed, replica)
     uf = _UnionFind(n)
     if 2 * m <= pairs:
         chosen = set()

@@ -2,16 +2,19 @@
 
 The edge count is simulated as an aggregate chain (two competing
 exponentials per step), which by superposition has exactly the same law as
-tracking all N per-edge clocks but costs O(1) per event.  Every replica owns
-an independent, reproducible random stream derived from (seed, replica), so
-results are bit-identical regardless of how replicas are spread over
-workers.
+tracking all N per-edge clocks but costs O(1) per event.  One event loop,
+`_run_chain`, serves every sampler here; each sampler only picks its stop
+rule (absorbing counts, a time horizon, a level to time above).  Every
+replica owns an independent, reproducible random stream derived from
+(seed, replica), so results are bit-identical regardless of how replicas are
+spread over workers.
 """
 
 import bisect
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -42,11 +45,12 @@ __all__ = [
     "sample_cycles",
     "renewal_from_cycles",
     "estimate_hitting_renewal",
+    "sample_escapes",
     "sample_escape_probability",
     "run_replicas",
 ]
 
-_SEED_MASK = (1 << 64) - 1
+_SEED_LIMIT = 1 << 64
 
 
 def replica_rng(seed: int, replica: int = 0) -> np.random.Generator:
@@ -54,29 +58,55 @@ def replica_rng(seed: int, replica: int = 0) -> np.random.Generator:
 
     The stream is PCG64 keyed by SeedSequence hashing of (seed, replica), so
     replica r sees the same randomness no matter which worker runs it.
+    Seeds must lie in [0, 2^64).
     """
-    entropy = int(seed) & _SEED_MASK
-    return np.random.default_rng(np.random.SeedSequence(entropy, spawn_key=(int(replica),)))
+    seed = int(seed)
+    if not (0 <= seed < _SEED_LIMIT):
+        raise ValueError(f"seed must be in [0, 2^64), got {seed}")
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(int(replica),)))
 
 
-class _Uniforms:
-    """Buffered uniforms from a Generator, handed out one Python float at a time."""
+def _uniforms(seed: int, replica: int):
+    """Callable returning the replica's uniforms one Python float at a time.
 
-    __slots__ = ("_rng", "_buf", "_idx", "_size")
+    The Generator is read in blocks of 4096 doubles; the block size is part
+    of every stream, so changing it changes all simulated output.
+    """
+    rng = replica_rng(seed, replica)
+    return chain.from_iterable(iter(lambda: rng.random(4096).tolist(), None)).__next__
 
-    def __init__(self, rng: np.random.Generator, size: int = 4096):
-        self._rng = rng
-        self._size = size
-        self._buf = rng.random(size).tolist()
-        self._idx = 0
 
-    def take(self) -> float:
-        i = self._idx
-        if i >= self._size:
-            self._buf = self._rng.random(self._size).tolist()
-            i = 0
-        self._idx = i + 1
-        return self._buf[i]
+def _run_chain(d, k, uniform, lower=-1, upper=-1, horizon=math.inf, level=None, path=None):
+    """The event loop of the edge-count chain, from count k at time 0.
+
+    Runs until the count steps onto `lower` or `upper` (absorbing counts;
+    the defaults never absorb) or the next event would pass `horizon`.
+    Returns (exit count, exit time, time spent at counts >= level); the exit
+    time is `horizon` when the horizon ended the run.  When `path` is a
+    list, every event is appended to it as (time, count).
+    """
+    n, alpha, N = d.n, d.alpha, d.N
+    # model.birth_rate/death_rate inlined: the event loop is the hot path
+    birth_scale = d.beta / (n - 1)
+    if level is None:
+        level = N + 1
+    t = 0.0
+    above = 0.0
+    log_ = math.log
+    while True:
+        lam = (N - k) * birth_scale
+        tot = lam + k * alpha
+        dt = -log_(1.0 - uniform()) / tot
+        t += dt
+        if t > horizon:
+            return k, horizon, above
+        if k >= level:
+            above += dt
+        k = k + 1 if uniform() * tot < lam else k - 1
+        if path is not None:
+            path.append((t, k))
+        if k == lower or k == upper:
+            return k, t, above
 
 
 @dataclass(frozen=True, slots=True)
@@ -156,22 +186,8 @@ def simulate_trajectory(
         raise ValueError(f"start count must be in [0, {d.N}], got {start}")
     if not (horizon > 0):
         raise ValueError(f"horizon must be positive, got {horizon!r}")
-    u = _Uniforms(replica_rng(seed, replica))
-    n, alpha, beta, N = d.n, d.alpha, d.beta, d.N
-    # model.birth_rate/death_rate inlined: the event loop is the hot path
-    birth_scale = beta / (n - 1)
     events = [(0.0, start)]
-    t = 0.0
-    k = start
-    log_ = math.log
-    while True:
-        lam = (N - k) * birth_scale
-        tot = lam + k * alpha
-        t += -log_(1.0 - u.take()) / tot
-        if t > horizon:
-            break
-        k = k + 1 if u.take() * tot < lam else k - 1
-        events.append((t, k))
+    _run_chain(d, start, _uniforms(seed, replica), horizon=horizon, path=events)
     return Trajectory(
         params=d, start=start, horizon=horizon, seed=seed, replica=replica,
         events=tuple(events),
@@ -197,21 +213,8 @@ def sample_hitting_time(
         cap = default_hitting_cap(d)
     if not (cap > 0):
         raise ValueError(f"cap must be positive, got {cap!r}")
-    u = _Uniforms(replica_rng(seed, replica))
-    n, alpha, beta, N = d.n, d.alpha, d.beta, d.N
-    birth_scale = beta / (n - 1)
-    t = 0.0
-    k = start
-    log_ = math.log
-    while True:
-        lam = (N - k) * birth_scale
-        tot = lam + k * alpha
-        t += -log_(1.0 - u.take()) / tot
-        if t > cap:
-            return HittingSample(start, target, cap, True, cap, seed, replica)
-        k = k + 1 if u.take() * tot < lam else k - 1
-        if k == target:
-            return HittingSample(start, target, t, False, cap, seed, replica)
+    k, t, _ = _run_chain(d, start, _uniforms(seed, replica), upper=target, horizon=cap)
+    return HittingSample(start, target, t, k != target, cap, seed, replica)
 
 
 def sample_stationarity_time(d: DerivedParams, seed: int, replica: int = 0) -> float:
@@ -239,19 +242,7 @@ def sample_time_above(
     """
     if not (0 <= s < i <= d.N):
         raise ValueError(f"need 0 <= s < i <= {d.N}, got i={i}, s={s}")
-    u = _Uniforms(replica_rng(seed, replica))
-    n, alpha, beta, N = d.n, d.alpha, d.beta, d.N
-    birth_scale = beta / (n - 1)
-    k = i
-    above = 0.0
-    log_ = math.log
-    while k != s:
-        lam = (N - k) * birth_scale
-        tot = lam + k * alpha
-        dt = -log_(1.0 - u.take()) / tot
-        if k >= i:
-            above += dt
-        k = k + 1 if u.take() * tot < lam else k - 1
+    _, _, above = _run_chain(d, i, _uniforms(seed, replica), lower=s, level=i)
     return CycleSample(i=i, s=s, time_above=above, seed=seed, replica=replica)
 
 
@@ -272,20 +263,8 @@ def _time_above_one(args, replica):
 
 def _escape_one(args, replica):
     d, j, i, s, seed = args
-    u = _Uniforms(replica_rng(seed, replica))
-    n, alpha, beta, N = d.n, d.alpha, d.beta, d.N
-    birth_scale = beta / (n - 1)
-    k = j
-    while True:
-        lam = (N - k) * birth_scale
-        tot = lam + k * alpha
-        u.take()  # holding time; irrelevant to which boundary is hit first
-        k = k + 1 if u.take() * tot < lam else k - 1
-        if k == i:
-            return 1.0
-        if k == s:
-            return 0.0
-
+    k, _, _ = _run_chain(d, j, _uniforms(seed, replica), lower=s, upper=i)
+    return 1.0 if k == i else 0.0
 
 def _chunk(fn, args, lo, hi):
     return [fn(args, r) for r in range(lo, hi)]
@@ -396,6 +375,21 @@ def estimate_hitting_renewal(
     return renewal_from_cycles(d, i, s, cycles)
 
 
+def sample_escapes(
+    d: DerivedParams,
+    j: int,
+    i: int,
+    s: int,
+    replicas: int,
+    seed: int,
+    workers: int = 1,
+) -> list:
+    """Per-replica escape flags: 1.0 when the chain from j reaches i before s."""
+    if not (0 <= s < j < i <= d.N):
+        raise ValueError(f"need 0 <= s < j < i <= {d.N}, got s={s}, j={j}, i={i}")
+    return run_replicas(_escape_one, (d, j, i, s, seed), replicas, workers)
+
+
 def sample_escape_probability(
     d: DerivedParams,
     j: int,
@@ -406,9 +400,6 @@ def sample_escape_probability(
     workers: int = 1,
 ) -> EstimateCI:
     """Monte Carlo P(tau_j(i) < tau_j(s)): race the two first passages."""
-    if not (0 <= s < j < i <= d.N):
-        raise ValueError(f"need 0 <= s < j < i <= {d.N}, got s={s}, j={j}, i={i}")
     if replicas < 2:
         raise ValueError(f"need at least 2 replicas, got {replicas}")
-    wins = run_replicas(_escape_one, (d, j, i, s, seed), replicas, workers)
-    return mean_ci(wins)
+    return mean_ci(sample_escapes(d, j, i, s, replicas, seed, workers))

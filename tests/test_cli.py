@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import pathlib
@@ -16,7 +17,7 @@ def run_cli(*argv, check_exit=0, capsys=None):
     assert code == check_exit, f"exit {code} != {check_exit} for {argv}"
 
 
-def run_proc(*argv, env_extra=None):
+def run_proc(*argv, env_extra=None, timeout=None):
     env = dict(os.environ)
     env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
     if env_extra:
@@ -25,6 +26,7 @@ def run_proc(*argv, env_extra=None):
         [sys.executable, "-m", "dyner", *argv],
         capture_output=True,
         env=env,
+        timeout=timeout,
     )
 
 
@@ -205,3 +207,66 @@ def test_workers_env_default():
     explicit = run_proc(*argv, "--workers", "2")
     via_env = run_proc(*argv, env_extra={"DYNER_WORKERS": "2"})
     assert explicit.stdout == via_env.stdout
+
+
+def test_escape_outside_count_range_exits_2():
+    # a floor below 0 and a target above N used to bypass validation and loop forever
+    proc = run_proc("simulate", "escape", "--n", "5", "--from", "2", "--to", "50",
+                    "--floor", "-1", "--replicas", "2", "--seed", "1", timeout=60)
+    assert proc.returncode == 2
+    assert proc.stdout == b""
+    err = proc.stderr.decode().splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+
+
+@pytest.mark.parametrize("value", ["inf", "nan"])
+@pytest.mark.parametrize("command", ["analytic", "simulate"])
+def test_non_finite_count_exits_2(command, value, capsys):
+    argv = [command, "hitting", "--n", "3", "--from", value, "--to", "2"]
+    if command == "simulate":
+        argv += ["--replicas", "2", "--seed", "1"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "--from" in err[0]
+
+
+def test_seed_outside_64_bits_exits_2(capsys):
+    argv = ["simulate", "hitting", "--n", "6", "--from", "0", "--to", "3",
+            "--replicas", "2", "--seed"]
+    for seed in ("-5", str(2**64)):
+        assert main(argv + [seed]) == 2
+        assert "seed" in capsys.readouterr().err
+    # -5 used to alias 2^64 - 5, which stays valid
+    assert main(argv + [str(2**64 - 5)]) == 0
+
+
+# sha256 of stdout for the README commands, at smaller replica counts.  They
+# pin every random stream the commands read and the output format; update
+# them only together with a recorded, deliberate stream change.
+README_DIGESTS = [
+    (["simulate", "trajectory", "--n", "100", "--horizon", "2.0", "--seed", "1"],
+     "84cbf3493f029711e2f39f7a030a8d96460b0581af7c521a86b7897d8b656aa3"),
+    (["simulate", "hitting", "--n", "20", "--from", "0", "--to", "6",
+      "--replicas", "1000", "--seed", "42"],
+     "ce9c7bdb81b2ddaaec7ce5b7859db7c92c85635670dfa1bb32cb531401050ed7"),
+    (["simulate", "renewal", "--n", "40", "--c", "0.8", "--replicas", "1000",
+      "--seed", "7"],
+     "8cfe92fdf3d4b1b714d97bd6772e05f781787b402514eb3bb6b7ba776d3a94cb"),
+    (["simulate", "escape", "--n", "40", "--from", "28", "--to", "36",
+      "--floor", "20", "--replicas", "1000", "--seed", "5"],
+     "df2fe6a8d21d78bc75488d081dad1c6b9484fc313847355fe13b17b03e37a674"),
+    (["components", "static", "--n", "2000", "--eps", "0.5", "--replicas", "10",
+      "--seed", "3"],
+     "d42e5f6e9112224414994f7e82f9dd0bf6f72af0fa43867bf9a1928b56130856"),
+    (["components", "emergence", "--n", "100", "--eps", "0.3", "--delta", "0.1",
+      "--replicas", "20", "--seed", "9"],
+     "ec2e1bf559b12a505c65ab5232f529176bdee7f225a57654d8fdf2d864feb052"),
+]
+
+
+@pytest.mark.parametrize("argv,digest", README_DIGESTS,
+                         ids=[" ".join(argv[:2]) for argv, _ in README_DIGESTS])
+def test_readme_command_stdout_digest(argv, digest, capsys):
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

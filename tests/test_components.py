@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.stats import binom
 
 from dyner import analytic as an
 from dyner import components as comp
@@ -154,6 +155,30 @@ def test_long_run_edge_presence_stationary():
     assert abs(hits / 3000 - d.p) < 3 * se
 
 
+def test_dense_graph_edge_count_is_binomial():
+    # p ~ 0.95 keeps the graph above half full, where absent pairs are drawn
+    # by rejection against the present ones; per-pair independence makes the
+    # edge count at t exactly Binomial(N, p01(t)) from the empty graph
+    d = _d(12, beta=200.0)
+    horizon = 1.0
+    reps = 300
+    counts = [
+        comp.simulate_graph(d, horizon, seed=79, replica=r, verify=True).edge_count
+        for r in range(reps)
+    ]
+    p_t = an.transition_probability(0, 1, horizon, d)
+    assert d.p > 0.94
+    pmf = binom.pmf(np.arange(d.N + 1), d.N, p_t)
+    low = int(binom.ppf(0.01, d.N, p_t))
+    cells = [sum(1 for k in counts if k <= low)]
+    probs = [float(pmf[: low + 1].sum())]
+    cells += [counts.count(k) for k in range(low + 1, d.N + 1)]
+    probs += pmf[low + 1:].tolist()
+    assert chi_square_pvalue(cells, probs) > 0.001
+    se = math.sqrt(d.N * p_t * (1 - p_t) / reps)
+    assert abs(float(np.mean(counts)) - d.N * p_t) < 4 * se
+
+
 def test_first_insertion_uniform_over_pairs():
     d = _d(4)
     counts = {}
@@ -198,10 +223,11 @@ def test_snapshot_matches_static_uniform_law():
     m_target = 35  # mildly supercritical; hit in O(1) time
     dynamic = []
     for r in range(250):
-        run = comp._GraphRun(d, seed=78, replica=r)
-        while run.state.edge_count != m_target:
-            run.step()
-        dynamic.append(run.state.largest_component_size())
+        state = comp.GraphState(d.n)
+        for _ in comp._edge_flips(d, sim._uniforms(78, r), math.inf, [], state):
+            if state.edge_count == m_target:
+                break
+        dynamic.append(state.largest_component_size())
     static = comp.static_largest_samples(60, m_target, 250, seed=79)
     assert _two_sample_ks(dynamic, static) <= 0.12
 

@@ -321,6 +321,14 @@ def test_run_replicas_worker_independent():
     assert serial == parallel
 
 
+def test_replica_rng_rejects_seeds_outside_64_bits():
+    for seed in (-5, -1, 2**64, 2**64 + 3):
+        with pytest.raises(ValueError):
+            sim.replica_rng(seed)
+    for seed in (0, 2**64 - 1):
+        sim.replica_rng(seed, replica=3).random()
+
+
 def test_replica_streams_differ():
     d = _d(12)
     samples = sim.sample_hitting_times(d, 0, 8, 50, seed=62)
