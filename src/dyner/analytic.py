@@ -3,14 +3,16 @@
 Covers the single-edge transition functions and separation, the law of the
 fastest time to stationarity and its Gumbel limit, expected hitting times of
 the edge-count chain (stable recursion, series form, and a linear-solve
-oracle), the deterministic fluid limit, entropy exponents and binomial tail
-bounds for supercritical targets, and the large-deviation exponents that
-govern when a macroscopic component first appears.
+oracle) and their exact spectral law, the deterministic fluid limit,
+entropy exponents and binomial tail bounds for supercritical targets, and
+the large-deviation exponents that govern when a macroscopic component
+first appears.
 """
 
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 from scipy.special import gammaln
@@ -33,6 +35,8 @@ __all__ = [
     "HittingExpectation",
     "hitting_expectation",
     "expected_hitting_oracle",
+    "HittingTimeLaw",
+    "hitting_time_law",
     "fluid_time",
     "fluid_trajectory",
     "relative_entropy",
@@ -252,6 +256,78 @@ def expected_hitting_oracle(j: int, i: int, d: DerivedParams) -> float:
     for k in range(i - 2, j - 1, -1):
         x = (rhs[k] + lam[k] * x) / diag[k]
     return float(x)
+
+
+LAW_TOLERANCE = 1e-9
+
+
+@dataclass(frozen=True, slots=True, eq=False)
+class HittingTimeLaw:
+    """Exact law of the edge count's first passage up to `target`.
+
+    From a start j < target, P(tau_j(target) > x) = sum_k a_k(j) e^{-rate_k x}
+    (Keilson), with rate_k the spectrum of the generator killed at target
+    and weights[j, k] = a_k(j).  A start is accepted only when its weights
+    reproduce both moments to LAW_TOLERANCE: sum_k a_k(j) = 1 and
+    sum_k a_k(j)/rate_k = E(tau_j(target)).  Far below the stationary mode
+    the weights cancel catastrophically, and such starts are refused.
+    """
+
+    target: int
+    rates: np.ndarray
+    weights: np.ndarray
+    accepted: np.ndarray
+
+    def accepts(self, j: int) -> bool:
+        return 0 <= j < self.target and bool(self.accepted[j])
+
+    def survival(self, j: int, x):
+        """P(tau_j(target) > x) for a time or an array of times x >= 0."""
+        if not self.accepts(j):
+            raise ValueError(f"start {j} is refused by the precision gate of target {self.target}")
+        x = np.asarray(x, dtype=float)
+        if not np.all(x >= 0):
+            raise ValueError("times must be nonnegative")
+        s = np.clip(np.exp(-np.multiply.outer(x, self.rates)) @ self.weights[j], 0.0, 1.0)
+        return float(s) if s.ndim == 0 else s
+
+
+def hitting_time_law(i: int, d: DerivedParams) -> HittingTimeLaw:
+    """Spectral law of the first passage up to i, from every start below i.
+
+    Solved once per (i, d) and process; the arrays are read-only.
+    """
+    if not (1 <= i <= d.N):
+        raise ValueError(f"target must be in [1, {d.N}], got {i}")
+    return _hitting_time_law(i, d)
+
+
+@lru_cache(maxsize=8)
+def _hitting_time_law(i: int, d: DerivedParams) -> HittingTimeLaw:
+    k = np.arange(i)
+    birth = (d.N - k) * (d.beta / (d.n - 1))
+    death = k * d.alpha
+    # generator killed at i, symmetrised by pi^{1/2} with pi the reversible
+    # measure pi_{k+1}/pi_k = birth_k/death_{k+1}, kept in logs
+    off = -np.sqrt(birth[:-1] * death[1:])
+    eig, vec = np.linalg.eigh(np.diag(birth + death) + np.diag(off, 1) + np.diag(off, -1))
+    log_pi = np.concatenate(([0.0], np.cumsum(np.log(birth[:-1]) - np.log(death[1:]))))
+    half = 0.5 * (log_pi - log_pi.max())
+    means = np.exp(np.logaddexp.accumulate(_hitting_step_logs(d, i)[::-1])[::-1])
+    # the smallest eigenvalue can sit below the solver's absolute precision;
+    # recover it from the exact mean from 0, sum_k 1/rate_k = E(tau_0(i))
+    rates = eig.copy()
+    rates[0] = 1.0 / (means[0] - np.sum(1.0 / eig[1:]))
+    # deep starts overflow or cancel here; the gate refuses them
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        # a_k(j) = V_jk sum_l V_lk (pi_l/pi_j)^{1/2}
+        weights = vec * (vec.T @ np.exp(half)) * np.exp(-half)[:, None]
+        accepted = (np.abs(weights.sum(axis=1) - 1.0) <= LAW_TOLERANCE) & (
+            np.abs(weights @ (1.0 / rates) - means) <= LAW_TOLERANCE * means
+        )
+    for arr in (rates, weights, accepted):
+        arr.setflags(write=False)
+    return HittingTimeLaw(target=i, rates=rates, weights=weights, accepted=accepted)
 
 
 def fluid_time(c_start: float, c_end: float, d: DerivedParams) -> float:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analytic import c_epsilon
+from .analytic import c_epsilon, hitting_time_law
 from .model import DerivedParams, closest_integer
 from .simulate import HittingSample, _uniforms, default_hitting_cap, replica_rng, run_replicas
 
@@ -430,10 +430,14 @@ def domination_run(
     None when the cap intervenes first.
 
     Same labeled dynamics as emergence_run, but bookkeeping is stripped to
-    the edge set, which keeps runs with exponentially large probe times
-    (supercritical edge targets) affordable.  Component sizes are checked
-    exactly at the probe instant and at a fixed event cadence before it;
-    the cadence can only under-report domination, never inflate it.
+    the edge set.  Component sizes are checked exactly at the probe instant
+    and at a fixed event cadence before it; the cadence can only
+    under-report domination, never inflate it.  Once a check finds the
+    threshold reached, at time t with m edges, the flag is True unless the
+    edge count, a Markov chain on its own, misses the target before the
+    cap: one more uniform from the replica's stream settles that against
+    the exact passage law, P(tau_m(target) > cap - t).  Starts refused by
+    the law's precision gate run on to the probe instant instead.
     """
     if not (0.0 < eps < 1.0):
         raise ValueError(f"eps must be in (0, 1), got {eps!r}")
@@ -441,6 +445,8 @@ def domination_run(
         raise ValueError(f"need delta > 0 with eps + delta < 1, got delta={delta!r}")
     if cap is None:
         cap = default_hitting_cap(d)
+    if not (cap > 0):
+        raise ValueError(f"cap must be positive, got {cap!r}")
     threshold = _component_threshold(eps, d.n)
     edge_target = closest_integer(c_epsilon(eps + delta) * d.n)
     if edge_target > d.N:
@@ -449,16 +455,27 @@ def domination_run(
         return threshold <= 1
     n = d.n
     edges = []
-    reached = threshold <= 1
-    until_check = _DOMINATION_CHECK_EVERY
-    for _, added, _ in _edge_flips(d, _uniforms(seed, replica), cap, edges):
-        if added and len(edges) == edge_target:
-            return reached or _largest_from_edge_keys(edges, n) >= threshold
-        if not reached:
+    uniform = _uniforms(seed, replica)
+    flips = _edge_flips(d, uniform, cap, edges)
+    t = 0.0
+    if threshold > 1:
+        until_check = _DOMINATION_CHECK_EVERY
+        for t, added, _ in flips:
+            if added and len(edges) == edge_target:
+                return _largest_from_edge_keys(edges, n) >= threshold
             until_check -= 1
             if until_check <= 0:
                 until_check = _DOMINATION_CHECK_EVERY
-                reached = _largest_from_edge_keys(edges, n) >= threshold
+                if _largest_from_edge_keys(edges, n) >= threshold:
+                    break
+        else:
+            return None
+    law = hitting_time_law(edge_target, d)
+    if law.accepts(len(edges)):
+        return None if uniform() < law.survival(len(edges), cap - t) else True
+    for _, added, _ in flips:
+        if added and len(edges) == edge_target:
+            return True
     return None
 
 
@@ -514,34 +531,19 @@ class _UnionFind:
 
 def static_er_largest_component(n: int, m: int, seed: int, replica: int = 0) -> int:
     """Largest component of a uniform graph on n vertices with m distinct edges."""
-    if n < 1:
-        raise ValueError(f"need at least one vertex, got {n}")
+    if n < 2:
+        raise ValueError(f"need at least 2 vertices, got {n}")
     pairs = n * (n - 1) // 2
     if not (0 <= m <= pairs):
         raise ValueError(f"edge count must be in [0, {pairs}], got {m}")
-    rng = replica_rng(seed, replica)
-    if m == 0:
-        return 1
+    # a uniform m-subset of the pair indices, decoded to (row, col) with row < col
+    idx = replica_rng(seed, replica).choice(pairs, size=m, replace=False)
+    starts = np.concatenate(([0], np.cumsum(np.arange(n - 1, 0, -1))))
+    rows = np.searchsorted(starts, idx, side="right") - 1
+    cols = idx - starts[rows] + rows + 1
     uf = _UnionFind(n)
-    if 2 * m <= pairs:
-        chosen = set()
-        while len(chosen) < m:
-            a = int(rng.integers(n))
-            b = int(rng.integers(n - 1))
-            if b >= a:
-                b += 1
-            key = (a * n + b) if a < b else (b * n + a)
-            if key not in chosen:
-                chosen.add(key)
-                uf.union(a, b)
-    else:
-        # dense case: permute all pair indices and decode the first m
-        idx = rng.permutation(pairs)[:m]
-        starts = np.concatenate(([0], np.cumsum(np.arange(n - 1, 0, -1))))
-        rows = np.searchsorted(starts, idx, side="right") - 1
-        cols = idx - starts[rows] + rows + 1
-        for a, b in zip(rows.tolist(), cols.tolist()):
-            uf.union(a, b)
+    for a, b in zip(rows.tolist(), cols.tolist()):
+        uf.union(a, b)
     return uf.largest
 
 

@@ -213,6 +213,68 @@ def test_oracle_dimension_cap():
         an.expected_hitting_oracle(0, an.ORACLE_DIMENSION_CAP + 1, d)
 
 
+# ------------------------------------------------------------ first-passage law
+
+
+def test_hitting_time_law_one_step_is_exponential():
+    # target 1: the only exit from 0 is the first insertion, at rate N beta/(n-1)
+    d = _d(9, 1.0, 2.0)
+    law = an.hitting_time_law(1, d)
+    rate = d.N * d.beta / (d.n - 1)
+    assert law.rates.tolist() == pytest.approx([rate], rel=1e-12)
+    for x in (0.0, 0.01, 0.05, 0.3):
+        assert law.survival(0, x) == pytest.approx(math.exp(-rate * x), rel=1e-12)
+
+
+def test_hitting_time_law_matches_matrix_exponential():
+    # P(tau_j(i) > x) is row j of exp(Q x) summed, with Q the generator killed at i
+    from scipy.linalg import expm
+
+    d = _d(10, 1.0, 1.5)
+    i = 30
+    k = np.arange(i)
+    birth = (d.N - k) * d.beta / (d.n - 1)
+    death = k * d.alpha
+    q = np.diag(-(birth + death)) + np.diag(birth[:-1], 1) + np.diag(death[1:], -1)
+    law = an.hitting_time_law(i, d)
+    assert law.accepted.all()
+    for x in (0.1, 1.0, 5.0, 40.0):
+        exact = expm(q * x).sum(axis=1)
+        spectral = np.array([law.survival(j, x) for j in range(i)])
+        assert np.max(np.abs(spectral - exact)) < 1e-9
+
+
+def test_hitting_time_law_gate_refuses_deep_starts():
+    d = _d(200)
+    law = an.hitting_time_law(128, d)
+    assert not law.accepts(0)
+    with pytest.raises(ValueError):
+        law.survival(0, 1.0)
+    assert all(law.accepts(j) for j in range(64, 128))
+    assert not law.accepts(128) and not law.accepts(-1)
+    for j in range(128):
+        if law.accepts(j):
+            assert abs(law.survival(j, 0.0) - 1.0) <= an.LAW_TOLERANCE
+    # sum_k 1/rate_k is the mean passage time from 0
+    assert float(np.sum(1.0 / law.rates)) == pytest.approx(
+        an.expected_hitting(0, 128, d).value, rel=1e-9)
+
+
+def test_hitting_time_law_solved_once_read_only():
+    d = _d(60)
+    law = an.hitting_time_law(40, d)
+    assert an.hitting_time_law(40, _d(60)) is law
+    with pytest.raises(ValueError):
+        law.rates[0] = 1.0
+    x = np.array([0.5, 2.0, 8.0])
+    assert law.survival(30, x).tolist() == [law.survival(30, v) for v in x]
+    with pytest.raises(ValueError):
+        law.survival(30, -1.0)
+    for bad in (0, d.N + 1):
+        with pytest.raises(ValueError):
+            an.hitting_time_law(bad, d)
+
+
 # ------------------------------------------------------------ fluid limit
 
 

@@ -240,6 +240,15 @@ def test_seed_outside_64_bits_exits_2(capsys):
     assert main(argv + [str(2**64 - 5)]) == 0
 
 
+def test_static_single_vertex_exits_2(capsys):
+    argv = ["components", "static", "--n", "1", "--m", "0", "--replicas", "2", "--seed", "1"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+
+
 # sha256 of stdout for the README commands, at smaller replica counts.  They
 # pin every random stream the commands read and the output format; update
 # them only together with a recorded, deliberate stream change.
@@ -257,7 +266,7 @@ README_DIGESTS = [
      "df2fe6a8d21d78bc75488d081dad1c6b9484fc313847355fe13b17b03e37a674"),
     (["components", "static", "--n", "2000", "--eps", "0.5", "--replicas", "10",
       "--seed", "3"],
-     "d42e5f6e9112224414994f7e82f9dd0bf6f72af0fa43867bf9a1928b56130856"),
+     "78d3090fd2393daf6bd7fe33314a06d5fea0d9e4a40a825e284fd04ae54883ae"),
     (["components", "emergence", "--n", "100", "--eps", "0.3", "--delta", "0.1",
       "--replicas", "20", "--seed", "9"],
      "ec2e1bf559b12a505c65ab5232f529176bdee7f225a57654d8fdf2d864feb052"),

@@ -294,6 +294,41 @@ def test_domination_agrees_with_tracked_emergence():
     assert f_lean <= f_tracked + 0.05  # cadence can only under-report
 
 
+def test_domination_censoring_agrees_with_tracked_emergence():
+    # most lean runs settle their flag early and decide the cap with one draw
+    # from the passage law (about 0.3 censored after settling); the tracked
+    # runs follow the edge count to the cap event by event
+    d = _d(100)
+    cap = 25.0
+    reps = 800
+    lean = comp.domination_samples(d, 0.2, 0.25, reps, seed=87, cap=cap)
+    tracked = [
+        comp.emergence_run(d, 0.2, 0.25, seed=88, cap=cap, replica=r).dominated
+        for r in range(reps)
+    ]
+    f_lean = sum(x is None for x in lean) / reps
+    f_tracked = sum(x is None for x in tracked) / reps
+    pooled = (f_lean + f_tracked) / 2
+    assert 0.15 <= pooled <= 0.45
+    assert abs(f_lean - f_tracked) <= 5 * math.sqrt(pooled * (1 - pooled) * 2 / reps)
+
+
+def test_domination_worker_independence():
+    # settled runs draw their cap decision from the replica's own stream
+    d = _d(100)
+    serial = comp.domination_samples(d, 0.2, 0.25, 40, seed=89, cap=25.0, workers=1)
+    parallel = comp.domination_samples(d, 0.2, 0.25, 40, seed=89, cap=25.0, workers=2)
+    assert serial == parallel
+    assert None in serial and True in serial
+
+
+def test_domination_rejects_nonpositive_cap():
+    d = _d(40)
+    for cap in (-1.0, 0.0, math.nan):
+        with pytest.raises(ValueError):
+            comp.domination_run(d, 0.3, 0.1, 1, cap=cap)
+
+
 # ------------------------------------------------------------ static graphs
 
 
@@ -306,10 +341,12 @@ def test_static_trivial_sizes():
 def test_static_rejects_overfull():
     with pytest.raises(ValueError):
         comp.static_er_largest_component(4, 7, seed=93)
+    with pytest.raises(ValueError):
+        comp.static_er_largest_component(1, 0, seed=93)
 
 
 def test_static_dense_and_sparse_branches_return_m_edges():
-    # near-complete graph exercises the permutation branch
+    # near-complete and very sparse graphs through the same subset draw
     size = comp.static_er_largest_component(12, 60, seed=94)
     assert size == 12  # 60 of 66 edges cannot leave anything isolated enough
     sparse = comp.static_er_largest_component(400, 10, seed=95)

@@ -157,6 +157,20 @@ def test_hitting_censoring_flagged():
     assert sample.time == sample.cap == 0.001
 
 
+@pytest.mark.parametrize("start", [16, 31])
+def test_hitting_time_law_matches_censored_fraction(start):
+    # at cap = E(tau_j(i)) the event loop's censored share estimates the
+    # spectral survival function at that time
+    d = _d(40)
+    i = 32
+    cap = an.expected_hitting(start, i, d).value
+    reps = 2000
+    samples = sim.sample_hitting_times(d, start, i, reps, seed=140 + start, cap=cap)
+    censored = sum(s.censored for s in samples) / reps
+    exact = an.hitting_time_law(i, d).survival(start, cap)
+    assert abs(censored - exact) <= 5 * math.sqrt(exact * (1 - exact) / reps)
+
+
 def test_hitting_validation():
     d = _d(4)
     with pytest.raises(ValueError):
