@@ -32,8 +32,6 @@ __all__ = [
     "expected_hitting_step",
     "expected_hitting_step_series",
     "expected_hitting",
-    "HittingExpectation",
-    "hitting_expectation",
     "expected_hitting_oracle",
     "HittingTimeLaw",
     "hitting_time_law",
@@ -200,24 +198,6 @@ def expected_hitting(j: int, i: int, d: DerivedParams) -> LogNonNegative:
         raise ValueError(f"need 0 <= j < i <= {d.N}, got j={j}, i={i}")
     logs = _hitting_step_logs(d, i)
     return LogNonNegative(float(log_sum(logs[j:i])))
-
-
-@dataclass(frozen=True, slots=True)
-class HittingExpectation:
-    """An expected first-passage record: start count, target count, value.
-
-    Values satisfy the splitting identity
-    value(j, i) = value(j, k) + value(k, i) for j < k < i.
-    """
-
-    j: int
-    i: int
-    value: LogNonNegative
-
-
-def hitting_expectation(j: int, i: int, d: DerivedParams) -> HittingExpectation:
-    """expected_hitting packaged with its endpoints."""
-    return HittingExpectation(j=j, i=i, value=expected_hitting(j, i, d))
 
 
 def expected_hitting_oracle(j: int, i: int, d: DerivedParams) -> float:

@@ -229,14 +229,14 @@ def _cmd_analytic_hitting(args):
     _require(args, "from_count", "to_count")
     j = _as_count(args.from_count, "from")
     i = _as_count(args.to_count, "to")
-    rec = an.hitting_expectation(j, i, d)
+    value = an.expected_hitting(j, i, d)
     meta = _meta(args, "hitting", **{"from": j, "to": i})
     header = ["from", "to", "log_time", "time"]
     records = [{
-        "from": rec.j,
-        "to": rec.i,
-        "log_time": rec.value.log_value,
-        "time": rec.value.value if rec.value.is_representable else None,
+        "from": j,
+        "to": i,
+        "log_time": value.log_value,
+        "time": value.value if value.is_representable else None,
     }]
     _deliver(args, meta, header, records)
     return EXIT_OK

@@ -24,7 +24,6 @@ __all__ = [
     "GraphEvent",
     "GraphState",
     "EmergenceSample",
-    "largest_component_size",
     "simulate_graph",
     "sample_component_hitting",
     "emergence_run",
@@ -58,8 +57,8 @@ class GraphState:
     """
 
     __slots__ = (
-        "n", "adj", "comp_of", "members", "edges", "time",
-        "_edge_pos", "_size_counts", "_largest", "_next_label",
+        "n", "adj", "comp_of", "members", "edge_count", "time",
+        "_size_counts", "_largest", "_next_label",
     )
 
     def __init__(self, n: int):
@@ -69,16 +68,11 @@ class GraphState:
         self.adj = [set() for _ in range(n)]
         self.comp_of = list(range(n))
         self.members = {v: {v} for v in range(n)}
-        self.edges = []  # list of (u, v) with u < v
+        self.edge_count = 0
         self.time = 0.0
-        self._edge_pos = {}
         self._size_counts = {1: n}
         self._largest = 1
         self._next_label = n
-
-    @property
-    def edge_count(self) -> int:
-        return len(self.edges)
 
     def has_edge(self, u: int, v: int) -> bool:
         return v in self.adj[u]
@@ -101,8 +95,7 @@ class GraphState:
             u, v = v, u
         if v in self.adj[u]:
             raise ValueError(f"edge ({u}, {v}) already present")
-        self._edge_pos[(u, v)] = len(self.edges)
-        self.edges.append((u, v))
+        self.edge_count += 1
         self.adj[u].add(v)
         self.adj[v].add(u)
         la, lb = self.comp_of[u], self.comp_of[v]
@@ -126,13 +119,9 @@ class GraphState:
     def remove_edge(self, u: int, v: int) -> None:
         if u > v:
             u, v = v, u
-        pos = self._edge_pos.pop((u, v), None)
-        if pos is None:
+        if v not in self.adj[u]:
             raise ValueError(f"edge ({u}, {v}) not present")
-        last = self.edges.pop()
-        if pos < len(self.edges):
-            self.edges[pos] = last
-            self._edge_pos[last] = pos
+        self.edge_count -= 1
         self.adj[u].discard(v)
         self.adj[v].discard(u)
         side = self._split_side(u, v)
@@ -204,12 +193,8 @@ class GraphState:
             assert comp == self.members[label], f"component of {v0} drifted"
             assert all(self.comp_of[w] == label for w in comp)
         assert sorted(sizes) == sorted(len(m) for m in self.members.values())
+        assert 2 * self.edge_count == sum(len(a) for a in self.adj)
         assert self._largest == max(sizes), (self._largest, max(sizes))
-
-
-def largest_component_size(state: GraphState) -> int:
-    """Exact size of the largest connected component."""
-    return state.largest_component_size()
 
 
 def _edge_flips(d: DerivedParams, uniform, horizon: float, edges: list, state=None):

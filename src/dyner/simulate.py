@@ -14,6 +14,7 @@ import bisect
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import chain
 
 import numpy as np
@@ -69,44 +70,141 @@ def replica_rng(seed: int, replica: int = 0) -> np.random.Generator:
 def _uniforms(seed: int, replica: int):
     """Callable returning the replica's uniforms one Python float at a time.
 
-    The Generator is read in blocks of 4096 doubles; the block size is part
-    of every stream, so changing it changes all simulated output.
+    The Generator is read in blocks of 4096 doubles.  PCG64 double draws do
+    not depend on the draw size (`random(4096)` equals 16 draws of
+    `random(256)`), so the block size only sets how far ahead the stream is
+    read, not the values.
     """
     rng = replica_rng(seed, replica)
     return chain.from_iterable(iter(lambda: rng.random(4096).tolist(), None)).__next__
 
 
-def _run_chain(d, k, uniform, lower=-1, upper=-1, horizon=math.inf, level=None, path=None):
+_FIRST_BLOCK = 256  # doubles read by a run's first block
+_LAST_BLOCK = 4096  # blocks double up to this size
+_FIRST_WIDTH = 32  # counts on each side of the start in the first rate lists;
+# each growth of the lists adds twice as many, up to the events of a block
+
+
+def _run_chain(d, k, rng, lower=-1, upper=-1, horizon=math.inf, level=None, path=None):
     """The event loop of the edge-count chain, from count k at time 0.
 
-    Runs until the count steps onto `lower` or `upper` (absorbing counts;
-    the defaults never absorb) or the next event would pass `horizon`.
-    Returns (exit count, exit time, time spent at counts >= level); the exit
-    time is `horizon` when the horizon ended the run.  When `path` is a
-    list, every event is appended to it as (time, count).
+    Runs until the count steps onto `lower` or `upper` (absorbing counts
+    with lower < k < upper; the defaults never absorb) or the next event
+    would pass `horizon`.  Returns (exit count, exit time, time spent at
+    counts >= level); the exit time is `horizon` when the horizon ended the
+    run.  When `path` is a list, every event is appended to it as
+    (time, count).  With neither a horizon nor a path, no caller reads the
+    exit time, so it is not computed and comes back as None.
+
+    Event e reads uniforms 2e (holding time) and 2e+1 (direction) of the
+    Generator `rng`, which is read in blocks of 256 doubles doubling up to
+    4096.  Each block is run in two phases.  A Python loop walks the jump
+    directions over the odd uniforms, against lists of the rates at the
+    counts near the walk, which grow when the walk leaves them.  Then the
+    holding times -log(1 - u)/total rate are built in numpy, with each log
+    taken by `math.log` (whose last bit `np.log` does not always match),
+    and summed in event order by `np.cumsum`, so every result equals that
+    of adding one event at a time.  Logs are taken only for the events
+    whose times are read.
     """
-    n, alpha, N = d.n, d.alpha, d.N
-    # model.birth_rate/death_rate inlined: the event loop is the hot path
-    birth_scale = d.beta / (n - 1)
-    if level is None:
-        level = N + 1
+    N = d.N
+    if upper < 0:
+        upper = N + 1
+    timed = path is not None or horizon < math.inf
     t = 0.0
     above = 0.0
-    log_ = math.log
+    size = _FIRST_BLOCK
+    width = _FIRST_WIDTH
+    lo = hi = max(0, k - width)
+    lam, tot = [], []  # rates at counts lo..hi-1
     while True:
-        lam = (N - k) * birth_scale
-        tot = lam + k * alpha
-        dt = -log_(1.0 - uniform()) / tot
-        t += dt
-        if t > horizon:
-            return k, horizon, above
-        if k >= level:
-            above += dt
-        k = k + 1 if uniform() * tot < lam else k - 1
-        if path is not None:
-            path.append((t, k))
+        u = rng.random(size)
+        size = min(2 * size, _LAST_BLOCK)
+        # phase 1: the jump directions, as signed bytes (255 is -1)
+        start = k
+        odd = iter(u[1::2].tolist())
+        ups = bytearray()
+        up = ups.append
+        while True:
+            if not lo <= k < hi:
+                # the walk left the rate lists: grow them by `width` counts on that side
+                if k >= hi:
+                    grown = min(N + 1, k + width)
+                    lam[len(lam):], tot[len(tot):] = _rate_lists(hi, grown, d)
+                    hi = grown
+                else:
+                    grown = max(0, k - width)
+                    lam[:0], tot[:0] = _rate_lists(grown, lo, d)
+                    lo = grown
+                width = min(2 * width, _LAST_BLOCK // 2)
+            j = k - lo
+            j_lower, j_upper = max(lower, lo - 1) - lo, min(upper, hi) - lo
+            for v in odd:
+                if v * tot[j] < lam[j]:
+                    j += 1
+                    up(1)
+                else:
+                    j -= 1
+                    up(255)
+                if j == j_lower or j == j_upper:
+                    break
+            k = lo + j
+            if k == lower or k == upper or lo <= k < hi:
+                break
+        # phase 2: the event times, only where they are read
+        if timed or level is not None:
+            counts = _running_sum(start, np.frombuffer(ups, np.int8))
+            before = counts[:-1]
+        if timed:
+            events = len(ups)
+            dt = _holding_times(u[0:2 * events:2], before, d)
+            times = _running_sum(t, dt)[1:]
+            cut = int(np.searchsorted(times, horizon, side="right"))
+            if level is not None:
+                above = _running_sum(above, dt[:cut][before[:cut] >= level])[-1]
+            if path is not None:
+                path.extend(zip(times[:cut].tolist(), counts[1:cut + 1].tolist()))
+            if cut < events:
+                return int(before[cut]), horizon, float(above)
+            t = float(times[-1])
+        elif level is not None:
+            hit = np.flatnonzero(before >= level)
+            dt = _holding_times(u[2 * hit], before[hit], d)
+            above = _running_sum(above, dt)[-1]
         if k == lower or k == upper:
-            return k, t, above
+            return k, (t if timed else None), float(above)
+
+
+def _rates(counts, d):
+    """(birth rate, total rate) at an array of counts.
+
+    model.birth_rate/death_rate inlined, with the operations in the order
+    of the scalar loop the kernel replaced, so each rate matches its bits.
+    """
+    lam = (d.N - counts) * (d.beta / (d.n - 1))
+    return lam, lam + counts * d.alpha
+
+
+@lru_cache(maxsize=32)
+def _rate_lists(lo, hi, d):
+    """The rates at counts lo..hi-1 as two tuples of Python floats.
+
+    Cached: the replicas of one sampler start from one count and grow their
+    rate lists by the same steps, so they mostly ask for the same ranges.
+    """
+    lam, tot = _rates(np.arange(lo, hi), d)
+    return tuple(lam.tolist()), tuple(tot.tolist())
+
+
+def _holding_times(u, counts, d):
+    """-log(1 - u) / total rate per event, each log taken by math.log."""
+    logs = np.fromiter(map(math.log, (1.0 - u).tolist()), float, len(u))
+    return -logs / _rates(counts, d)[1]
+
+
+def _running_sum(start, terms):
+    """[start, start + terms[0], start + terms[0] + terms[1], ...], left to right."""
+    return np.cumsum(np.concatenate(([start], terms)))
 
 
 @dataclass(frozen=True, slots=True)
@@ -187,7 +285,7 @@ def simulate_trajectory(
     if not (horizon > 0):
         raise ValueError(f"horizon must be positive, got {horizon!r}")
     events = [(0.0, start)]
-    _run_chain(d, start, _uniforms(seed, replica), horizon=horizon, path=events)
+    _run_chain(d, start, replica_rng(seed, replica), horizon=horizon, path=events)
     return Trajectory(
         params=d, start=start, horizon=horizon, seed=seed, replica=replica,
         events=tuple(events),
@@ -213,7 +311,7 @@ def sample_hitting_time(
         cap = default_hitting_cap(d)
     if not (cap > 0):
         raise ValueError(f"cap must be positive, got {cap!r}")
-    k, t, _ = _run_chain(d, start, _uniforms(seed, replica), upper=target, horizon=cap)
+    k, t, _ = _run_chain(d, start, replica_rng(seed, replica), upper=target, horizon=cap)
     return HittingSample(start, target, t, k != target, cap, seed, replica)
 
 
@@ -242,7 +340,7 @@ def sample_time_above(
     """
     if not (0 <= s < i <= d.N):
         raise ValueError(f"need 0 <= s < i <= {d.N}, got i={i}, s={s}")
-    _, _, above = _run_chain(d, i, _uniforms(seed, replica), lower=s, level=i)
+    _, _, above = _run_chain(d, i, replica_rng(seed, replica), lower=s, level=i)
     return CycleSample(i=i, s=s, time_above=above, seed=seed, replica=replica)
 
 
@@ -263,8 +361,9 @@ def _time_above_one(args, replica):
 
 def _escape_one(args, replica):
     d, j, i, s, seed = args
-    k, _, _ = _run_chain(d, j, _uniforms(seed, replica), lower=s, upper=i)
+    k, _, _ = _run_chain(d, j, replica_rng(seed, replica), lower=s, upper=i)
     return 1.0 if k == i else 0.0
+
 
 def _chunk(fn, args, lo, hi):
     return [fn(args, r) for r in range(lo, hi)]

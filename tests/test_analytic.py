@@ -176,13 +176,6 @@ def test_expected_hitting_additivity_exact():
     assert abs(whole - split) < 1e-12
 
 
-def test_hitting_expectation_record():
-    d = _d(4)
-    rec = an.hitting_expectation(1, 3, d)
-    assert (rec.j, rec.i) == (1, 3)
-    assert rec.value.log_value == an.expected_hitting(1, 3, d).log_value
-
-
 def test_expected_hitting_monotonicity():
     d = _d(6, 1.2, 0.9)
     values = [an.expected_hitting(0, i, d).log_value for i in range(1, d.N + 1)]

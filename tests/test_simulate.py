@@ -347,3 +347,105 @@ def test_replica_streams_differ():
     d = _d(12)
     samples = sim.sample_hitting_times(d, 0, 8, 50, seed=62)
     assert len({s.time for s in samples}) == 50
+
+
+# ------------------------------------------------------------ kernel against the scalar loop
+
+
+def _reference_chain(d, k, uniform, lower=-1, upper=-1, horizon=math.inf, level=None,
+                     path=None):
+    # the one-event-at-a-time loop that _run_chain replaced, kept as its oracle
+    n, alpha, N = d.n, d.alpha, d.N
+    birth_scale = d.beta / (n - 1)
+    if level is None:
+        level = N + 1
+    t = 0.0
+    above = 0.0
+    while True:
+        lam = (N - k) * birth_scale
+        tot = lam + k * alpha
+        dt = -math.log(1.0 - uniform()) / tot
+        t += dt
+        if t > horizon:
+            return k, horizon, above
+        if k >= level:
+            above += dt
+        k = k + 1 if uniform() * tot < lam else k - 1
+        if path is not None:
+            path.append((t, k))
+        if k == lower or k == upper:
+            return k, t, above
+
+
+_KERNEL_CASES = {
+    # name: (n, beta, start, stop rule)
+    "upper_with_cap": (40, 1.0, 0, dict(upper=32, horizon=60.0)),
+    "escape": (40, 1.0, 28, dict(lower=20, upper=36)),
+    "cycle": (40, 1.0, 32, dict(lower=20, level=32)),
+    "horizon_with_level": (40, 1.0, 25, dict(upper=29, horizon=3.0, level=22)),
+    "long_path": (2000, 1.0, 0, dict(horizon=2.0, path=True)),
+    "dense": (30, 200.0, 0, dict(upper=392, horizon=2.0, level=375, path=True)),
+    "next_to_lower": (10, 1.0, 6, dict(lower=5, upper=9)),
+    "next_to_upper": (10, 1.0, 8, dict(lower=5, upper=9)),
+    "next_to_top": (6, 200.0, 14, dict(upper=15)),
+    "empty_start": (2, 1.0, 0, dict(upper=1)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_KERNEL_CASES))
+def test_kernel_matches_scalar_loop(case):
+    n, beta, start, rule = _KERNEL_CASES[case]
+    d = _d(n, beta=beta)
+    rule = dict(rule)
+    with_path = rule.pop("path", False)
+    untimed = "horizon" not in rule and not with_path
+    censored = 0
+    for r in range(40):
+        want_path, got_path = ([], []) if with_path else (None, None)
+        want = _reference_chain(d, start, sim._uniforms(900, r), path=want_path, **rule)
+        got = sim._run_chain(d, start, sim.replica_rng(900, r), path=got_path, **rule)
+        if untimed:
+            # no caller reads the exit time, so the logs are taken only where
+            # the level needs them; a horizon no run reaches asks for them all
+            assert got == (want[0], None, want[2])
+            got = sim._run_chain(d, start, sim.replica_rng(900, r), horizon=1e300, **rule)
+        assert got == want
+        assert got_path == want_path
+        censored += got[1] == rule.get("horizon")
+    if case in ("upper_with_cap", "horizon_with_level", "dense"):
+        assert 0 < censored < 40  # both exits are exercised
+
+
+def test_kernel_paths_span_many_blocks():
+    # horizon 20 at n=2000 runs through every block size; from 1040 the walk
+    # leaves its rate lists on both sides (they grow up, down, up, down)
+    d = _d(2000)
+    want, got = [(0.0, 1040)], [(0.0, 1040)]
+    _reference_chain(d, 1040, sim._uniforms(901, 0), horizon=20.0, path=want)
+    sim._run_chain(d, 1040, sim.replica_rng(901, 0), horizon=20.0, path=got)
+    assert len(got) > 10_000
+    assert got == want
+    assert all(type(t) is float and type(k) is int for t, k in got)
+
+
+
+def test_holding_times_take_each_log_from_math_log():
+    # np.log misses math.log by one ulp on some inputs on some CPUs; a run's
+    # later event times absorb that, but its first event time is one holding
+    # time exactly
+    d = _d(50)
+    birth_scale = d.beta / (d.n - 1)
+    u = sim.replica_rng(902).random(100_000)
+    counts = np.arange(len(u)) % (d.N + 1)
+    want = [-math.log(1.0 - v) / ((d.N - k) * birth_scale + k * d.alpha)
+            for v, k in zip(u.tolist(), counts.tolist())]
+    got = sim._holding_times(u, counts, d)
+    assert got.tolist() == want
+
+def test_pcg64_double_draws_do_not_depend_on_draw_size():
+    # _run_chain reads 256, 512, ... 4096 doubles where _uniforms reads 4096
+    # at a time; both see one stream only because of this numpy fact
+    whole = sim.replica_rng(77, 3).random(8192)
+    rng = sim.replica_rng(77, 3)
+    parts = np.concatenate([rng.random(s) for s in (256, 512, 1024, 2048, 4096)])
+    assert np.array_equal(parts, whole[:len(parts)])
