@@ -85,7 +85,8 @@ _FIRST_WIDTH = 32  # counts on each side of the start in the first rate lists;
 # each growth of the lists adds twice as many, up to the events of a block
 
 
-def _run_chain(d, k, rng, lower=-1, upper=-1, horizon=math.inf, level=None, path=None):
+def _run_chain(d, k, rng, lower=-1, upper=-1, horizon=math.inf, level=None, path=None,
+               timed=True):
     """The event loop of the edge-count chain, from count k at time 0.
 
     Runs until the count steps onto `lower` or `upper` (absorbing counts
@@ -93,8 +94,8 @@ def _run_chain(d, k, rng, lower=-1, upper=-1, horizon=math.inf, level=None, path
     would pass `horizon`.  Returns (exit count, exit time, time spent at
     counts >= level); the exit time is `horizon` when the horizon ended the
     run.  When `path` is a list, every event is appended to it as
-    (time, count).  With neither a horizon nor a path, no caller reads the
-    exit time, so it is not computed and comes back as None.
+    (time, count).  A caller that reads no exit time passes timed=False
+    (with no horizon and no path); the time then comes back as None.
 
     Event e reads uniforms 2e (holding time) and 2e+1 (direction) of the
     Generator `rng`, which is read in blocks of 256 doubles doubling up to
@@ -110,7 +111,6 @@ def _run_chain(d, k, rng, lower=-1, upper=-1, horizon=math.inf, level=None, path
     N = d.N
     if upper < 0:
         upper = N + 1
-    timed = path is not None or horizon < math.inf
     t = 0.0
     above = 0.0
     size = _FIRST_BLOCK
@@ -340,7 +340,7 @@ def sample_time_above(
     """
     if not (0 <= s < i <= d.N):
         raise ValueError(f"need 0 <= s < i <= {d.N}, got i={i}, s={s}")
-    _, _, above = _run_chain(d, i, replica_rng(seed, replica), lower=s, level=i)
+    _, _, above = _run_chain(d, i, replica_rng(seed, replica), lower=s, level=i, timed=False)
     return CycleSample(i=i, s=s, time_above=above, seed=seed, replica=replica)
 
 
@@ -361,7 +361,7 @@ def _time_above_one(args, replica):
 
 def _escape_one(args, replica):
     d, j, i, s, seed = args
-    k, _, _ = _run_chain(d, j, replica_rng(seed, replica), lower=s, upper=i)
+    k, _, _ = _run_chain(d, j, replica_rng(seed, replica), lower=s, upper=i, timed=False)
     return 1.0 if k == i else 0.0
 
 

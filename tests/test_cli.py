@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import os
 import pathlib
 import subprocess
@@ -155,6 +156,18 @@ def test_all_censored_exits_3(capsys):
     out = capsys.readouterr().out
     assert code == 3
     assert "true" in out  # censored flags present, samples not dropped
+
+
+@pytest.mark.parametrize("cap", ["inf", "1e400"])
+def test_infinite_cap_reports_every_time(cap, capsys):
+    # argparse reads 1e400 as inf; an infinite cap censors nothing
+    run_cli("simulate", "hitting", "--n", "6", "--from", "0", "--to", "3",
+            "--replicas", "5", "--seed", "9", "--cap", cap)
+    rows = [l.split(",") for l in capsys.readouterr().out.splitlines()
+            if not l.startswith("#")][1:]
+    assert [r[3] for r in rows[:-1]] == ["false"] * 5
+    assert all(math.isfinite(float(r[2])) for r in rows[:-1])
+    assert math.isfinite(float(rows[-1][4]))
 
 
 def test_rates_rows_and_svg(tmp_path, capsys):

@@ -404,13 +404,13 @@ def test_kernel_matches_scalar_loop(case):
         want_path, got_path = ([], []) if with_path else (None, None)
         want = _reference_chain(d, start, sim._uniforms(900, r), path=want_path, **rule)
         got = sim._run_chain(d, start, sim.replica_rng(900, r), path=got_path, **rule)
-        if untimed:
-            # no caller reads the exit time, so the logs are taken only where
-            # the level needs them; a horizon no run reaches asks for them all
-            assert got == (want[0], None, want[2])
-            got = sim._run_chain(d, start, sim.replica_rng(900, r), horizon=1e300, **rule)
         assert got == want
         assert got_path == want_path
+        if untimed:
+            # escape races and cycles read no exit time, so they skip its logs
+            # and take only those the level needs
+            bare = sim._run_chain(d, start, sim.replica_rng(900, r), timed=False, **rule)
+            assert bare == (want[0], None, want[2])
         censored += got[1] == rule.get("horizon")
     if case in ("upper_with_cap", "horizon_with_level", "dense"):
         assert 0 < censored < 40  # both exits are exercised
@@ -428,6 +428,14 @@ def test_kernel_paths_span_many_blocks():
     assert all(type(t) is float and type(k) is int for t, k in got)
 
 
+def test_hitting_time_with_infinite_cap_is_exact():
+    # an infinite cap censors nothing, and the sample still carries its time
+    d = _d(40)
+    for r in range(10):
+        got = sim.sample_hitting_time(d, 0, 32, 903, cap=math.inf, replica=r)
+        k, t, _ = _reference_chain(d, 0, sim._uniforms(903, r), upper=32)
+        assert (got.time, got.censored) == (t, False) and k == 32
+
 
 def test_holding_times_take_each_log_from_math_log():
     # np.log misses math.log by one ulp on some inputs on some CPUs; a run's
@@ -441,6 +449,7 @@ def test_holding_times_take_each_log_from_math_log():
             for v, k in zip(u.tolist(), counts.tolist())]
     got = sim._holding_times(u, counts, d)
     assert got.tolist() == want
+
 
 def test_pcg64_double_draws_do_not_depend_on_draw_size():
     # _run_chain reads 256, 512, ... 4096 doubles where _uniforms reads 4096
