@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from dyner.cli import RunConfig, main
+from dyner.cli import RunConfig, build_parser, main
 
 SRC = str(pathlib.Path(__file__).resolve().parents[1] / "src")
 
@@ -283,12 +283,46 @@ README_DIGESTS = [
     (["components", "emergence", "--n", "100", "--eps", "0.3", "--delta", "0.1",
       "--replicas", "20", "--seed", "9"],
      "ec2e1bf559b12a505c65ab5232f529176bdee7f225a57654d8fdf2d864feb052"),
+    (["analytic", "hitting", "--n", "3", "--alpha", "1", "--beta", "1", "--from", "0",
+      "--to", "2"],
+     "0846c05ec48e1324b3f3906de33de0281063937f18557d1de8aa2f08e5506e53"),
+    (["analytic", "stationarity", "--n", "200", "--t", "10.6"],
+     "39a661cd617ae7a9768c1cfffadb2f278f1de15f8bd6ad438c36e6d9bc90cff3"),
+    (["analytic", "fluid", "--n", "100", "--from", "0", "--to", "0.3"],
+     "b0ce47fd1386cf54e0d70262ca7e9689a0b6d54e6fb1aeb49e3f5c04ab3df0b7"),
+    (["analytic", "entropy", "--n", "40", "--c", "0.8"],
+     "07c1199d5c82f02a732da6530b932fa72c3b48d2bea61c8e9e084b5dec864dc1"),
+    (["analytic", "tail", "--n", "40", "--i", "32"],
+     "53873952c5c09a6f537c560eba2a8a771940a033b4d8e46ec423221b1bf697f2"),
+    (["analytic", "rates", "--eps-min", "0.01", "--eps-max", "0.79", "--step", "0.01"],
+     "c9b534aa1283330ea664c8388f5531494d09cd2286f86e7139c80511982579eb"),
+    (["simulate", "stationarity", "--n", "200", "--replicas", "1000", "--seed", "1"],
+     "97750557cabf317d434e7bcca987110910c6dc51bf3932b6c9ceef497bf7245c"),
+    (["simulate", "escape", "--n", "40", "--from", "28", "--to", "36",
+      "--floor", "20", "--replicas", "1000", "--seed", "5", "--format", "json"],
+     "42a46cd95a0b47c8905eb7ffbd35c324db1c35158be9e9f8ad465b76ff52682a"),
 ]
 
 
+def _digest_id(argv):
+    return " ".join(argv[:2] + (["json"] if "json" in argv else []))
+
+
 @pytest.mark.parametrize("argv,digest", README_DIGESTS,
-                         ids=[" ".join(argv[:2]) for argv, _ in README_DIGESTS])
+                         ids=[_digest_id(argv) for argv, _ in README_DIGESTS])
 def test_readme_command_stdout_digest(argv, digest, capsys):
     assert main(argv) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_readme_commands_parse():
+    readme = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```")[1]
+    commands = [line.split()[1:] for line in block.splitlines()
+                if line.startswith("dyner ")]
+    assert len(commands) == 13
+    parser = build_parser()
+    for argv in commands:
+        args = parser.parse_args(argv)
+        assert (args.command, args.subcommand) == tuple(argv[:2])
