@@ -262,8 +262,8 @@ def simulate_graph(
     verify=True the incremental component bookkeeping is checked against a
     full recomputation after every event (test mode; n <= 200 recommended).
     """
-    if not (horizon > 0):
-        raise ValueError(f"horizon must be positive, got {horizon!r}")
+    if not (0 < horizon < math.inf):
+        raise ValueError(f"horizon must be positive and finite, got {horizon!r}")
     state = GraphState(d.n)
     for t, added, key in _edge_flips(d, _uniforms(seed, replica), horizon, [], state):
         if verify:

@@ -282,8 +282,8 @@ def simulate_trajectory(
     """Exact event-driven path of the edge count up to the horizon."""
     if not (0 <= start <= d.N):
         raise ValueError(f"start count must be in [0, {d.N}], got {start}")
-    if not (horizon > 0):
-        raise ValueError(f"horizon must be positive, got {horizon!r}")
+    if not (0 < horizon < math.inf):
+        raise ValueError(f"horizon must be positive and finite, got {horizon!r}")
     events = [(0.0, start)]
     _run_chain(d, start, replica_rng(seed, replica), horizon=horizon, path=events)
     return Trajectory(
@@ -377,12 +377,14 @@ def run_replicas(fn, args, replicas: int, workers: int = 1) -> list:
     """
     if replicas < 1:
         raise ValueError(f"replicas must be positive, got {replicas}")
-    workers = max(1, int(workers))
+    if workers < 1:
+        raise ValueError(f"workers must be positive, got {workers}")
     if workers == 1 or replicas == 1:
         return [fn(args, r) for r in range(replicas)]
     chunk_size = -(-replicas // workers)
     bounds = [(lo, min(lo + chunk_size, replicas)) for lo in range(0, replicas, chunk_size)]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    # one process per chunk: a fork pool starts all max_workers processes at once
+    with ProcessPoolExecutor(max_workers=len(bounds)) as pool:
         futures = [pool.submit(_chunk, fn, args, lo, hi) for lo, hi in bounds]
         out = []
         for fut in futures:

@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from dyner.cli import RunConfig, build_parser, main
+from dyner.cli import build_parser, main
 
 SRC = str(pathlib.Path(__file__).resolve().parents[1] / "src")
 
@@ -186,11 +186,8 @@ def test_rates_rows_and_svg(tmp_path, capsys):
 
 
 def test_config_file_round_trip_and_override(tmp_path, capsys):
-    cfg = RunConfig(n=6, alpha=1.0, beta=1.0, seed=4, replicas=5,
-                    from_count=0.0, to_count=3.0)
-    assert RunConfig.from_text(cfg.to_text()) == cfg
     path = tmp_path / "run.cfg"
-    path.write_text(cfg.to_text())
+    path.write_text("n=6\nalpha=1.0\nbeta=1.0\nseed=4\nreplicas=5\nfrom=0.0\nto=3.0\n")
     run_cli("simulate", "hitting", "--config", str(path))
     out1 = capsys.readouterr().out
     assert "# seed=4" in out1
@@ -203,6 +200,20 @@ def test_config_rejects_unknown_key(tmp_path, capsys):
     path = tmp_path / "bad.cfg"
     path.write_text("bogus=1\n")
     assert main(["simulate", "hitting", "--config", str(path)]) == 2
+
+
+@pytest.mark.parametrize("line", ["format=xml", "from-state=2", "n=six"])
+def test_config_values_pass_the_flag_checks(line, tmp_path, capsys):
+    # format=xml used to be accepted from a config file and silently write CSV
+    path = tmp_path / "bad.cfg"
+    path.write_text(f"{line}\n")
+    argv = ["analytic", "transition", "--n", "4", "--t", "0.5", "--from-state", "0",
+            "--to-state", "1", "--config", str(path)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: bad value for {line.split('=')[0]!r} on line 1: " \
+                           f"{line.split('=')[1]!r}\n"
 
 
 def test_worker_count_does_not_change_bytes():
@@ -241,6 +252,42 @@ def test_non_finite_count_exits_2(command, value, capsys):
     assert main(argv) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and "--from" in err[0]
+
+
+def test_infinite_trajectory_horizon_exits_2():
+    # this used to run until killed, growing its path list without bound
+    proc = run_proc("simulate", "trajectory", "--n", "6", "--horizon", "inf", "--seed", "1",
+                    timeout=60)
+    assert proc.returncode == 2
+    assert proc.stdout == b""
+    err = proc.stderr.decode().splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and "horizon" in err[0]
+
+
+@pytest.mark.parametrize("replicas", ["0", "-2"])
+def test_trajectory_replicas_must_be_positive(replicas, capsys):
+    argv = ["simulate", "trajectory", "--n", "6", "--horizon", "1", "--seed", "1",
+            "--replicas", replicas]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: replicas must be positive, got {replicas}\n"
+
+
+@pytest.mark.parametrize("command", [
+    ["simulate", "hitting", "--n", "6", "--from", "0", "--to", "3"],
+    ["simulate", "trajectory", "--n", "6", "--horizon", "1"],
+    ["components", "static", "--n", "20", "--m", "10"],
+])
+def test_workers_must_be_positive(command, monkeypatch, capsys):
+    argv = command + ["--replicas", "3", "--seed", "1"]
+    assert main(argv + ["--workers", "0"]) == 2
+    assert capsys.readouterr().err == "error: workers must be positive, got 0\n"
+    monkeypatch.setenv("DYNER_WORKERS", "0")
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: workers must be positive, got 0\n"
 
 
 def test_seed_outside_64_bits_exits_2(capsys):

@@ -115,6 +115,12 @@ def test_simulate_graph_verified_bookkeeping():
     state.verify()
 
 
+@pytest.mark.parametrize("horizon", [0.0, math.inf, math.nan])
+def test_simulate_graph_needs_finite_positive_horizon(horizon):
+    with pytest.raises(ValueError):
+        comp.simulate_graph(_d(6), horizon, seed=1)
+
+
 def test_simulate_graph_monotone_component_updates():
     d = _d(25)
     sizes = []

@@ -1,4 +1,5 @@
 import math
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -57,6 +58,13 @@ def test_trajectory_count_at():
     assert path.count_at(1.5) == path.events[-1][1]
     with pytest.raises(ValueError):
         path.count_at(2.0)
+
+
+@pytest.mark.parametrize("horizon", [0.0, -1.0, math.inf, math.nan])
+def test_trajectory_needs_finite_positive_horizon(horizon):
+    # an infinite horizon used to run until killed, growing the path without bound
+    with pytest.raises(ValueError):
+        sim.simulate_trajectory(_d(6), 0, horizon, 1)
 
 
 def test_trajectory_first_event_mean():
@@ -333,6 +341,42 @@ def test_run_replicas_worker_independent():
     serial = sim.sample_hitting_times(d, 0, 8, 60, seed=61, workers=1)
     parallel = sim.sample_hitting_times(d, 0, 8, 60, seed=61, workers=3)
     assert serial == parallel
+
+
+def test_run_replicas_rejects_non_positive_workers():
+    for workers in (0, -2):
+        with pytest.raises(ValueError, match="workers must be positive"):
+            sim.run_replicas(sim._stationarity_one, (_d(6), 1), 4, workers)
+
+
+class _RecordingPool:
+    """Stands in for ProcessPoolExecutor: runs each task at submit, records max_workers."""
+
+    sizes = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, *args):
+        future = Future()
+        future.set_result(fn(*args))
+        return future
+
+
+@pytest.mark.parametrize("replicas,workers,processes", [(2, 16, 2), (5, 4, 3)])
+def test_run_replicas_starts_one_process_per_chunk(monkeypatch, replicas, workers, processes):
+    monkeypatch.setattr(sim, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(_RecordingPool, "sizes", [])
+    args = (_d(6), 5)
+    got = sim.run_replicas(sim._stationarity_one, args, replicas, workers)
+    assert _RecordingPool.sizes == [processes]
+    assert got == [sim._stationarity_one(args, r) for r in range(replicas)]
 
 
 def test_replica_rng_rejects_seeds_outside_64_bits():
