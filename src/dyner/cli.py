@@ -162,9 +162,10 @@ def _deliver(o, meta, header, records) -> None:
 
 
 def _samples(rows, values=None, **summary):
-    """Per-replica rows, then a summary row: mean_ci of values plus the given fields."""
+    """Per-replica rows, then a summary row: the given fields, plus mean_ci of
+    the values when there are at least two."""
     records = [{"row": "sample", **row} for row in rows]
-    if values is not None:
+    if values is not None and len(values) >= 2:
         est = mean_ci(values)
         summary = {"mean": est.mean, "half_width": est.half_width, "count": est.count,
                    **summary}
@@ -266,7 +267,7 @@ def _hitting_samples(o, d):
                                        workers=o["workers"])
     uncensored = [s.time for s in samples if not s.censored]
     rows = [{"replica": s.replica, "time": s.time, "censored": s.censored} for s in samples]
-    return _samples(rows, uncensored if len(uncensored) >= 2 else None)
+    return _samples(rows, uncensored)
 
 
 def _stationarity_samples(o, d):
@@ -370,7 +371,7 @@ _COMMANDS = (
     _Command("analytic", "tail", "exact binomial tail with entropy bounds",
              _COMMON + "i", "n i", "i log_tail tail log_lower log_upper bounds_valid", _tail),
     _Command("analytic", "rates", "component-emergence rate exponents sweep",
-             _COMMON + "eps-min eps-max step svg", "", "eps K I1", _rates, model=False),
+             "format output eps-min eps-max step svg", "", "eps K I1", _rates, model=False),
     _Command("simulate", "trajectory", "event-timed edge-count paths",
              _COMMON + "seed start horizon replicas workers", "n horizon",
              "replica time count", _trajectory),
@@ -389,7 +390,7 @@ _COMMANDS = (
              _COMMON + "seed replicas floor from to workers", "n from to floor replicas",
              "row replica escaped mean half_width count", _escape),
     _Command("components", "static", "largest component of uniform graphs with m edges",
-             _COMMON + "seed replicas eps m workers", "n replicas",
+             "n format output seed replicas eps m workers", "n replicas",
              "row replica largest fraction mean half_width count", _static, model=False),
     _Command("components", "emergence", "component emergence vs the edge-count proxy",
              _COMMON + "seed replicas eps delta cap workers", "n eps delta replicas",

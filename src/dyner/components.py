@@ -1,13 +1,16 @@
-"""Labeled-graph simulation with live largest-component tracking.
+"""Labeled-graph simulation and component first-passage times.
 
 Unlike the aggregate edge-count chain, this module keeps per-edge identity:
 deletions remove a uniform present edge, insertions add a uniform absent
 pair, which reproduces the per-pair on-off dynamics exactly.  One event
-loop, the `_edge_flips` generator, drives every labeled sampler; each
-sampler only adds its own stop rule.  Components are maintained
-incrementally by `GraphState`: insertions merge the smaller component into
-the larger, deletions repair connectivity with a bidirectional search over
-the affected component only.
+loop, the `_edge_flips` generator, drives every labeled sampler.
+`simulate_graph` applies each flip to a `GraphState`, which maintains
+components incrementally: insertions merge the smaller component into the
+larger, deletions repair connectivity with a bidirectional search over the
+affected component only.  The first-passage samplers share one driver,
+`_component_passage`, which bounds the largest component by a union-find
+that ignores deletions and rebuilds it only when the bound reaches the
+threshold.
 """
 
 import math
@@ -197,15 +200,14 @@ class GraphState:
         assert self._largest == max(sizes), (self._largest, max(sizes))
 
 
-def _edge_flips(d: DerivedParams, uniform, horizon: float, edges: list, state=None):
+def _edge_flips(d: DerivedParams, uniform, horizon: float, edges: list):
     """The event loop of the labeled chain: yields (time, added, key) per flip.
 
     `edges` holds the keys a*n+b (a < b) of the present edges, is updated in
-    place with swap-remove, and must start empty.  Deletions remove a
-    uniform present edge; insertions draw ordered pairs until one is absent,
-    which is exact at any density.  When `state` is given, each flip is also
-    applied to it.  The generator stops when the next event would pass
-    `horizon`.
+    place with swap-remove before each yield, and must start empty.
+    Deletions remove a uniform present edge; insertions draw ordered pairs
+    until one is absent, which is exact at any density.  The generator stops
+    when the next event would pass `horizon`.
     """
     n, alpha, N = d.n, d.alpha, d.N
     birth_scale = d.beta / (n - 1)
@@ -226,9 +228,7 @@ def _edge_flips(d: DerivedParams, uniform, horizon: float, edges: list, state=No
             if key != last:
                 edges[idx] = last
                 pos[last] = idx
-            if state is not None:
-                state.remove_edge(*divmod(key, n))
-            added = False
+            yield t, False, key
         else:
             while True:
                 a = int(uniform() * n)
@@ -240,12 +240,7 @@ def _edge_flips(d: DerivedParams, uniform, horizon: float, edges: list, state=No
                     break
             pos[key] = m
             edges.append(key)
-            if state is not None:
-                state.add_edge(a, b)
-            added = True
-        if state is not None:
-            state.time = t
-        yield t, added, key
+            yield t, True, key
 
 
 def simulate_graph(
@@ -265,11 +260,16 @@ def simulate_graph(
     if not (0 < horizon < math.inf):
         raise ValueError(f"horizon must be positive and finite, got {horizon!r}")
     state = GraphState(d.n)
-    for t, added, key in _edge_flips(d, _uniforms(seed, replica), horizon, [], state):
+    for t, added, key in _edge_flips(d, _uniforms(seed, replica), horizon, []):
+        a, b = divmod(key, d.n)
+        if added:
+            state.add_edge(a, b)
+        else:
+            state.remove_edge(a, b)
+        state.time = t
         if verify:
             state.verify()
         if observers:
-            a, b = divmod(key, d.n)
             event = GraphEvent(
                 time=t, added=added, u=a, v=b,
                 edge_count=state.edge_count, largest=state._largest,
@@ -285,24 +285,71 @@ def _component_threshold(eps: float, n: int) -> int:
     return math.ceil(eps * n - 1e-9)
 
 
-def sample_component_hitting(
-    d: DerivedParams, eps: float, seed: int, cap: float | None = None, replica: int = 0
-) -> HittingSample:
-    """First time the largest component reaches ceil(eps n), from the empty graph."""
+def _checked_cap(d: DerivedParams, eps: float, cap: float | None) -> float:
+    """The cap of a component passage, the default one when None; checks eps too."""
     if not (0.0 < eps < 1.0):
         raise ValueError(f"eps must be in (0, 1), got {eps!r}")
     if cap is None:
         cap = default_hitting_cap(d)
     if not (cap > 0):
         raise ValueError(f"cap must be positive, got {cap!r}")
-    threshold = _component_threshold(eps, d.n)
+    return cap
+
+
+def _component_passage(flips, edges: list, n: int, threshold: int, edge_target=math.inf):
+    """Walk `flips`, which keep `edges`, to the first event whose largest
+    component has `threshold` vertices; returns (tau_component, tau_edges).
+
+    tau_edges is the first event at which the edge count reaches
+    `edge_target`, if that comes first; either is None when the flips end
+    before it.  The bound, a union-find of every edge added since its last
+    rebuild, bounds the largest component of every graph since then; it is
+    rebuilt from the present edges only when it reaches the threshold.
+    """
     if threshold <= 1:
-        return HittingSample(0, threshold, 0.0, False, cap, seed, replica)
-    state = GraphState(d.n)
-    for t, _, _ in _edge_flips(d, _uniforms(seed, replica), cap, [], state):
-        if state._largest >= threshold:
-            return HittingSample(0, threshold, t, False, cap, seed, replica)
-    return HittingSample(0, threshold, cap, True, cap, seed, replica)
+        return 0.0, None
+    bound = _UnionFind(n)
+    tau_edges = None
+    for t, added, key in flips:
+        if not added:
+            continue
+        if tau_edges is None and len(edges) >= edge_target:
+            tau_edges = t
+        if bound.union((key,)) >= threshold:
+            bound = _UnionFind(n, edges)
+            if bound.largest >= threshold:
+                return t, tau_edges
+    return None, tau_edges
+
+
+def sample_component_hitting(
+    d: DerivedParams, eps: float, seed: int, cap: float | None = None, replica: int = 0
+) -> HittingSample:
+    """First time the largest component reaches ceil(eps n), from the empty graph."""
+    cap = _checked_cap(d, eps, cap)
+    threshold = _component_threshold(eps, d.n)
+    edges = []
+    flips = _edge_flips(d, _uniforms(seed, replica), cap, edges)
+    t, _ = _component_passage(flips, edges, d.n, threshold)
+    return HittingSample(0, threshold, cap if t is None else t, t is None, cap, seed, replica)
+
+
+def _inverse_survival(law, m: int, u: float, horizon: float) -> float:
+    """The x in [0, horizon] where law.survival(m, x) falls to u >= survival(m, horizon).
+
+    Each round keeps the first of 16 cells whose right end is at or below u;
+    16 rounds shrink the bracket by 2^64, past double precision.
+    """
+    lo, hi = 0.0, horizon
+    if math.isinf(hi):
+        hi = 1.0 / law.rates[0]
+        while law.survival(m, hi) > u:
+            hi *= 2.0
+    for _ in range(16):
+        grid = np.linspace(lo, hi, 17)
+        k = int(np.argmax(law.survival(m, grid[1:]) <= u))
+        lo, hi = grid[k], grid[k + 1]
+    return float(hi)
 
 
 @dataclass(frozen=True, slots=True)
@@ -339,31 +386,35 @@ def emergence_run(
     cap: float | None = None,
     replica: int = 0,
 ) -> EmergenceSample:
-    """One dynamic run recording both emergence times and the domination flag."""
-    if not (0.0 < eps < 1.0):
-        raise ValueError(f"eps must be in (0, 1), got {eps!r}")
+    """One dynamic run recording both emergence times and the domination flag.
+
+    The labeled chain runs to tau_component, noting tau_edges if the edge
+    count reaches its target first; otherwise tau_edges is drawn from the
+    edge count's exact passage law.
+    """
+    cap = _checked_cap(d, eps, cap)
     if not (delta > 0.0 and eps + delta < 1.0):
         raise ValueError(f"need delta > 0 with eps + delta < 1, got delta={delta!r}")
-    if cap is None:
-        cap = default_hitting_cap(d)
-    if not (cap > 0):
-        raise ValueError(f"cap must be positive, got {cap!r}")
     threshold = _component_threshold(eps, d.n)
     edge_target = closest_integer(c_epsilon(eps + delta) * d.n)
     if edge_target > d.N:
         raise ValueError(f"edge target {edge_target} exceeds the pair count {d.N}")
-    state = GraphState(d.n)
-    tau_component = None if threshold > 1 else 0.0
-    tau_edges = None
-    dominated = None
-    for t, _, _ in _edge_flips(d, _uniforms(seed, replica), cap, [], state):
-        if tau_component is None and state._largest >= threshold:
-            tau_component = t
-        if tau_edges is None and state.edge_count >= edge_target:
-            tau_edges = t
-            dominated = tau_component is not None and tau_component <= t
-        if tau_component is not None and tau_edges is not None:
-            break
+    uniform = _uniforms(seed, replica)
+    edges = []
+    flips = _edge_flips(d, uniform, cap, edges)
+    tau_component, tau_edges = _component_passage(flips, edges, d.n, threshold, edge_target)
+    if tau_component is not None and tau_edges is None:
+        # the edge count is a Markov chain on its own: from m edges, one
+        # uniform u settles its passage against the exact law S(x) =
+        # P(tau_m(target) > x), censored when u < S(cap - tau_component).
+        # Starts refused by the law's precision gate follow the flips.
+        law = hitting_time_law(edge_target, d)
+        m, rest = len(edges), cap - tau_component
+        if not law.accepts(m):
+            tau_edges = next((t for t, added, _ in flips
+                              if added and len(edges) >= edge_target), None)
+        elif (u := uniform()) >= law.survival(m, rest):
+            tau_edges = min(cap, tau_component + _inverse_survival(law, m, u, rest))
     return EmergenceSample(
         eps=eps,
         delta=delta,
@@ -373,7 +424,8 @@ def emergence_run(
         component_censored=tau_component is None,
         tau_edges=cap if tau_edges is None else tau_edges,
         edges_censored=tau_edges is None,
-        dominated=dominated,
+        dominated=None if tau_edges is None else (
+            tau_component is not None and tau_component <= tau_edges),
         cap=cap,
         seed=seed,
         replica=replica,
@@ -394,12 +446,7 @@ def emergence_samples(
     d: DerivedParams, eps: float, delta: float, replicas: int, seed: int,
     cap: float | None = None, workers: int = 1,
 ) -> list:
-    if cap is None:
-        cap = default_hitting_cap(d)
     return run_replicas(_emergence_one, (d, eps, delta, seed, cap), replicas, workers)
-
-
-_DOMINATION_CHECK_EVERY = 256
 
 
 def domination_run(
@@ -412,63 +459,10 @@ def domination_run(
 ) -> bool | None:
     """Pathwise domination flag: has the largest component reached
     ceil(eps n) by the first time the edge count hits [c_{eps+delta} n]?
-    None when the cap intervenes first.
-
-    Same labeled dynamics as emergence_run, but bookkeeping is stripped to
-    the edge set.  Component sizes are checked exactly at the probe instant
-    and at a fixed event cadence before it; the cadence can only
-    under-report domination, never inflate it.  Once a check finds the
-    threshold reached, at time t with m edges, the flag is True unless the
-    edge count, a Markov chain on its own, misses the target before the
-    cap: one more uniform from the replica's stream settles that against
-    the exact passage law, P(tau_m(target) > cap - t).  Starts refused by
-    the law's precision gate run on to the probe instant instead.
+    None when the cap intervenes first.  The `dominated` field of the
+    replica's emergence_run.
     """
-    if not (0.0 < eps < 1.0):
-        raise ValueError(f"eps must be in (0, 1), got {eps!r}")
-    if not (delta > 0.0 and eps + delta < 1.0):
-        raise ValueError(f"need delta > 0 with eps + delta < 1, got delta={delta!r}")
-    if cap is None:
-        cap = default_hitting_cap(d)
-    if not (cap > 0):
-        raise ValueError(f"cap must be positive, got {cap!r}")
-    threshold = _component_threshold(eps, d.n)
-    edge_target = closest_integer(c_epsilon(eps + delta) * d.n)
-    if edge_target > d.N:
-        raise ValueError(f"edge target {edge_target} exceeds the pair count {d.N}")
-    if edge_target == 0:
-        return threshold <= 1
-    n = d.n
-    edges = []
-    uniform = _uniforms(seed, replica)
-    flips = _edge_flips(d, uniform, cap, edges)
-    t = 0.0
-    if threshold > 1:
-        until_check = _DOMINATION_CHECK_EVERY
-        for t, added, _ in flips:
-            if added and len(edges) == edge_target:
-                return _largest_from_edge_keys(edges, n) >= threshold
-            until_check -= 1
-            if until_check <= 0:
-                until_check = _DOMINATION_CHECK_EVERY
-                if _largest_from_edge_keys(edges, n) >= threshold:
-                    break
-        else:
-            return None
-    law = hitting_time_law(edge_target, d)
-    if law.accepts(len(edges)):
-        return None if uniform() < law.survival(len(edges), cap - t) else True
-    for _, added, _ in flips:
-        if added and len(edges) == edge_target:
-            return True
-    return None
-
-
-def _largest_from_edge_keys(edges, n: int) -> int:
-    uf = _UnionFind(n)
-    for key in edges:
-        uf.union(key // n, key % n)
-    return uf.largest
+    return emergence_run(d, eps, delta, seed, cap=cap, replica=replica).dominated
 
 
 def _domination_one(args, replica):
@@ -480,38 +474,39 @@ def domination_samples(
     d: DerivedParams, eps: float, delta: float, replicas: int, seed: int,
     cap: float | None = None, workers: int = 1,
 ) -> list:
-    if cap is None:
-        cap = default_hitting_cap(d)
     return run_replicas(_domination_one, (d, eps, delta, seed, cap), replicas, workers)
 
 
 class _UnionFind:
-    """Classic union-find with path compression and union by size."""
+    """Union-find over n vertices with path halving and union by size."""
 
-    __slots__ = ("parent", "size", "largest")
+    __slots__ = ("n", "parent", "size", "largest")
 
-    def __init__(self, n: int):
+    def __init__(self, n: int, keys=()):
+        self.n = n
         self.parent = list(range(n))
         self.size = [1] * n
         self.largest = 1
+        self.union(keys)
 
-    def find(self, x: int) -> int:
-        parent = self.parent
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]  # path halving
-            x = parent[x]
-        return x
-
-    def union(self, a: int, b: int) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return
-        if self.size[ra] < self.size[rb]:
-            ra, rb = rb, ra
-        self.parent[rb] = ra
-        self.size[ra] += self.size[rb]
-        if self.size[ra] > self.largest:
-            self.largest = self.size[ra]
+    def union(self, keys) -> int:
+        """Join the ends of each edge key a*n+b; returns the largest size."""
+        n, parent, size, largest = self.n, self.parent, self.size, self.largest
+        for key in keys:
+            a, b = divmod(key, n)
+            while parent[a] != a:
+                parent[a] = a = parent[parent[a]]
+            while parent[b] != b:
+                parent[b] = b = parent[parent[b]]
+            if a != b:
+                if size[a] < size[b]:
+                    a, b = b, a
+                parent[b] = a
+                size[a] += size[b]
+                if size[a] > largest:
+                    largest = size[a]
+        self.largest = largest
+        return largest
 
 
 def static_er_largest_component(n: int, m: int, seed: int, replica: int = 0) -> int:
@@ -526,10 +521,7 @@ def static_er_largest_component(n: int, m: int, seed: int, replica: int = 0) -> 
     starts = np.concatenate(([0], np.cumsum(np.arange(n - 1, 0, -1))))
     rows = np.searchsorted(starts, idx, side="right") - 1
     cols = idx - starts[rows] + rows + 1
-    uf = _UnionFind(n)
-    for a, b in zip(rows.tolist(), cols.tolist()):
-        uf.union(a, b)
-    return uf.largest
+    return _UnionFind(n, (rows * n + cols).tolist()).largest
 
 
 def static_largest_samples(

@@ -12,6 +12,7 @@ spread over workers.
 
 import bisect
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
@@ -374,11 +375,13 @@ def run_replicas(fn, args, replicas: int, workers: int = 1) -> list:
 
     Results come back in replica order, so any worker count yields the same
     list; per-replica streams make the values themselves worker-independent.
+    At most os.cpu_count() processes are started.
     """
     if replicas < 1:
         raise ValueError(f"replicas must be positive, got {replicas}")
     if workers < 1:
         raise ValueError(f"workers must be positive, got {workers}")
+    workers = min(workers, os.cpu_count() or 1)
     if workers == 1 or replicas == 1:
         return [fn(args, r) for r in range(replicas)]
     chunk_size = -(-replicas // workers)

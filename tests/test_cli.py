@@ -290,6 +290,64 @@ def test_workers_must_be_positive(command, monkeypatch, capsys):
     assert captured.err == "error: workers must be positive, got 0\n"
 
 
+@pytest.mark.parametrize("command", [
+    ["simulate", "hitting", "--n", "6", "--from", "0", "--to", "3"],
+    ["simulate", "stationarity", "--n", "6"],
+    ["simulate", "escape", "--n", "20", "--from", "14", "--to", "18", "--floor", "10"],
+    ["components", "static", "--n", "20", "--m", "10"],
+])
+def test_single_replica_has_no_mean(command, capsys):
+    assert main(command + ["--replicas", "1", "--seed", "1", "--format", "json"]) == 0
+    rows = json.loads(capsys.readouterr().out)["rows"]
+    assert [row["row"] for row in rows][:1] == ["sample"]
+    assert not any({"mean", "half_width", "count"} & row.keys() for row in rows)
+
+
+@pytest.mark.parametrize("argv", [
+    ["components", "static", "--n", "50", "--m", "30", "--replicas", "4", "--seed", "3",
+     "--alpha", "9"],
+    ["components", "static", "--n", "50", "--m", "30", "--replicas", "4", "--seed", "3",
+     "--beta", "2"],
+    ["analytic", "rates", "--n", "5"],
+    ["analytic", "rates", "--alpha", "2"],
+    ["analytic", "rates", "--beta", "2"],
+])
+def test_flags_that_shape_no_output_are_rejected(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_emergence_at_n_500_runs_in_seconds():
+    argv = ["components", "emergence", "--n", "500", "--eps", "0.3", "--delta", "0.1",
+            "--replicas", "20", "--seed", "9"]
+    done = run_proc(*argv, timeout=60)
+    assert done.returncode == 0, done.stderr
+    rows = [line for line in done.stdout.decode().splitlines() if line.startswith("sample,")]
+    assert len(rows) == 20
+
+
+def test_importing_dyner_loads_only_scipy_special():
+    # scipy.optimize and the like would cost import time and resident memory
+    code = (
+        "import importlib, pkgutil, sys, scipy\n"
+        "bare = set(sys.modules)\n"
+        "import dyner\n"
+        "for m in pkgutil.iter_modules(dyner.__path__):\n"
+        "    if m.name != '__main__':\n"
+        "        importlib.import_module('dyner.' + m.name)\n"
+        "print(' '.join(sorted({k.split('.')[1] for k in set(sys.modules) - bare\n"
+        "                       if k.startswith('scipy.') and k[6] != '_'})))\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, env=env,
+                          timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.decode().split() == ["special"]
+
+
 def test_seed_outside_64_bits_exits_2(capsys):
     argv = ["simulate", "hitting", "--n", "6", "--from", "0", "--to", "3",
             "--replicas", "2", "--seed"]
@@ -326,10 +384,10 @@ README_DIGESTS = [
      "df2fe6a8d21d78bc75488d081dad1c6b9484fc313847355fe13b17b03e37a674"),
     (["components", "static", "--n", "2000", "--eps", "0.5", "--replicas", "10",
       "--seed", "3"],
-     "78d3090fd2393daf6bd7fe33314a06d5fea0d9e4a40a825e284fd04ae54883ae"),
+     "8d616989783b6dea3219f99493b526fbe68b871c2d3a6dce906b63fcf2e64ad6"),
     (["components", "emergence", "--n", "100", "--eps", "0.3", "--delta", "0.1",
       "--replicas", "20", "--seed", "9"],
-     "ec2e1bf559b12a505c65ab5232f529176bdee7f225a57654d8fdf2d864feb052"),
+     "916c96dca0fe7d00960e71e3db41b2d5f39cbcf0d712923b3c77474a7b2ca4a8"),
     (["analytic", "hitting", "--n", "3", "--alpha", "1", "--beta", "1", "--from", "0",
       "--to", "2"],
      "0846c05ec48e1324b3f3906de33de0281063937f18557d1de8aa2f08e5506e53"),
@@ -342,7 +400,7 @@ README_DIGESTS = [
     (["analytic", "tail", "--n", "40", "--i", "32"],
      "53873952c5c09a6f537c560eba2a8a771940a033b4d8e46ec423221b1bf697f2"),
     (["analytic", "rates", "--eps-min", "0.01", "--eps-max", "0.79", "--step", "0.01"],
-     "c9b534aa1283330ea664c8388f5531494d09cd2286f86e7139c80511982579eb"),
+     "bfa7a5b81114d7716894ef334d029a10b445f1f5b8817d47256d6cd2ed9cd974"),
     (["simulate", "stationarity", "--n", "200", "--replicas", "1000", "--seed", "1"],
      "97750557cabf317d434e7bcca987110910c6dc51bf3932b6c9ceef497bf7245c"),
     (["simulate", "escape", "--n", "40", "--from", "28", "--to", "36",

@@ -231,7 +231,8 @@ def test_snapshot_matches_static_uniform_law():
     dynamic = []
     for r in range(250):
         state = comp.GraphState(d.n)
-        for _ in comp._edge_flips(d, sim._uniforms(78, r), math.inf, [], state):
+        for _, added, key in comp._edge_flips(d, sim._uniforms(78, r), math.inf, []):
+            (state.add_edge if added else state.remove_edge)(*divmod(key, d.n))
             if state.edge_count == m_target:
                 break
         dynamic.append(state.largest_component_size())
@@ -286,33 +287,103 @@ def test_emergence_validation():
         comp.emergence_run(d, 0.5, 0.6, seed=1)
 
 
+def _reference_emergence(d, eps, delta, seed, cap=None, replica=0):
+    # the tracked loop that _component_passage replaced, kept as its oracle:
+    # a GraphState follows every flip until both passages are seen
+    if cap is None:
+        cap = sim.default_hitting_cap(d)
+    threshold = comp._component_threshold(eps, d.n)
+    edge_target = closest_integer(an.c_epsilon(eps + delta) * d.n)
+    state = comp.GraphState(d.n)
+    tau_component = None if threshold > 1 else 0.0
+    tau_edges = dominated = None
+    for t, added, key in comp._edge_flips(d, sim._uniforms(seed, replica), cap, []):
+        if added:
+            state.add_edge(*divmod(key, d.n))
+        else:
+            state.remove_edge(*divmod(key, d.n))
+        if tau_component is None and state.largest_component_size() >= threshold:
+            tau_component = t
+        if tau_edges is None and state.edge_count >= edge_target:
+            tau_edges = t
+            dominated = tau_component is not None and tau_component <= t
+        if tau_component is not None and tau_edges is not None:
+            break
+    return tau_component, tau_edges, dominated
+
+
+@pytest.mark.parametrize("n,reps,cap", [(60, 200, None), (100, 100, None), (300, 10, 20.0)])
+def test_emergence_matches_reference(n, reps, cap):
+    # tau_component is read off the same flips, so it is equal bit for bit;
+    # tau_edges is too wherever the edge target came first
+    d = _d(n)
+    for r in range(reps):
+        sample = comp.emergence_run(d, 0.3, 0.1, seed=80, cap=cap, replica=r)
+        tau_component, tau_edges, dominated = _reference_emergence(d, 0.3, 0.1, 80, cap, r)
+        assert sample.component_censored == (tau_component is None)
+        assert sample.tau_component == (sample.cap if tau_component is None else tau_component)
+        if dominated is False:
+            assert (sample.tau_edges, sample.dominated) == (tau_edges, False)
+
+
+def test_emergence_law_draw_matches_reference_law():
+    # where the component comes first, tau_edges is drawn from the passage
+    # law; the oracle follows the flips.  By DKW each empirical CDF is within
+    # sqrt(log(4/a) / (2 reps)) of the true one except with probability a/2
+    d = _d(80)
+    reps = 400
+    drawn = [comp.emergence_run(d, 0.3, 0.1, seed=90, replica=r).tau_edges
+             for r in range(reps)]
+    followed = [_reference_emergence(d, 0.3, 0.1, 90, replica=r)[1] for r in range(reps)]
+    assert _two_sample_ks(drawn, followed) <= 2 * math.sqrt(math.log(4 / 1e-3) / (2 * reps))
+
+
+def test_emergence_same_addition_dominates():
+    # threshold 8 and edge target 10 are often first reached on one
+    # addition, which counts as domination
+    d = _d(10)
+    eps, delta = 0.75, 0.05
+    assert comp._component_threshold(eps, 10) == 8
+    assert closest_integer(an.c_epsilon(eps + delta) * 10) == 10
+    same = 0
+    for r in range(200):
+        tau_component, tau_edges, dominated = _reference_emergence(d, eps, delta, 98, replica=r)
+        if tau_component == tau_edges:
+            same += 1
+            sample = comp.emergence_run(d, eps, delta, seed=98, replica=r)
+            assert (sample.tau_component, sample.tau_edges) == (tau_component, tau_edges)
+            assert sample.dominated is True
+    assert same > 0
+
+
+def test_emergence_infinite_cap_draws_finite_edge_time():
+    d = _d(100)
+    for r in range(5):
+        sample = comp.emergence_run(d, 0.3, 0.1, seed=99, cap=math.inf, replica=r)
+        assert not sample.edges_censored and not sample.component_censored
+        assert sample.tau_component <= sample.tau_edges < math.inf
+        assert sample.dominated is True
+
+
 def test_domination_agrees_with_tracked_emergence():
-    # lean path (periodic checks) vs fully tracked path, as fractions
-    d = _d(60)
-    reps = 120
-    lean = comp.domination_samples(d, 0.25, 0.2, reps, seed=85)
-    tracked = [
-        comp.emergence_run(d, 0.25, 0.2, seed=86, replica=r).dominated
-        for r in range(reps)
-    ]
-    f_lean = np.mean([bool(x) for x in lean])
-    f_tracked = np.mean([bool(x) for x in tracked])
-    assert abs(f_lean - f_tracked) <= 0.15
-    assert f_lean <= f_tracked + 0.05  # cadence can only under-report
+    # the same streams give the same False flags, replica for replica; here
+    # many components reach the threshold and shrink back within a few events
+    d = _d(100)
+    lean = comp.domination_samples(d, 0.3, 0.1, 400, seed=11, cap=15.0)
+    tracked = [_reference_emergence(d, 0.3, 0.1, 11, 15.0, r)[2] for r in range(400)]
+    assert [x is False for x in lean] == [x is False for x in tracked]
+    assert lean.count(False) == 10
 
 
 def test_domination_censoring_agrees_with_tracked_emergence():
-    # most lean runs settle their flag early and decide the cap with one draw
-    # from the passage law (about 0.3 censored after settling); the tracked
-    # runs follow the edge count to the cap event by event
+    # most runs reach the component threshold early and decide the cap with
+    # one draw from the passage law (about 0.3 censored after that); the
+    # oracle follows the edge count to the cap event by event
     d = _d(100)
     cap = 25.0
     reps = 800
     lean = comp.domination_samples(d, 0.2, 0.25, reps, seed=87, cap=cap)
-    tracked = [
-        comp.emergence_run(d, 0.2, 0.25, seed=88, cap=cap, replica=r).dominated
-        for r in range(reps)
-    ]
+    tracked = [_reference_emergence(d, 0.2, 0.25, 88, cap, r)[2] for r in range(reps)]
     f_lean = sum(x is None for x in lean) / reps
     f_tracked = sum(x is None for x in tracked) / reps
     pooled = (f_lean + f_tracked) / 2

@@ -373,10 +373,24 @@ class _RecordingPool:
 def test_run_replicas_starts_one_process_per_chunk(monkeypatch, replicas, workers, processes):
     monkeypatch.setattr(sim, "ProcessPoolExecutor", _RecordingPool)
     monkeypatch.setattr(_RecordingPool, "sizes", [])
+    monkeypatch.setattr(sim.os, "cpu_count", lambda: 16)
     args = (_d(6), 5)
     got = sim.run_replicas(sim._stationarity_one, args, replicas, workers)
     assert _RecordingPool.sizes == [processes]
     assert got == [sim._stationarity_one(args, r) for r in range(replicas)]
+
+
+def _replica_index(args, replica):
+    return replica
+
+
+def test_run_replicas_caps_processes_at_cpu_count(monkeypatch):
+    # no process is started: the recording pool runs each chunk in place
+    monkeypatch.setattr(sim, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(_RecordingPool, "sizes", [])
+    monkeypatch.setattr(sim.os, "cpu_count", lambda: 4)
+    assert sim.run_replicas(_replica_index, None, 10_000, 10_000) == list(range(10_000))
+    assert _RecordingPool.sizes == [4]
 
 
 def test_replica_rng_rejects_seeds_outside_64_bits():
