@@ -19,6 +19,7 @@ from functools import lru_cache
 from itertools import chain
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from .analytic import (
     binomial_tail,
@@ -53,19 +54,101 @@ __all__ = [
 ]
 
 _SEED_LIMIT = 1 << 64
+_WORD = 1 << 32
+
+# A seed below 2^64 is at most 4 uint32 words, which fill SeedSequence's
+# pool (padded with zeros), so SeedSequence(seed, spawn_key=(r,)) for
+# r < 2^32 starts from the pool of SeedSequence(seed).  It mixes the one
+# spawn word r into that pool by the 17th to 20th calls of its hashmix, then
+# hashes 8 output words from the pool into PCG64's key.  Call i xors with
+# INIT_A * MULT_A^i and multiplies by INIT_A * MULT_A^(i+1), output word i
+# likewise with INIT_B and MULT_B, all mod 2^32; so these constants are fixed.
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+
+
+def _hash_constants(init, mult, first, count):
+    return np.array([init * pow(mult, i, _WORD) % _WORD for i in range(first, first + count)],
+                    np.uint32)
+
+
+_KEY_XOR = _hash_constants(0x43B0D7E5, 0x931E8875, 16, 4)
+_KEY_MUL = _hash_constants(0x43B0D7E5, 0x931E8875, 17, 4)
+_OUT_XOR = _hash_constants(0x8B51F9DD, 0x58F38DED, 0, 8).reshape(2, 4)  # word i reads pool i % 4
+_OUT_MUL = _hash_constants(0x8B51F9DD, 0x58F38DED, 1, 8).reshape(2, 4)
+_FIRST_KEYS = 8  # replicas keyed by a seed's first block
+_LAST_KEYS = 1024  # consecutive blocks double up to this size
+_KEPT_SEEDS = 16  # seeds whose last block is kept
+# seed -> (MIX_L * pool of SeedSequence(seed), first replica, keys, next size); a
+# cache whose entries follow from their seeds, so it sets how many keys one call
+# computes, never a stream
+_key_blocks = {}
+
+
+class _StreamKey(ISeedSequence):
+    """The PCG64 key that SeedSequence(seed, spawn_key=(r,)) generates, precomputed."""
+
+    __slots__ = ("words",)
+
+    def __init__(self, words):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.words  # PCG64 asks for exactly these: 4 uint64 words
+
+
+def _key_block(pool, first, size):
+    """The PCG64 keys of replicas first..first+size-1 as a (size, 4) uint64 array.
+
+    `pool` is _MIX_L times the pool of SeedSequence(seed); each replica's
+    spawn word is mixed into it and the 8 output words are hashed out, for
+    all replicas at once in uint32 arithmetic, which wraps as SeedSequence's
+    does.
+    """
+    h = (np.arange(first, first + size, dtype=np.uint32).reshape(size, 1) ^ _KEY_XOR) * _KEY_MUL
+    h ^= h >> 16
+    h *= _MIX_R
+    p = pool - h
+    p ^= p >> 16
+    w = (p.reshape(size, 1, 4) ^ _OUT_XOR) * _OUT_MUL
+    w ^= w >> 16
+    return w.reshape(size, 8).astype("<u4", copy=False).view("<u8").astype(np.uint64, copy=False)
 
 
 def replica_rng(seed: int, replica: int = 0) -> np.random.Generator:
     """Independent reproducible stream for one replica.
 
-    The stream is PCG64 keyed by SeedSequence hashing of (seed, replica), so
-    replica r sees the same randomness no matter which worker runs it.
-    Seeds must lie in [0, 2^64).
+    The stream is PCG64 keyed by SeedSequence(seed, spawn_key=(replica,)),
+    so replica r sees the same randomness no matter which worker runs it.
+    The keys are computed a block of consecutive replicas at a time, equal
+    word for word to SeedSequence's: a seed's first block holds 8 replicas,
+    a block asked for right after the last one doubles, up to 1024, and any
+    other miss starts again at 8.  The last block of up to 16 seeds is kept,
+    dropping the seed seen first.  Replicas from 2^32 on are keyed by
+    SeedSequence itself.  Seeds must lie in [0, 2^64).  The generator's
+    seed sequence cannot spawn children.
     """
     seed = int(seed)
     if not (0 <= seed < _SEED_LIMIT):
         raise ValueError(f"seed must be in [0, 2^64), got {seed}")
-    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(int(replica),)))
+    replica = int(replica)
+    if replica < 0:
+        raise ValueError(f"replica must be a non-negative integer, got {replica}")
+    entry = _key_blocks.get(seed)
+    if entry is None or not 0 <= replica - entry[1] < len(entry[2]):
+        if replica >= _WORD:
+            return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(replica,)))
+        if entry is None:
+            pool = np.random.SeedSequence(seed).pool * _MIX_L
+            size = _FIRST_KEYS
+            if len(_key_blocks) >= _KEPT_SEEDS:
+                del _key_blocks[next(iter(_key_blocks))]
+        else:
+            pool, first, keys, size = entry
+            if replica != first + len(keys):
+                size = _FIRST_KEYS
+        keys = _key_block(pool, replica, min(size, _WORD - replica))
+        entry = _key_blocks[seed] = (pool, replica, keys, min(2 * size, _LAST_KEYS))
+    return np.random.Generator(np.random.PCG64(_StreamKey(entry[2][replica - entry[1]])))
 
 
 def _uniforms(seed: int, replica: int):
@@ -82,8 +165,8 @@ def _uniforms(seed: int, replica: int):
 
 _FIRST_BLOCK = 256  # doubles read by a run's first block
 _LAST_BLOCK = 4096  # blocks double up to this size
-_FIRST_WIDTH = 32  # counts on each side of the start in the first rate lists;
-# each growth of the lists adds twice as many, up to the events of a block
+_FIRST_WIDTH = 32  # counts on each side of the start in the first threshold list;
+# each growth of the list adds twice as many, up to the events of a block
 
 
 def _run_chain(d, k, rng, lower=-1, upper=-1, horizon=math.inf, level=None, path=None,
@@ -101,8 +184,10 @@ def _run_chain(d, k, rng, lower=-1, upper=-1, horizon=math.inf, level=None, path
     Event e reads uniforms 2e (holding time) and 2e+1 (direction) of the
     Generator `rng`, which is read in blocks of 256 doubles doubling up to
     4096.  Each block is run in two phases.  A Python loop walks the jump
-    directions over the odd uniforms, against lists of the rates at the
-    counts near the walk, which grow when the walk leaves them.  Then the
+    directions over the odd uniforms, taking each jump up when the uniform
+    is below the count's jump threshold (`_thresholds`: the same branch as
+    u * total rate < birth rate, with one comparison).  The thresholds are
+    kept for the counts near the walk and grow when it leaves them.  Then the
     holding times -log(1 - u)/total rate are built in numpy, with each log
     taken by `math.log` (whose last bit `np.log` does not always match),
     and summed in event order by `np.cumsum`, so every result equals that
@@ -117,7 +202,7 @@ def _run_chain(d, k, rng, lower=-1, upper=-1, horizon=math.inf, level=None, path
     size = _FIRST_BLOCK
     width = _FIRST_WIDTH
     lo = hi = max(0, k - width)
-    lam, tot = [], []  # rates at counts lo..hi-1
+    th = []  # jump thresholds at counts lo..hi-1
     while True:
         u = rng.random(size)
         size = min(2 * size, _LAST_BLOCK)
@@ -128,20 +213,20 @@ def _run_chain(d, k, rng, lower=-1, upper=-1, horizon=math.inf, level=None, path
         up = ups.append
         while True:
             if not lo <= k < hi:
-                # the walk left the rate lists: grow them by `width` counts on that side
+                # the walk left the thresholds: grow them by `width` counts on that side
                 if k >= hi:
                     grown = min(N + 1, k + width)
-                    lam[len(lam):], tot[len(tot):] = _rate_lists(hi, grown, d)
+                    th[len(th):] = _rate_lists(hi, grown, d)
                     hi = grown
                 else:
                     grown = max(0, k - width)
-                    lam[:0], tot[:0] = _rate_lists(grown, lo, d)
+                    th[:0] = _rate_lists(grown, lo, d)
                     lo = grown
                 width = min(2 * width, _LAST_BLOCK // 2)
             j = k - lo
             j_lower, j_upper = max(lower, lo - 1) - lo, min(upper, hi) - lo
             for v in odd:
-                if v * tot[j] < lam[j]:
+                if v < th[j]:
                     j += 1
                     up(1)
                 else:
@@ -186,15 +271,35 @@ def _rates(counts, d):
     return lam, lam + counts * d.alpha
 
 
+def _thresholds(counts, d):
+    """The jump threshold at an array of counts.
+
+    The threshold at count k is the smallest double v >= 0 whose rounded
+    product with the total rate reaches the birth rate.  Rounded
+    multiplication by a positive number is monotone, so for every uniform
+    v >= 0 the test v < threshold takes the branch of v * total < birth,
+    bit for bit.  lam/tot lies next to the threshold, and nextafter steps
+    move it there.
+    """
+    lam, tot = _rates(counts, d)
+    th = lam / tot
+    while True:
+        low = th * tot < lam
+        high = (th > 0) & (np.nextafter(th, 0) * tot >= lam)
+        if not (low.any() or high.any()):
+            return th
+        th[low] = np.nextafter(th[low], 1)
+        th[high] = np.nextafter(th[high], 0)
+
+
 @lru_cache(maxsize=32)
 def _rate_lists(lo, hi, d):
-    """The rates at counts lo..hi-1 as two tuples of Python floats.
+    """The jump thresholds at counts lo..hi-1 as a tuple of Python floats.
 
     Cached: the replicas of one sampler start from one count and grow their
-    rate lists by the same steps, so they mostly ask for the same ranges.
+    threshold lists by the same steps, so they mostly ask for the same ranges.
     """
-    lam, tot = _rates(np.arange(lo, hi), d)
-    return tuple(lam.tolist()), tuple(tot.tolist())
+    return tuple(_thresholds(np.arange(lo, hi), d).tolist())
 
 
 def _holding_times(u, counts, d):

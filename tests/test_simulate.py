@@ -1,4 +1,5 @@
 import math
+import random
 from concurrent.futures import Future
 
 import numpy as np
@@ -401,6 +402,50 @@ def test_replica_rng_rejects_seeds_outside_64_bits():
         sim.replica_rng(seed, replica=3).random()
 
 
+def test_replica_rng_rejects_negative_replicas():
+    for replica in (-1, -8, -(2**40)):
+        with pytest.raises(ValueError, match="replica must be a non-negative integer"):
+            sim.replica_rng(5, replica)
+
+
+def _seed_sequence_draws(seed, replica):
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(replica,))).random(4)
+
+
+def _assert_streams_are_seed_sequences(pairs):
+    for seed, replica in pairs:
+        got = sim.replica_rng(seed, replica).random(4)
+        assert np.array_equal(got, _seed_sequence_draws(seed, replica)), (seed, replica)
+
+
+_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 - 1,
+          *(random.Random(bits).getrandbits(bits) for bits in (8, 33, 64))]
+
+
+@pytest.mark.parametrize("seed", _SEEDS)
+def test_replica_rng_is_seed_sequence_in_order(seed):
+    # blocks of 8, 16, ... 1024 keys: replicas 0..2100 cross every block edge
+    # (7/8, 23/24, 55/56, ..., 2039/2040)
+    _assert_streams_are_seed_sequences((seed, r) for r in range(2100))
+
+
+def test_replica_rng_is_seed_sequence_in_any_order():
+    rand = random.Random(4)
+    edges = [0, 7, 8, 23, 24, 55, 56, 119, 120, 2**32 - 9, 2**32 - 2, 2**32 - 1,
+             2**32, 2**32 + 5, *(rand.getrandbits(31) for _ in range(20))]
+    shuffled = list(range(300))
+    rand.shuffle(shuffled)
+    for seed in _SEEDS:
+        _assert_streams_are_seed_sequences((seed, r) for r in edges)
+        _assert_streams_are_seed_sequences((seed, r) for r in range(300, -1, -1))
+        _assert_streams_are_seed_sequences((seed, r) for r in shuffled)
+    # two seeds replica by replica: each keeps its own block
+    _assert_streams_are_seed_sequences(
+        (seed, r) for r in range(200) for seed in (_SEEDS[5], _SEEDS[7]))
+    _assert_streams_are_seed_sequences(
+        (seed, r) for r in range(200) for seed in (2**32 + 3, 3))
+
+
 def test_replica_streams_differ():
     d = _d(12)
     samples = sim.sample_hitting_times(d, 0, 8, 50, seed=62)
@@ -447,14 +492,17 @@ _KERNEL_CASES = {
     "next_to_upper": (10, 1.0, 8, dict(lower=5, upper=9)),
     "next_to_top": (6, 200.0, 14, dict(upper=15)),
     "empty_start": (2, 1.0, 0, dict(upper=1)),
+    # extreme rate ratios, where many thresholds sit off lam/tot
+    "slow_deaths": (40, 1.0, 0, dict(upper=600, horizon=60.0, level=580, alpha=1e-3)),
+    "fast_deaths": (40, 1.0, 30, dict(lower=0, upper=31, level=10, alpha=1e3)),
 }
 
 
 @pytest.mark.parametrize("case", sorted(_KERNEL_CASES))
 def test_kernel_matches_scalar_loop(case):
     n, beta, start, rule = _KERNEL_CASES[case]
-    d = _d(n, beta=beta)
     rule = dict(rule)
+    d = _d(n, alpha=rule.pop("alpha", 1.0), beta=beta)
     with_path = rule.pop("path", False)
     untimed = "horizon" not in rule and not with_path
     censored = 0
@@ -472,6 +520,24 @@ def test_kernel_matches_scalar_loop(case):
         censored += got[1] == rule.get("horizon")
     if case in ("upper_with_cap", "horizon_with_level", "dense"):
         assert 0 < censored < 40  # both exits are exercised
+
+
+def test_jump_thresholds_decide_each_jump_as_the_rates_do():
+    fixed = 0
+    for n in (2, 40, 2000):
+        for alpha, beta in ((1.0, 1.0), (1.0, 200.0), (1e-3, 1.0), (1e3, 1.0)):
+            d = _d(n, alpha=alpha, beta=beta)
+            counts = np.arange(d.N + 1)
+            lam, tot = sim._rates(counts, d)
+            th = sim._thresholds(counts, d)
+            assert np.all(th * tot >= lam)
+            # no smaller double reaches lam; at lam = 0 the threshold is 0,
+            # below every uniform
+            assert np.all((np.nextafter(th, -1) * tot < lam) | ((th == 0) & (lam == 0)))
+            fixed += int(np.count_nonzero(th != lam / tot))
+    assert fixed > 0  # lam/tot alone is not the threshold
+    d = _d(40, alpha=1e-3)
+    assert sim._rate_lists(5, 60, d) == tuple(sim._thresholds(np.arange(5, 60), d).tolist())
 
 
 def test_kernel_paths_span_many_blocks():
