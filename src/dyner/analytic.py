@@ -318,8 +318,8 @@ def fluid_time(c_start: float, c_end: float, d: DerivedParams) -> float:
     -log((beta - 2 alpha c_end)/(beta - 2 alpha c_start)) / alpha.
     """
     for name, c in (("c_start", c_start), ("c_end", c_end)):
-        if math.isnan(c) or c < 0:
-            raise ValueError(f"{name} must be a nonnegative density, got {c!r}")
+        if not (math.isfinite(c) and c >= 0):
+            raise ValueError(f"{name} must be a finite nonnegative density, got {c!r}")
     fixed_point = d.beta / (2.0 * d.alpha)
     below = 0 <= c_start < c_end < fixed_point
     above = fixed_point < c_end < c_start
@@ -337,8 +337,8 @@ def fluid_trajectory(t: float, c_start: float, d: DerivedParams) -> float:
     """Deterministic limit curve of edge count / n started from density c_start:
     (beta/(2 alpha)) (1 - e^{-alpha t}) + c_start e^{-alpha t}."""
     _check_time(t)
-    if math.isnan(c_start) or c_start < 0:
-        raise ValueError(f"c_start must be a nonnegative density, got {c_start!r}")
+    if not (math.isfinite(c_start) and c_start >= 0):
+        raise ValueError(f"c_start must be a finite nonnegative density, got {c_start!r}")
     fixed_point = d.beta / (2.0 * d.alpha)
     decay = math.exp(-d.alpha * t)
     return fixed_point * -math.expm1(-d.alpha * t) + c_start * decay

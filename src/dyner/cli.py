@@ -235,9 +235,9 @@ def _tail(o, d):
 
 def _rates(o, _):
     eps_min, eps_max, step = o["eps-min"], o["eps-max"], o["step"]
-    if step <= 0 or eps_max < eps_min:
+    if not (step > 0 and eps_max >= eps_min):
         raise ValueError("need step > 0 and eps-max >= eps-min")
-    count = int(round((eps_max - eps_min) / step)) + 1
+    count = closest_integer((eps_max - eps_min) / step) + 1
     grid = [round(eps_min + k * step, 12) for k in range(count)]
     rates = [an.rate_functions(eps) for eps in grid]
     if o["svg"]:
@@ -247,16 +247,11 @@ def _rates(o, _):
     return [{"eps": eps, "K": r.k, "I1": r.i1} for eps, r in zip(grid, rates)]
 
 
-def _trajectory_events(args, replica):
-    d, start, horizon, seed = args
-    return sim.simulate_trajectory(d, start, horizon, seed, replica=replica).events
-
-
 def _trajectory(o, d):
-    paths = sim.run_replicas(_trajectory_events, (d, o["start"], o["horizon"], o["seed"]),
+    paths = sim.run_replicas(sim.simulate_trajectory, (d, o["start"], o["horizon"], o["seed"]),
                              o["replicas"], o["workers"])
-    return [{"replica": r, "time": t, "count": k}
-            for r, events in enumerate(paths) for t, k in events]
+    return [{"replica": path.replica, "time": t, "count": k}
+            for path in paths for t, k in path.events]
 
 
 def _hitting_samples(o, d):
@@ -278,14 +273,11 @@ def _stationarity_samples(o, d):
 
 
 def _renewal(o, d):
-    if o["replicas"] < 100:
-        raise ValueError(f"need at least 100 replicas, got {o['replicas']}")
-    i, s = sim.renewal_targets(d, o["c"])
-    cycles = sim.sample_cycles(d, i, s, o["replicas"], o["seed"], workers=o["workers"])
-    est = sim.renewal_from_cycles(d, i, s, cycles)
+    est = sim.estimate_hitting_renewal(d, o["c"], o["replicas"], o["seed"],
+                                       workers=o["workers"])
     value = est.estimate
     return _samples(
-        [{"replica": cy.replica, "time_above": cy.time_above} for cy in cycles],
+        [{"replica": cy.replica, "time_above": cy.time_above} for cy in est.cycles],
         log_estimate=value.log_value, estimate=value.value if value.is_representable else None,
         log_half_width=est.half_width.log_value, mean_time_above=est.time_above.mean,
         hw_time_above=est.time_above.half_width, log_tail=est.log_tail,

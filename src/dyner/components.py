@@ -432,21 +432,11 @@ def emergence_run(
     )
 
 
-def _emergence_one(args, replica):
-    d, eps, delta, seed, cap = args
-    return emergence_run(d, eps, delta, seed, cap=cap, replica=replica)
-
-
-def _static_one(args, replica):
-    n, m, seed = args
-    return static_er_largest_component(n, m, seed, replica=replica)
-
-
 def emergence_samples(
     d: DerivedParams, eps: float, delta: float, replicas: int, seed: int,
     cap: float | None = None, workers: int = 1,
 ) -> list:
-    return run_replicas(_emergence_one, (d, eps, delta, seed, cap), replicas, workers)
+    return run_replicas(emergence_run, (d, eps, delta, seed, cap), replicas, workers)
 
 
 def domination_run(
@@ -465,16 +455,11 @@ def domination_run(
     return emergence_run(d, eps, delta, seed, cap=cap, replica=replica).dominated
 
 
-def _domination_one(args, replica):
-    d, eps, delta, seed, cap = args
-    return domination_run(d, eps, delta, seed, cap=cap, replica=replica)
-
-
 def domination_samples(
     d: DerivedParams, eps: float, delta: float, replicas: int, seed: int,
     cap: float | None = None, workers: int = 1,
 ) -> list:
-    return run_replicas(_domination_one, (d, eps, delta, seed, cap), replicas, workers)
+    return run_replicas(domination_run, (d, eps, delta, seed, cap), replicas, workers)
 
 
 class _UnionFind:
@@ -527,4 +512,4 @@ def static_er_largest_component(n: int, m: int, seed: int, replica: int = 0) -> 
 def static_largest_samples(
     n: int, m: int, replicas: int, seed: int, workers: int = 1
 ) -> list:
-    return run_replicas(_static_one, (n, m, seed), replicas, workers)
+    return run_replicas(static_er_largest_component, (n, m, seed), replicas, workers)

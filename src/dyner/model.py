@@ -93,4 +93,6 @@ def death_rate(k: int, d: DerivedParams) -> float:
 
 def closest_integer(x: float) -> int:
     """Nearest integer with ties broken to even (the [x] convention)."""
+    if not math.isfinite(x):
+        raise ValueError(f"cannot round {x!r} to an integer")
     return int(round(x))

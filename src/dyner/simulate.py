@@ -45,8 +45,6 @@ __all__ = [
     "sample_stationarity_times",
     "sample_time_above",
     "renewal_targets",
-    "sample_cycles",
-    "renewal_from_cycles",
     "estimate_hitting_renewal",
     "sample_escapes",
     "sample_escape_probability",
@@ -75,13 +73,7 @@ _KEY_XOR = _hash_constants(0x43B0D7E5, 0x931E8875, 16, 4)
 _KEY_MUL = _hash_constants(0x43B0D7E5, 0x931E8875, 17, 4)
 _OUT_XOR = _hash_constants(0x8B51F9DD, 0x58F38DED, 0, 8).reshape(2, 4)  # word i reads pool i % 4
 _OUT_MUL = _hash_constants(0x8B51F9DD, 0x58F38DED, 1, 8).reshape(2, 4)
-_FIRST_KEYS = 8  # replicas keyed by a seed's first block
-_LAST_KEYS = 1024  # consecutive blocks double up to this size
-_KEPT_SEEDS = 16  # seeds whose last block is kept
-# seed -> (MIX_L * pool of SeedSequence(seed), first replica, keys, next size); a
-# cache whose entries follow from their seeds, so it sets how many keys one call
-# computes, never a stream
-_key_blocks = {}
+_KEYS_PER_BLOCK = 64  # a power of two, so no block of replicas crosses 2^32
 
 
 class _StreamKey(ISeedSequence):
@@ -96,22 +88,26 @@ class _StreamKey(ISeedSequence):
         return self.words  # PCG64 asks for exactly these: 4 uint64 words
 
 
-def _key_block(pool, first, size):
-    """The PCG64 keys of replicas first..first+size-1 as a (size, 4) uint64 array.
+@lru_cache(maxsize=16)
+def _key_block(seed, block):
+    """The PCG64 keys of replicas 64*block..64*block+63 as a (64, 4) uint64 array.
 
-    `pool` is _MIX_L times the pool of SeedSequence(seed); each replica's
-    spawn word is mixed into it and the 8 output words are hashed out, for
-    all replicas at once in uint32 arithmetic, which wraps as SeedSequence's
-    does.
+    Each replica's spawn word is mixed into the pool of SeedSequence(seed)
+    and the 8 output words are hashed out, for all 64 replicas at once in
+    uint32 arithmetic, which wraps as SeedSequence's does.
     """
-    h = (np.arange(first, first + size, dtype=np.uint32).reshape(size, 1) ^ _KEY_XOR) * _KEY_MUL
+    pool = np.random.SeedSequence(seed).pool * _MIX_L
+    first = block * _KEYS_PER_BLOCK
+    h = (np.arange(first, first + _KEYS_PER_BLOCK, dtype=np.uint32)[:, None] ^ _KEY_XOR) * _KEY_MUL
     h ^= h >> 16
     h *= _MIX_R
     p = pool - h
     p ^= p >> 16
-    w = (p.reshape(size, 1, 4) ^ _OUT_XOR) * _OUT_MUL
+    w = (p.reshape(-1, 1, 4) ^ _OUT_XOR) * _OUT_MUL
     w ^= w >> 16
-    return w.reshape(size, 8).astype("<u4", copy=False).view("<u8").astype(np.uint64, copy=False)
+    keys = w.reshape(-1, 8).astype("<u4", copy=False).view("<u8").astype(np.uint64, copy=False)
+    keys.setflags(write=False)  # the cache hands this array to every caller
+    return keys
 
 
 def replica_rng(seed: int, replica: int = 0) -> np.random.Generator:
@@ -119,11 +115,9 @@ def replica_rng(seed: int, replica: int = 0) -> np.random.Generator:
 
     The stream is PCG64 keyed by SeedSequence(seed, spawn_key=(replica,)),
     so replica r sees the same randomness no matter which worker runs it.
-    The keys are computed a block of consecutive replicas at a time, equal
-    word for word to SeedSequence's: a seed's first block holds 8 replicas,
-    a block asked for right after the last one doubles, up to 1024, and any
-    other miss starts again at 8.  The last block of up to 16 seeds is kept,
-    dropping the seed seen first.  Replicas from 2^32 on are keyed by
+    The keys are computed in aligned blocks of 64 replicas (block r // 64,
+    entry r % 64), equal word for word to SeedSequence's, and the 16 blocks
+    used last are kept.  Replicas from 2^32 on are keyed by
     SeedSequence itself.  Seeds must lie in [0, 2^64).  The generator's
     seed sequence cannot spawn children.
     """
@@ -133,22 +127,10 @@ def replica_rng(seed: int, replica: int = 0) -> np.random.Generator:
     replica = int(replica)
     if replica < 0:
         raise ValueError(f"replica must be a non-negative integer, got {replica}")
-    entry = _key_blocks.get(seed)
-    if entry is None or not 0 <= replica - entry[1] < len(entry[2]):
-        if replica >= _WORD:
-            return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(replica,)))
-        if entry is None:
-            pool = np.random.SeedSequence(seed).pool * _MIX_L
-            size = _FIRST_KEYS
-            if len(_key_blocks) >= _KEPT_SEEDS:
-                del _key_blocks[next(iter(_key_blocks))]
-        else:
-            pool, first, keys, size = entry
-            if replica != first + len(keys):
-                size = _FIRST_KEYS
-        keys = _key_block(pool, replica, min(size, _WORD - replica))
-        entry = _key_blocks[seed] = (pool, replica, keys, min(2 * size, _LAST_KEYS))
-    return np.random.Generator(np.random.PCG64(_StreamKey(entry[2][replica - entry[1]])))
+    if replica >= _WORD:
+        return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(replica,)))
+    block, entry = divmod(replica, _KEYS_PER_BLOCK)
+    return np.random.Generator(np.random.PCG64(_StreamKey(_key_block(seed, block)[entry])))
 
 
 def _uniforms(seed: int, replica: int):
@@ -364,7 +346,8 @@ class RenewalEstimate:
     estimate = mean(time above i per cycle) / P(Bin(N, p) >= i)
              + exact expected hitting time 0 -> s,
     kept in log scale; the CI is propagated from the cycle-time numerator
-    only (the tail and the base term are exact).
+    only (the tail and the base term are exact).  `cycles` holds the
+    CycleSample of each replica, in replica order.
     """
 
     estimate: LogNonNegative
@@ -375,6 +358,7 @@ class RenewalEstimate:
     base: LogNonNegative
     i: int
     s: int
+    cycles: tuple
 
 
 def default_hitting_cap(d: DerivedParams) -> float:
@@ -450,34 +434,19 @@ def sample_time_above(
     return CycleSample(i=i, s=s, time_above=above, seed=seed, replica=replica)
 
 
-def _hitting_one(args, replica):
-    d, start, target, seed, cap = args
-    return sample_hitting_time(d, start, target, seed, cap=cap, replica=replica)
-
-
-def _stationarity_one(args, replica):
-    d, seed = args
-    return sample_stationarity_time(d, seed, replica=replica)
-
-
-def _time_above_one(args, replica):
-    d, i, s, seed = args
-    return sample_time_above(d, i, s, seed, replica=replica)
-
-
-def _escape_one(args, replica):
-    d, j, i, s, seed = args
+def _escaped(d, j, i, s, seed, replica):
     k, _, _ = _run_chain(d, j, replica_rng(seed, replica), lower=s, upper=i, timed=False)
     return 1.0 if k == i else 0.0
 
 
 def _chunk(fn, args, lo, hi):
-    return [fn(args, r) for r in range(lo, hi)]
+    return [fn(*args, replica=r) for r in range(lo, hi)]
 
 
 def run_replicas(fn, args, replicas: int, workers: int = 1) -> list:
-    """Evaluate fn(args, r) for r = 0..replicas-1, optionally on worker processes.
+    """Evaluate fn(*args, replica=r) for r = 0..replicas-1, optionally on worker processes.
 
+    Each sampler taking a `replica` keyword is thus its own replica function.
     Results come back in replica order, so any worker count yields the same
     list; per-replica streams make the values themselves worker-independent.
     At most os.cpu_count() processes are started.
@@ -488,7 +457,7 @@ def run_replicas(fn, args, replicas: int, workers: int = 1) -> list:
         raise ValueError(f"workers must be positive, got {workers}")
     workers = min(workers, os.cpu_count() or 1)
     if workers == 1 or replicas == 1:
-        return [fn(args, r) for r in range(replicas)]
+        return _chunk(fn, args, 0, replicas)
     chunk_size = -(-replicas // workers)
     bounds = [(lo, min(lo + chunk_size, replicas)) for lo in range(0, replicas, chunk_size)]
     # one process per chunk: a fork pool starts all max_workers processes at once
@@ -512,14 +481,14 @@ def sample_hitting_times(
     """Replicated first-passage samples (censoring flagged per sample)."""
     if cap is None:
         cap = default_hitting_cap(d)
-    return run_replicas(_hitting_one, (d, start, target, seed, cap), replicas, workers)
+    return run_replicas(sample_hitting_time, (d, start, target, seed, cap), replicas, workers)
 
 
 def sample_stationarity_times(
     d: DerivedParams, replicas: int, seed: int, workers: int = 1
 ) -> list:
     """Replicated draws of the fastest time to stationarity."""
-    return run_replicas(_stationarity_one, (d, seed), replicas, workers)
+    return run_replicas(sample_stationarity_time, (d, seed), replicas, workers)
 
 
 def renewal_targets(d: DerivedParams, c: float) -> tuple:
@@ -538,15 +507,20 @@ def renewal_targets(d: DerivedParams, c: float) -> tuple:
     return i, s
 
 
-def sample_cycles(
-    d: DerivedParams, i: int, s: int, replicas: int, seed: int, workers: int = 1
-) -> list:
-    """Replicated above-i cycle legs for the regenerative estimator."""
-    return run_replicas(_time_above_one, (d, i, s, seed), replicas, workers)
+def estimate_hitting_renewal(
+    d: DerivedParams, c: float, replicas: int, seed: int, workers: int = 1
+) -> RenewalEstimate:
+    """Regenerative estimator of E(tau_0([c n])) for c above beta/(2 alpha).
 
-
-def renewal_from_cycles(d: DerivedParams, i: int, s: int, cycles) -> RenewalEstimate:
-    """Combine cycle samples with the exact tail and base hitting term."""
+    Simulates (i -> s) cycle legs for the mean time above i, divides by the
+    exact stationary tail P(Bin(N, p) >= i), and adds the exact expected
+    hitting time 0 -> s.  Slightly upward biased (by the omitted i -> s
+    descent, an O(log n) term).
+    """
+    if replicas < 100:
+        raise ValueError(f"need at least 100 replicas, got {replicas}")
+    i, s = renewal_targets(d, c)
+    cycles = run_replicas(sample_time_above, (d, i, s, seed), replicas, workers)
     above = mean_ci([cy.time_above for cy in cycles])
     tail = binomial_tail(i, d)
     cycle_term = cycle_expectation(above.mean, LogNonNegative(tail.log_probability))
@@ -564,24 +538,8 @@ def renewal_from_cycles(d: DerivedParams, i: int, s: int, cycles) -> RenewalEsti
         base=base,
         i=i,
         s=s,
+        cycles=tuple(cycles),
     )
-
-
-def estimate_hitting_renewal(
-    d: DerivedParams, c: float, replicas: int, seed: int, workers: int = 1
-) -> RenewalEstimate:
-    """Regenerative estimator of E(tau_0([c n])) for c above beta/(2 alpha).
-
-    Simulates (i -> s) cycle legs for the mean time above i, divides by the
-    exact stationary tail P(Bin(N, p) >= i), and adds the exact expected
-    hitting time 0 -> s.  Slightly upward biased (by the omitted i -> s
-    descent, an O(log n) term).
-    """
-    if replicas < 100:
-        raise ValueError(f"need at least 100 replicas, got {replicas}")
-    i, s = renewal_targets(d, c)
-    cycles = sample_cycles(d, i, s, replicas, seed, workers)
-    return renewal_from_cycles(d, i, s, cycles)
 
 
 def sample_escapes(
@@ -596,7 +554,7 @@ def sample_escapes(
     """Per-replica escape flags: 1.0 when the chain from j reaches i before s."""
     if not (0 <= s < j < i <= d.N):
         raise ValueError(f"need 0 <= s < j < i <= {d.N}, got s={s}, j={j}, i={i}")
-    return run_replicas(_escape_one, (d, j, i, s, seed), replicas, workers)
+    return run_replicas(_escaped, (d, j, i, s, seed), replicas, workers)
 
 
 def sample_escape_probability(

@@ -216,13 +216,23 @@ def test_config_values_pass_the_flag_checks(line, tmp_path, capsys):
                            f"{line.split('=')[1]!r}\n"
 
 
-def test_worker_count_does_not_change_bytes():
-    argv = ["simulate", "hitting", "--n", "8", "--from", "0", "--to", "5",
-            "--replicas", "60", "--seed", "42"]
-    one = run_proc(*argv, "--workers", "1")
-    two = run_proc(*argv, "--workers", "2")
-    assert one.returncode == two.returncode == 0
-    assert one.stdout == two.stdout
+@pytest.mark.parametrize("argv", [
+    ["simulate", "hitting", "--n", "8", "--from", "0", "--to", "5", "--replicas", "60"],
+    ["simulate", "trajectory", "--n", "8", "--horizon", "1", "--replicas", "5"],
+    ["simulate", "stationarity", "--n", "8", "--replicas", "5"],
+    ["simulate", "renewal", "--n", "12", "--c", "0.8", "--replicas", "100"],
+    ["simulate", "escape", "--n", "12", "--from", "8", "--to", "10", "--floor", "6",
+     "--replicas", "20"],
+    ["components", "static", "--n", "30", "--m", "20", "--replicas", "5"],
+    ["components", "emergence", "--n", "30", "--eps", "0.3", "--delta", "0.1",
+     "--replicas", "4"],
+], ids=lambda argv: " ".join(argv[:2]))
+def test_worker_count_does_not_change_bytes(argv, capsys):
+    out = []
+    for workers in ("1", "2"):
+        assert main(argv + ["--seed", "42", "--workers", workers]) == 0
+        out.append(capsys.readouterr().out)
+    assert out[0] == out[1]
 
 
 def test_workers_env_default():
@@ -252,6 +262,29 @@ def test_non_finite_count_exits_2(command, value, capsys):
     assert main(argv) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and "--from" in err[0]
+
+
+_NON_FINITE_DENSITIES = [
+    (["simulate", "renewal", "--n", "40", "--c", "inf", "--replicas", "100", "--seed", "1"],
+     "cannot round inf"),
+    (["analytic", "entropy", "--n", "40", "--c", "inf"], "cannot round inf"),
+    (["analytic", "entropy", "--n", "40", "--c", "1e308"], "cannot round inf"),
+    (["analytic", "fluid", "--n", "40", "--from", "inf", "--to", "1"],
+     "finite nonnegative density"),
+    (["analytic", "rates", "--step", "nan"], "need step > 0"),
+    (["analytic", "rates", "--eps-min", "nan"], "need step > 0"),
+    (["analytic", "rates", "--eps-max", "inf"], "cannot round inf"),
+]
+
+
+@pytest.mark.parametrize("argv,message", _NON_FINITE_DENSITIES,
+                         ids=[" ".join(argv) for argv, _ in _NON_FINITE_DENSITIES])
+def test_non_finite_density_exits_2(argv, message, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and message in err[0]
 
 
 def test_infinite_trajectory_horizon_exits_2():

@@ -249,6 +249,9 @@ def test_time_above_adjacent_levels_terminates():
 def test_renewal_consistent_with_direct_mc():
     d = _d(30)
     est = sim.estimate_hitting_renewal(d, 0.8, 400, seed=43)
+    assert est.cycles == tuple(sim.sample_time_above(d, est.i, est.s, 43, replica=r)
+                               for r in range(400))
+    assert est.count == len(est.cycles)
     direct = mean_ci(
         [s.time for s in sim.sample_hitting_times(d, 0, est.i, 500, seed=44)]
     )
@@ -347,7 +350,7 @@ def test_run_replicas_worker_independent():
 def test_run_replicas_rejects_non_positive_workers():
     for workers in (0, -2):
         with pytest.raises(ValueError, match="workers must be positive"):
-            sim.run_replicas(sim._stationarity_one, (_d(6), 1), 4, workers)
+            sim.run_replicas(sim.sample_stationarity_time, (_d(6), 1), 4, workers)
 
 
 class _RecordingPool:
@@ -376,12 +379,12 @@ def test_run_replicas_starts_one_process_per_chunk(monkeypatch, replicas, worker
     monkeypatch.setattr(_RecordingPool, "sizes", [])
     monkeypatch.setattr(sim.os, "cpu_count", lambda: 16)
     args = (_d(6), 5)
-    got = sim.run_replicas(sim._stationarity_one, args, replicas, workers)
+    got = sim.run_replicas(sim.sample_stationarity_time, args, replicas, workers)
     assert _RecordingPool.sizes == [processes]
-    assert got == [sim._stationarity_one(args, r) for r in range(replicas)]
+    assert got == [sim.sample_stationarity_time(*args, replica=r) for r in range(replicas)]
 
 
-def _replica_index(args, replica):
+def _replica_index(replica):
     return replica
 
 
@@ -390,7 +393,7 @@ def test_run_replicas_caps_processes_at_cpu_count(monkeypatch):
     monkeypatch.setattr(sim, "ProcessPoolExecutor", _RecordingPool)
     monkeypatch.setattr(_RecordingPool, "sizes", [])
     monkeypatch.setattr(sim.os, "cpu_count", lambda: 4)
-    assert sim.run_replicas(_replica_index, None, 10_000, 10_000) == list(range(10_000))
+    assert sim.run_replicas(_replica_index, (), 10_000, 10_000) == list(range(10_000))
     assert _RecordingPool.sizes == [4]
 
 
@@ -424,15 +427,14 @@ _SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 - 1,
 
 @pytest.mark.parametrize("seed", _SEEDS)
 def test_replica_rng_is_seed_sequence_in_order(seed):
-    # blocks of 8, 16, ... 1024 keys: replicas 0..2100 cross every block edge
-    # (7/8, 23/24, 55/56, ..., 2039/2040)
+    # aligned blocks of 64 keys: replicas 0..2100 cross 32 block edges (63/64, ...)
     _assert_streams_are_seed_sequences((seed, r) for r in range(2100))
 
 
 def test_replica_rng_is_seed_sequence_in_any_order():
     rand = random.Random(4)
-    edges = [0, 7, 8, 23, 24, 55, 56, 119, 120, 2**32 - 9, 2**32 - 2, 2**32 - 1,
-             2**32, 2**32 + 5, *(rand.getrandbits(31) for _ in range(20))]
+    edges = [0, 7, 8, 23, 24, 55, 56, 63, 64, 119, 120, 2**32 - 65, 2**32 - 64, 2**32 - 9,
+             2**32 - 2, 2**32 - 1, 2**32, 2**32 + 5, *(rand.getrandbits(31) for _ in range(20))]
     shuffled = list(range(300))
     rand.shuffle(shuffled)
     for seed in _SEEDS:
