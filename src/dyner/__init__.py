@@ -8,7 +8,7 @@ model, simulates it exactly, and cross-checks the two against each other.
 
 from .logspace import LogNonNegative
 from .model import DerivedParams, ModelParams, birth_rate, closest_integer, death_rate, derive
-from .stats import EstimateCI, chi_square_pvalue, ks_distance, mean_ci
+from .stats import EstimateCI, ks_distance, mean_ci
 
 __version__ = "0.1.0"
 
@@ -24,5 +24,4 @@ __all__ = [
     "EstimateCI",
     "mean_ci",
     "ks_distance",
-    "chi_square_pvalue",
 ]

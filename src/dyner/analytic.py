@@ -15,7 +15,6 @@ from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import gammaln
 
 from .logspace import LogNonNegative, log_add, log_sum
 from .model import DerivedParams, birth_rate, closest_integer, death_rate
@@ -166,26 +165,28 @@ def expected_hitting_step(i: int, d: DerivedParams) -> LogNonNegative:
     return LogNonNegative(float(_hitting_step_logs(d, i + 1)[i]))
 
 
+def _log_binomials(N: int, top: int) -> np.ndarray:
+    """log C(N, k) for k = 0..top: the running sum of log((N - k)/(k + 1)) from 0."""
+    k = np.arange(top)
+    return np.concatenate(([0.0], np.cumsum(np.log((N - k) / (k + 1)))))
+
+
 def expected_hitting_step_series(i: int, d: DerivedParams) -> LogNonNegative:
     """Series form of E(tau_i(i+1)) used as a cross-check of the recursion.
 
-    (n-1)(N-i-1)! i! / (beta N!) * sum_{k=0}^{i} C(N, i-k) (alpha (n-1)/beta)^k,
-    evaluated with log-gamma and log-sum-exp so factorials of N never
-    materialize.
+    (n-1)(N-i-1)! i! / (beta N!) * sum_{j=0}^{i} C(N, j) (alpha (n-1)/beta)^{i-j},
+    where the prefactor is (n-1) / (beta (N-i) C(N, i)).  The log C(N, j)
+    come from the running log-sum of `_log_binomials` and the sum from
+    log-sum-exp, so factorials of N never materialize.
     """
     if not (0 <= i <= d.N - 1):
         raise ValueError(f"step start must be in [0, {d.N - 1}], got {i}")
     n, alpha, beta, N = d.n, d.alpha, d.beta, d.N
-    log_prefactor = (
-        math.log(n - 1) - math.log(beta) + gammaln(N - i) + gammaln(i + 1) - gammaln(N + 1)
-    )
-    log_ratio = math.log(alpha * (n - 1) / beta)
-    k = np.arange(i + 1)
-    j = i - k  # binomial index
-    log_terms = gammaln(N + 1) - gammaln(j + 1) - gammaln(N - j + 1) + k * log_ratio
+    log_binom = _log_binomials(N, i)
+    log_terms = log_binom + (i - np.arange(i + 1)) * math.log(alpha * (n - 1) / beta)
     peak = float(np.max(log_terms))
     total = peak + math.log(float(np.sum(np.exp(log_terms - peak))))
-    return LogNonNegative(float(log_prefactor) + total)
+    return LogNonNegative(math.log((n - 1) / (beta * (N - i))) - float(log_binom[i]) + total)
 
 
 def expected_hitting(j: int, i: int, d: DerivedParams) -> LogNonNegative:
@@ -405,18 +406,11 @@ class BinomialTail:
     def probability(self) -> float:
         return math.exp(self.log_probability)
 
-    @property
-    def lower_bound(self) -> float:
-        return math.exp(self.log_lower_bound)
-
-    @property
-    def upper_bound(self) -> float:
-        return math.exp(self.log_upper_bound)
-
 
 def binomial_tail(i: int, d: DerivedParams) -> BinomialTail:
     """Exact P(Bin(N, p) >= i) by compensated log-space summation.
 
+    The log C(N, k) come from the running log-sum of `_log_binomials`.
     Terms are accumulated from the far tail (k = N downwards) with exact
     compensated addition, after rescaling by the peak log term.
     """
@@ -432,13 +426,7 @@ def binomial_tail(i: int, d: DerivedParams) -> BinomialTail:
             bounds_valid=False,
         )
     k = np.arange(i, N + 1)
-    log_pmf = (
-        gammaln(N + 1)
-        - gammaln(k + 1)
-        - gammaln(N - k + 1)
-        + k * math.log(p)
-        + (N - k) * math.log1p(-p)
-    )
+    log_pmf = _log_binomials(N, N)[i:] + k * math.log(p) + (N - k) * math.log1p(-p)
     peak = float(np.max(log_pmf))
     # k runs upward, so reversing sums from the smallest far-tail terms first.
     total = math.fsum(np.exp(log_pmf[::-1] - peak).tolist())

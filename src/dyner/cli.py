@@ -238,6 +238,10 @@ def _rates(o, _):
     if not (step > 0 and eps_max >= eps_min):
         raise ValueError("need step > 0 and eps-max >= eps-min")
     count = closest_integer((eps_max - eps_min) / step) + 1
+    for eps in (eps_min, eps_max):  # a bad end fails here, before any grid is built
+        an.rate_functions(eps)
+    if count > 10**6:
+        raise ValueError(f"need at most 10^6 eps grid points, got {count:.3g}")
     grid = [round(eps_min + k * step, 12) for k in range(count)]
     rates = [an.rate_functions(eps) for eps in grid]
     if o["svg"]:

@@ -47,14 +47,6 @@ class LogNonNegative:
             return cls(_NEG_INF)
         return cls(math.log(x))
 
-    @classmethod
-    def from_log(cls, log_value: float) -> "LogNonNegative":
-        return cls(float(log_value))
-
-    @property
-    def is_zero(self) -> bool:
-        return self.log_value == _NEG_INF
-
     @property
     def value(self) -> float:
         """Linear-scale magnitude; inf when too large for a double."""
@@ -70,19 +62,9 @@ class LogNonNegative:
         return LogNonNegative(log_add(self.log_value, other.log_value))
 
     def __mul__(self, other: "LogNonNegative") -> "LogNonNegative":
-        if self.is_zero or other.is_zero:
+        if _NEG_INF in (self.log_value, other.log_value):
             return ZERO
         return LogNonNegative(self.log_value + other.log_value)
-
-    def __truediv__(self, other: "LogNonNegative") -> "LogNonNegative":
-        if other.is_zero:
-            raise ZeroDivisionError("division by an exact zero")
-        if self.is_zero:
-            return ZERO
-        return LogNonNegative(self.log_value - other.log_value)
-
-    def __float__(self) -> float:
-        return self.value
 
 
 ZERO = LogNonNegative(_NEG_INF)

@@ -1,12 +1,11 @@
-"""Estimation utilities: means with normal CIs, KS distances, chi-square."""
+"""Estimation utilities: means with normal CIs and KS distances."""
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaincc
 
-__all__ = ["EstimateCI", "mean_ci", "ks_distance", "chi_square_pvalue"]
+__all__ = ["EstimateCI", "mean_ci", "ks_distance"]
 
 Z95 = 1.96  # normal-approximation 95% half-width multiplier
 
@@ -58,23 +57,3 @@ def ks_distance(samples, cdf) -> float:
     d_plus = float(np.max(steps - f))
     d_minus = float(np.max(f - (steps - 1.0 / m)))
     return max(d_plus, d_minus, 0.0)
-
-
-def chi_square_pvalue(counts, probs=None) -> float:
-    """Chi-square goodness-of-fit p-value; uniform cells when probs is None."""
-    observed = np.asarray(counts, dtype=float)
-    if observed.ndim != 1 or observed.size < 2:
-        raise ValueError("need a flat vector of at least two cell counts")
-    total = float(np.sum(observed))
-    if probs is None:
-        expected = np.full(observed.size, total / observed.size)
-    else:
-        p = np.asarray(probs, dtype=float)
-        if p.shape != observed.shape:
-            raise ValueError("probs must match the counts vector")
-        expected = total * p
-    if np.any(expected <= 0):
-        raise ValueError("every cell needs positive expected count")
-    stat = float(np.sum((observed - expected) ** 2 / expected))
-    df = observed.size - 1
-    return float(gammaincc(df / 2.0, stat / 2.0))

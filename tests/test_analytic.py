@@ -1,4 +1,5 @@
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -162,6 +163,12 @@ def test_hitting_series_matches_recursion(d3):
             series = an.expected_hitting_step_series(i, d)
             rec = an.expected_hitting_step(i, d)
             assert series.log_value == pytest.approx(rec.log_value, abs=1e-9)
+    # deep in the chain the two forms agree to 1e-10 relative, not only in log
+    d = _d(2000)
+    for i in range(0, 2000, 10):
+        series = an.expected_hitting_step_series(i, d)
+        rec = an.expected_hitting_step(i, d)
+        assert abs(math.expm1(series.log_value - rec.log_value)) <= 1e-10
 
 
 def test_expected_hitting_examples(d3):
@@ -370,11 +377,29 @@ def test_binomial_tail_trivia():
     assert an.binomial_tail(1, d2).probability == pytest.approx(d2.p, rel=1e-14)
 
 
+def _decimal_log_tail(i, d):
+    # every term of P(Bin(N, p) >= i) at the double p, summed in 50 digits
+    with localcontext() as ctx:
+        ctx.prec = 50
+        p = Decimal(d.p)
+        q = 1 - p
+        term = math.comb(d.N, i) * p**i * q ** (d.N - i)
+        total = Decimal(0)
+        for k in range(i, d.N + 1):
+            total += term
+            term = term * (d.N - k) / (k + 1) * p / q
+        return float(total.ln())
+
+
 def test_binomial_tail_enumeration():
     # n=3 with beta = 2 alpha gives N=3, p=1/2; P(Bin >= 2) = 4/8
     d = _d(3, 1.0, 2.0)
     assert d.p == 0.5
     assert an.binomial_tail(2, d).probability == pytest.approx(0.5, rel=1e-13)
+    for n, i in ((40, 32), (100, 80), (200, 100)):
+        d = _d(n)
+        got = an.binomial_tail(i, d).log_probability
+        assert abs(got - _decimal_log_tail(i, d)) <= 1e-12
 
 
 def test_binomial_tail_top_value():
@@ -411,7 +436,7 @@ def test_cycle_expectation_examples():
 def test_cycle_expectation_log_tail():
     from dyner.logspace import LogNonNegative
 
-    tail = LogNonNegative.from_log(-5000.0)
+    tail = LogNonNegative(-5000.0)
     est = an.cycle_expectation(2.0, tail)
     assert est.log_value == pytest.approx(math.log(2.0) + 5000.0, rel=1e-12)
 

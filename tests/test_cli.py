@@ -3,6 +3,7 @@ import json
 import math
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -274,6 +275,8 @@ _NON_FINITE_DENSITIES = [
     (["analytic", "rates", "--step", "nan"], "need step > 0"),
     (["analytic", "rates", "--eps-min", "nan"], "need step > 0"),
     (["analytic", "rates", "--eps-max", "inf"], "cannot round inf"),
+    (["analytic", "rates", "--eps-max", "1e300"], "eps must be in (0, 1)"),
+    (["analytic", "rates", "--step", "1e-300"], "need at most 10^6 eps grid points"),
 ]
 
 
@@ -361,24 +364,38 @@ def test_emergence_at_n_500_runs_in_seconds():
     assert len(rows) == 20
 
 
-def test_importing_dyner_loads_only_scipy_special():
-    # scipy.optimize and the like would cost import time and resident memory
+def test_importing_dyner_loads_only_declared_dependencies():
+    # the installed distributions whose packages get loaded by importing
+    # every dyner module are exactly the runtime dependencies that
+    # pyproject.toml declares; an undeclared one (scipy, say) would also
+    # cost import time and resident memory
+    if sys.version_info >= (3, 11):
+        import tomllib
+    else:  # pytest itself depends on tomli before Python 3.11
+        import tomli as tomllib
+    project = tomllib.loads((pathlib.Path(SRC).parent / "pyproject.toml").read_text())["project"]
+    declared = {re.match(r"[\w.-]+", req).group().lower().replace("-", "_")
+                for req in project["dependencies"]}
+    assert declared == {"numpy"}
     code = (
-        "import importlib, pkgutil, sys, scipy\n"
+        "import importlib, pkgutil, sys\n"
+        "from importlib.metadata import packages_distributions\n"
         "bare = set(sys.modules)\n"
         "import dyner\n"
         "for m in pkgutil.iter_modules(dyner.__path__):\n"
         "    if m.name != '__main__':\n"
         "        importlib.import_module('dyner.' + m.name)\n"
-        "print(' '.join(sorted({k.split('.')[1] for k in set(sys.modules) - bare\n"
-        "                       if k.startswith('scipy.') and k[6] != '_'})))\n"
+        "loaded = {k.split('.')[0] for k in set(sys.modules) - bare} - {'dyner'}\n"
+        "dists = packages_distributions()\n"
+        "print(' '.join({d for k in loaded for d in dists.get(k, ())}))\n"
     )
     env = dict(os.environ)
     env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, env=env,
                           timeout=60)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.decode().split() == ["special"]
+    loaded = {name.lower().replace("-", "_") for name in done.stdout.decode().split()}
+    assert loaded == declared
 
 
 def test_seed_outside_64_bits_exits_2(capsys):
@@ -431,7 +448,7 @@ README_DIGESTS = [
     (["analytic", "entropy", "--n", "40", "--c", "0.8"],
      "07c1199d5c82f02a732da6530b932fa72c3b48d2bea61c8e9e084b5dec864dc1"),
     (["analytic", "tail", "--n", "40", "--i", "32"],
-     "53873952c5c09a6f537c560eba2a8a771940a033b4d8e46ec423221b1bf697f2"),
+     "94d91a788ba8692f7597b8a3d05e57645be64783c7feb15c213d84942b68e717"),
     (["analytic", "rates", "--eps-min", "0.01", "--eps-max", "0.79", "--step", "0.01"],
      "bfa7a5b81114d7716894ef334d029a10b445f1f5b8817d47256d6cd2ed9cd974"),
     (["simulate", "stationarity", "--n", "200", "--replicas", "1000", "--seed", "1"],

@@ -4,13 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.stats import binom
+from scipy.stats import binom, chisquare
 
 from dyner import analytic as an
 from dyner import components as comp
 from dyner import simulate as sim
 from dyner.model import ModelParams, closest_integer, derive
-from dyner.stats import chi_square_pvalue
 
 
 def _d(n, alpha=1.0, beta=1.0):
@@ -181,7 +180,7 @@ def test_dense_graph_edge_count_is_binomial():
     probs = [float(pmf[: low + 1].sum())]
     cells += [counts.count(k) for k in range(low + 1, d.N + 1)]
     probs += pmf[low + 1:].tolist()
-    assert chi_square_pvalue(cells, probs) > 0.001
+    assert chisquare(cells, reps * np.asarray(probs)).pvalue > 0.001
     se = math.sqrt(d.N * p_t * (1 - p_t) / reps)
     assert abs(float(np.mean(counts)) - d.N * p_t) < 4 * se
 
@@ -200,7 +199,7 @@ def test_first_insertion_uniform_over_pairs():
         if seen:
             counts[seen[0]] = counts.get(seen[0], 0) + 1
     assert len(counts) == 6
-    assert chi_square_pvalue(list(counts.values())) > 0.001
+    assert chisquare(list(counts.values())).pvalue > 0.001
 
 
 def test_edge_count_law_matches_aggregate_chain():
@@ -289,41 +288,62 @@ def test_emergence_validation():
 
 def _reference_emergence(d, eps, delta, seed, cap=None, replica=0):
     # the tracked loop that _component_passage replaced, kept as its oracle:
-    # a GraphState follows every flip until both passages are seen
+    # a GraphState follows every flip until the component passage is seen,
+    # and the flips' own edge list gives the edge count until its passage.
+    # Also returns the edge count at the component passage (None without one)
     if cap is None:
         cap = sim.default_hitting_cap(d)
     threshold = comp._component_threshold(eps, d.n)
     edge_target = closest_integer(an.c_epsilon(eps + delta) * d.n)
     state = comp.GraphState(d.n)
+    edges = []
     tau_component = None if threshold > 1 else 0.0
+    crossing_edges = None if threshold > 1 else 0
     tau_edges = dominated = None
-    for t, added, key in comp._edge_flips(d, sim._uniforms(seed, replica), cap, []):
-        if added:
-            state.add_edge(*divmod(key, d.n))
-        else:
-            state.remove_edge(*divmod(key, d.n))
-        if tau_component is None and state.largest_component_size() >= threshold:
-            tau_component = t
-        if tau_edges is None and state.edge_count >= edge_target:
+    for t, added, key in comp._edge_flips(d, sim._uniforms(seed, replica), cap, edges):
+        if tau_component is None:
+            if added:
+                state.add_edge(*divmod(key, d.n))
+            else:
+                state.remove_edge(*divmod(key, d.n))
+            if state.largest_component_size() >= threshold:
+                tau_component, crossing_edges = t, state.edge_count
+        if tau_edges is None and len(edges) >= edge_target:
             tau_edges = t
             dominated = tau_component is not None and tau_component <= t
         if tau_component is not None and tau_edges is not None:
             break
-    return tau_component, tau_edges, dominated
+    return tau_component, tau_edges, dominated, crossing_edges
 
 
-@pytest.mark.parametrize("n,reps,cap", [(60, 200, None), (100, 100, None), (300, 10, 20.0)])
-def test_emergence_matches_reference(n, reps, cap):
+@pytest.mark.parametrize("n,reps,cap,eps,delta,seed,min_refused", [
+    pytest.param(60, 200, None, 0.3, 0.1, 80, 0, id="60-200-None"),
+    pytest.param(100, 100, None, 0.3, 0.1, 80, 0, id="100-100-None"),
+    pytest.param(300, 10, 20.0, 0.3, 0.1, 80, 0, id="300-10-20.0"),
+    # threshold 4, edge target 121: the law's gate refuses every start
+    # below 27 edges, so most runs follow the flips after the component
+    pytest.param(200, 10, None, 0.02, 0.3, 3, 1, id="200-10-None-refused"),
+])
+def test_emergence_matches_reference(n, reps, cap, eps, delta, seed, min_refused):
     # tau_component is read off the same flips, so it is equal bit for bit;
-    # tau_edges is too wherever the edge target came first
+    # tau_edges is too wherever the edge target came first, or the component
+    # came first at an edge count the law's precision gate refuses
     d = _d(n)
+    law = an.hitting_time_law(closest_integer(an.c_epsilon(eps + delta) * n), d)
+    refused = 0
     for r in range(reps):
-        sample = comp.emergence_run(d, 0.3, 0.1, seed=80, cap=cap, replica=r)
-        tau_component, tau_edges, dominated = _reference_emergence(d, 0.3, 0.1, 80, cap, r)
+        sample = comp.emergence_run(d, eps, delta, seed=seed, cap=cap, replica=r)
+        tau_component, tau_edges, dominated, m = _reference_emergence(d, eps, delta, seed, cap, r)
         assert sample.component_censored == (tau_component is None)
         assert sample.tau_component == (sample.cap if tau_component is None else tau_component)
         if dominated is False:
             assert (sample.tau_edges, sample.dominated) == (tau_edges, False)
+        component_first = m is not None and (tau_edges is None or tau_edges > tau_component)
+        if component_first and not law.accepts(m):
+            refused += 1
+            assert sample.tau_edges == (sample.cap if tau_edges is None else tau_edges)
+            assert sample.dominated == dominated
+    assert refused >= min_refused
 
 
 def test_emergence_law_draw_matches_reference_law():
@@ -347,7 +367,7 @@ def test_emergence_same_addition_dominates():
     assert closest_integer(an.c_epsilon(eps + delta) * 10) == 10
     same = 0
     for r in range(200):
-        tau_component, tau_edges, dominated = _reference_emergence(d, eps, delta, 98, replica=r)
+        tau_component, tau_edges = _reference_emergence(d, eps, delta, 98, replica=r)[:2]
         if tau_component == tau_edges:
             same += 1
             sample = comp.emergence_run(d, eps, delta, seed=98, replica=r)

@@ -10,7 +10,6 @@ magnitudes = st.floats(min_value=1e-150, max_value=1e150, allow_nan=False)
 
 
 def test_zero_and_one():
-    assert ZERO.is_zero
     assert ZERO.value == 0.0
     assert ONE.value == 1.0
     assert (ZERO + ONE).value == 1.0
@@ -31,15 +30,6 @@ def test_add_matches_linear(x, y):
 
 @given(x=magnitudes, y=magnitudes)
 @settings(max_examples=100, deadline=None)
-def test_mul_div_match_linear(x, y):
-    a = LogNonNegative.from_linear(x)
-    b = LogNonNegative.from_linear(y)
-    assert (a * b).value == pytest.approx(x * y, rel=1e-12)
-    assert (a / b).value == pytest.approx(x / y, rel=1e-12)
-
-
-@given(x=magnitudes, y=magnitudes)
-@settings(max_examples=100, deadline=None)
 def test_add_commutes_exactly(x, y):
     a = LogNonNegative.from_linear(x)
     b = LogNonNegative.from_linear(y)
@@ -47,7 +37,7 @@ def test_add_commutes_exactly(x, y):
 
 
 def test_huge_values_never_materialize():
-    big = LogNonNegative.from_log(5000.0)
+    big = LogNonNegative(5000.0)
     total = big + big
     assert total.log_value == pytest.approx(5000.0 + math.log(2.0), rel=1e-15)
     assert not total.is_representable
@@ -56,13 +46,9 @@ def test_huge_values_never_materialize():
     assert squared.log_value == 10000.0
 
 
-def test_division_by_zero_rejected():
-    with pytest.raises(ZeroDivisionError):
-        ONE / ZERO
-
-
 def test_multiplication_by_zero_is_zero():
-    assert (ZERO * LogNonNegative.from_log(1e308)).is_zero
+    assert ZERO * LogNonNegative(1e308) == ZERO
+    assert LogNonNegative(math.inf) * ZERO == ZERO
 
 
 def test_ordering():

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dyner.stats import chi_square_pvalue, ks_distance, mean_ci
+from dyner.stats import ks_distance, mean_ci
 
 
 def test_mean_ci_hand_example():
@@ -75,14 +75,3 @@ def test_ks_invariant_under_monotone_transform():
 
     assert ks_distance(xs, cdf) == ks_distance(2.0 * xs + 3.0, transformed_cdf)
 
-
-def test_chi_square_uniform_counts():
-    assert chi_square_pvalue([100, 101, 99, 100]) > 0.9
-    assert chi_square_pvalue([200, 50, 50, 100]) < 1e-6
-
-
-def test_chi_square_with_probs():
-    p = chi_square_pvalue([50, 150], probs=[0.25, 0.75])
-    assert p > 0.5
-    with pytest.raises(ValueError):
-        chi_square_pvalue([10, 10], probs=[0.5, 0.25, 0.25])
