@@ -411,7 +411,7 @@ def binomial_tail(i: int, d: DerivedParams) -> BinomialTail:
     """Exact P(Bin(N, p) >= i) by compensated log-space summation.
 
     The log C(N, k) come from the running log-sum of `_log_binomials`.
-    Terms are accumulated from the far tail (k = N downwards) with exact
+    Terms are accumulated from the far tail downwards with exact
     compensated addition, after rescaling by the peak log term.
     """
     if not (0 <= i <= d.N):
@@ -427,8 +427,13 @@ def binomial_tail(i: int, d: DerivedParams) -> BinomialTail:
         )
     k = np.arange(i, N + 1)
     log_pmf = _log_binomials(N, N)[i:] + k * math.log(p) + (N - k) * math.log1p(-p)
-    peak = float(np.max(log_pmf))
-    # k runs upward, so reversing sums from the smallest far-tail terms first.
+    top = int(np.argmax(log_pmf))
+    peak = float(log_pmf[top])
+    # Past the peak the terms fall, and np.exp is 0.0 below -745.2: the sum
+    # stops 746 below the peak.  Reversed, it starts from the far tail.
+    gone = np.flatnonzero(log_pmf[top:] < peak - 746.0)
+    if len(gone):
+        log_pmf = log_pmf[:top + gone[0]]
     total = math.fsum(np.exp(log_pmf[::-1] - peak).tolist())
     log_tail = min(peak + math.log(total), 0.0)
     divergence = relative_entropy(i / N, p)

@@ -16,12 +16,13 @@ threshold.
 import math
 from collections import deque
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
 from .analytic import c_epsilon, hitting_time_law
 from .model import DerivedParams, closest_integer
-from .simulate import HittingSample, _uniforms, default_hitting_cap, replica_rng, run_replicas
+from .simulate import HittingSample, default_hitting_cap, replica_rng, run_replicas
 
 __all__ = [
     "GraphEvent",
@@ -198,6 +199,18 @@ class GraphState:
         assert sorted(sizes) == sorted(len(m) for m in self.members.values())
         assert 2 * self.edge_count == sum(len(a) for a in self.adj)
         assert self._largest == max(sizes), (self._largest, max(sizes))
+
+
+def _uniforms(seed: int, replica: int):
+    """Callable returning the replica's uniforms one Python float at a time.
+
+    The Generator is read in blocks of 4096 doubles.  PCG64 double draws do
+    not depend on the draw size (`random(4096)` equals 16 draws of
+    `random(256)`), so the block size only sets how far ahead the stream is
+    read, not the values.
+    """
+    rng = replica_rng(seed, replica)
+    return chain.from_iterable(iter(lambda: rng.random(4096).tolist(), None)).__next__
 
 
 def _edge_flips(d: DerivedParams, uniform, horizon: float, edges: list):

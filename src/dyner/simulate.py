@@ -16,7 +16,6 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain
 
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
@@ -133,20 +132,8 @@ def replica_rng(seed: int, replica: int = 0) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(_StreamKey(_key_block(seed, block)[entry])))
 
 
-def _uniforms(seed: int, replica: int):
-    """Callable returning the replica's uniforms one Python float at a time.
-
-    The Generator is read in blocks of 4096 doubles.  PCG64 double draws do
-    not depend on the draw size (`random(4096)` equals 16 draws of
-    `random(256)`), so the block size only sets how far ahead the stream is
-    read, not the values.
-    """
-    rng = replica_rng(seed, replica)
-    return chain.from_iterable(iter(lambda: rng.random(4096).tolist(), None)).__next__
-
-
-_FIRST_BLOCK = 256  # doubles read by a run's first block
-_LAST_BLOCK = 4096  # blocks double up to this size
+_FIRST_BLOCK = 128  # events read by a run's first block
+_LAST_BLOCK = 2048  # blocks double up to this size
 _FIRST_WIDTH = 32  # counts on each side of the start in the first threshold list;
 # each growth of the list adds twice as many, up to the events of a block
 
@@ -163,18 +150,17 @@ def _run_chain(d, k, rng, lower=-1, upper=-1, horizon=math.inf, level=None, path
     (time, count).  A caller that reads no exit time passes timed=False
     (with no horizon and no path); the time then comes back as None.
 
-    Event e reads uniforms 2e (holding time) and 2e+1 (direction) of the
-    Generator `rng`, which is read in blocks of 256 doubles doubling up to
-    4096.  Each block is run in two phases.  A Python loop walks the jump
-    directions over the odd uniforms, taking each jump up when the uniform
-    is below the count's jump threshold (`_thresholds`: the same branch as
-    u * total rate < birth rate, with one comparison).  The thresholds are
-    kept for the counts near the walk and grow when it leaves them.  Then the
-    holding times -log(1 - u)/total rate are built in numpy, with each log
-    taken by `math.log` (whose last bit `np.log` does not always match),
-    and summed in event order by `np.cumsum`, so every result equals that
-    of adding one event at a time.  Logs are taken only for the events
-    whose times are read.
+    The Generator `rng` is read in blocks of B = 128 events doubling up to
+    2048: `rng.random(B)`, the jump directions in event order, and then
+    `rng.standard_exponential(B)`, their Exp(1) holding-time variates, which
+    every run reads whether or not it reads times.  Each block is run in
+    two phases.  A Python loop walks the jump directions, taking each jump
+    up when the uniform is below the count's jump threshold (`_thresholds`:
+    the same branch as u * total rate < birth rate, with one comparison).
+    The thresholds are kept for the counts near the walk and grow when it
+    leaves them.  Then numpy divides the variates of the events whose times
+    are read by their total rates and sums them in event order by
+    `np.cumsum`, so every result equals that of adding one event at a time.
     """
     N = d.N
     if upper < 0:
@@ -187,10 +173,11 @@ def _run_chain(d, k, rng, lower=-1, upper=-1, horizon=math.inf, level=None, path
     th = []  # jump thresholds at counts lo..hi-1
     while True:
         u = rng.random(size)
+        x = rng.standard_exponential(size)
         size = min(2 * size, _LAST_BLOCK)
         # phase 1: the jump directions, as signed bytes (255 is -1)
         start = k
-        odd = iter(u[1::2].tolist())
+        dirs = iter(u.tolist())
         ups = bytearray()
         up = ups.append
         while True:
@@ -204,10 +191,10 @@ def _run_chain(d, k, rng, lower=-1, upper=-1, horizon=math.inf, level=None, path
                     grown = max(0, k - width)
                     th[:0] = _rate_lists(grown, lo, d)
                     lo = grown
-                width = min(2 * width, _LAST_BLOCK // 2)
+                width = min(2 * width, _LAST_BLOCK)
             j = k - lo
             j_lower, j_upper = max(lower, lo - 1) - lo, min(upper, hi) - lo
-            for v in odd:
+            for v in dirs:
                 if v < th[j]:
                     j += 1
                     up(1)
@@ -225,7 +212,7 @@ def _run_chain(d, k, rng, lower=-1, upper=-1, horizon=math.inf, level=None, path
             before = counts[:-1]
         if timed:
             events = len(ups)
-            dt = _holding_times(u[0:2 * events:2], before, d)
+            dt = x[:events] / _rates(before, d)[1]
             times = _running_sum(t, dt)[1:]
             cut = int(np.searchsorted(times, horizon, side="right"))
             if level is not None:
@@ -237,7 +224,7 @@ def _run_chain(d, k, rng, lower=-1, upper=-1, horizon=math.inf, level=None, path
             t = float(times[-1])
         elif level is not None:
             hit = np.flatnonzero(before >= level)
-            dt = _holding_times(u[2 * hit], before[hit], d)
+            dt = x[hit] / _rates(before[hit], d)[1]
             above = _running_sum(above, dt)[-1]
         if k == lower or k == upper:
             return k, (t if timed else None), float(above)
@@ -282,12 +269,6 @@ def _rate_lists(lo, hi, d):
     threshold lists by the same steps, so they mostly ask for the same ranges.
     """
     return tuple(_thresholds(np.arange(lo, hi), d).tolist())
-
-
-def _holding_times(u, counts, d):
-    """-log(1 - u) / total rate per event, each log taken by math.log."""
-    logs = np.fromiter(map(math.log, (1.0 - u).tolist()), float, len(u))
-    return -logs / _rates(counts, d)[1]
 
 
 def _running_sum(start, terms):

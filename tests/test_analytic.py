@@ -424,6 +424,19 @@ def test_binomial_tail_bounds_contain_exact():
             assert tail.log_probability <= tail.log_upper_bound + 1e-9
 
 
+@pytest.mark.parametrize("n,i", [(40, 32), (200, 100), (2000, 1600), (2000, 10), (2000, -1)])
+def test_binomial_tail_drops_only_terms_that_underflow(n, i):
+    # the sum stops 746 below the peak; the full sum of every term from i to N
+    # has the same bits, because np.exp of each dropped term is 0.0
+    d = _d(n)
+    N, i = d.N, i % (d.N + 1)
+    k = np.arange(i, N + 1)
+    log_pmf = an._log_binomials(N, N)[i:] + k * math.log(d.p) + (N - k) * math.log1p(-d.p)
+    peak = float(np.max(log_pmf))
+    full = min(peak + math.log(math.fsum(np.exp(log_pmf[::-1] - peak).tolist())), 0.0)
+    assert an.binomial_tail(i, d).log_probability == full
+
+
 def test_cycle_expectation_examples():
     assert an.cycle_expectation(0.05, 0.05).value == pytest.approx(1.0, rel=1e-12)
     assert an.cycle_expectation(0.37, 1.0).value == pytest.approx(0.37, rel=1e-12)

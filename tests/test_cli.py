@@ -422,16 +422,16 @@ def test_static_single_vertex_exits_2(capsys):
 # them only together with a recorded, deliberate stream change.
 README_DIGESTS = [
     (["simulate", "trajectory", "--n", "100", "--horizon", "2.0", "--seed", "1"],
-     "84cbf3493f029711e2f39f7a030a8d96460b0581af7c521a86b7897d8b656aa3"),
+     "339dd9c7fee832812028fd90114eb21e5db2f9b1e052c227aa5f29658eae446b"),
     (["simulate", "hitting", "--n", "20", "--from", "0", "--to", "6",
       "--replicas", "1000", "--seed", "42"],
-     "ce9c7bdb81b2ddaaec7ce5b7859db7c92c85635670dfa1bb32cb531401050ed7"),
+     "38679c96338286cd8bcb938f094d809a70bc1d07186a0f242c9f4b900e691fff"),
     (["simulate", "renewal", "--n", "40", "--c", "0.8", "--replicas", "1000",
       "--seed", "7"],
-     "8cfe92fdf3d4b1b714d97bd6772e05f781787b402514eb3bb6b7ba776d3a94cb"),
+     "0b9240f25bacda73b754eb42fb1fead09da295c8b6d1d3f40d4437e4e8aaa269"),
     (["simulate", "escape", "--n", "40", "--from", "28", "--to", "36",
       "--floor", "20", "--replicas", "1000", "--seed", "5"],
-     "df2fe6a8d21d78bc75488d081dad1c6b9484fc313847355fe13b17b03e37a674"),
+     "1e9b4ad64c7d8e6156ccd30b4bb0059f2354bb4bc5affd408db1e2fdae1dcc35"),
     (["components", "static", "--n", "2000", "--eps", "0.5", "--replicas", "10",
       "--seed", "3"],
      "8d616989783b6dea3219f99493b526fbe68b871c2d3a6dce906b63fcf2e64ad6"),
@@ -455,7 +455,7 @@ README_DIGESTS = [
      "97750557cabf317d434e7bcca987110910c6dc51bf3932b6c9ceef497bf7245c"),
     (["simulate", "escape", "--n", "40", "--from", "28", "--to", "36",
       "--floor", "20", "--replicas", "1000", "--seed", "5", "--format", "json"],
-     "42a46cd95a0b47c8905eb7ffbd35c324db1c35158be9e9f8ad465b76ff52682a"),
+     "b3e44d2143d32941c2e2de14a0b28885eff9477792301c5879c95252e51daaf2"),
 ]
 
 

@@ -230,7 +230,7 @@ def test_snapshot_matches_static_uniform_law():
     dynamic = []
     for r in range(250):
         state = comp.GraphState(d.n)
-        for _, added, key in comp._edge_flips(d, sim._uniforms(78, r), math.inf, []):
+        for _, added, key in comp._edge_flips(d, comp._uniforms(78, r), math.inf, []):
             (state.add_edge if added else state.remove_edge)(*divmod(key, d.n))
             if state.edge_count == m_target:
                 break
@@ -300,7 +300,7 @@ def _reference_emergence(d, eps, delta, seed, cap=None, replica=0):
     tau_component = None if threshold > 1 else 0.0
     crossing_edges = None if threshold > 1 else 0
     tau_edges = dominated = None
-    for t, added, key in comp._edge_flips(d, sim._uniforms(seed, replica), cap, edges):
+    for t, added, key in comp._edge_flips(d, comp._uniforms(seed, replica), cap, edges):
         if tau_component is None:
             if added:
                 state.add_edge(*divmod(key, d.n))

@@ -458,25 +458,48 @@ def test_replica_streams_differ():
 # ------------------------------------------------------------ kernel against the scalar loop
 
 
-def _reference_chain(d, k, uniform, lower=-1, upper=-1, horizon=math.inf, level=None,
+def _exponential_draws(seed, replica):
+    # the kernel's stream layout: per block of B events (128 doubling up to
+    # 2048), B direction uniforms and then B Exp(1) holding-time variates
+    rng = sim.replica_rng(seed, replica)
+    size = 128
+    while True:
+        u = rng.random(size).tolist()
+        x = rng.standard_exponential(size).tolist()
+        yield from zip(u, x)
+        size = min(2 * size, 2048)
+
+
+def _inverted_draws(seed, replica):
+    # the kernel's former layout, kept as a law reference: uniform 2e gives
+    # the Exp(1) variate -log(1 - u) by math.log, uniform 2e+1 the direction
+    rng = sim.replica_rng(seed, replica)
+    while True:
+        u = rng.random(4096).tolist()
+        for a, b in zip(u[0::2], u[1::2]):
+            yield b, -math.log(1.0 - a)
+
+
+def _reference_chain(d, k, draws, lower=-1, upper=-1, horizon=math.inf, level=None,
                      path=None):
-    # the one-event-at-a-time loop that _run_chain replaced, kept as its oracle
+    # the one-event-at-a-time loop that _run_chain replaced, kept as its oracle;
+    # `draws` yields a (direction uniform, Exp(1) variate) pair per event
     n, alpha, N = d.n, d.alpha, d.N
     birth_scale = d.beta / (n - 1)
     if level is None:
         level = N + 1
     t = 0.0
     above = 0.0
-    while True:
+    for v, x in draws:
         lam = (N - k) * birth_scale
         tot = lam + k * alpha
-        dt = -math.log(1.0 - uniform()) / tot
+        dt = x / tot
         t += dt
         if t > horizon:
             return k, horizon, above
         if k >= level:
             above += dt
-        k = k + 1 if uniform() * tot < lam else k - 1
+        k = k + 1 if v * tot < lam else k - 1
         if path is not None:
             path.append((t, k))
         if k == lower or k == upper:
@@ -487,6 +510,9 @@ _KERNEL_CASES = {
     # name: (n, beta, start, stop rule)
     "upper_with_cap": (40, 1.0, 0, dict(upper=32, horizon=60.0)),
     "escape": (40, 1.0, 28, dict(lower=20, upper=36)),
+    # untimed runs draw the Exp(1) variates too, so blocks after the first
+    # hold the same directions as in a timed run
+    "long_escape": (40, 1.0, 20, dict(lower=10, upper=30)),
     "cycle": (40, 1.0, 32, dict(lower=20, level=32)),
     "horizon_with_level": (40, 1.0, 25, dict(upper=29, horizon=3.0, level=22)),
     "long_path": (2000, 1.0, 0, dict(horizon=2.0, path=True)),
@@ -511,13 +537,13 @@ def test_kernel_matches_scalar_loop(case):
     censored = 0
     for r in range(40):
         want_path, got_path = ([], []) if with_path else (None, None)
-        want = _reference_chain(d, start, sim._uniforms(900, r), path=want_path, **rule)
+        want = _reference_chain(d, start, _exponential_draws(900, r), path=want_path, **rule)
         got = sim._run_chain(d, start, sim.replica_rng(900, r), path=got_path, **rule)
         assert got == want
         assert got_path == want_path
         if untimed:
-            # escape races and cycles read no exit time, so they skip its logs
-            # and take only those the level needs
+            # escape races and cycles read no exit time: they walk the same
+            # directions and divide only the holding times the level needs
             bare = sim._run_chain(d, start, sim.replica_rng(900, r), timed=False, **rule)
             assert bare == (want[0], None, want[2])
         censored += got[1] == rule.get("horizon")
@@ -548,7 +574,7 @@ def test_kernel_paths_span_many_blocks():
     # leaves its rate lists on both sides (they grow up, down, up, down)
     d = _d(2000)
     want, got = [(0.0, 1040)], [(0.0, 1040)]
-    _reference_chain(d, 1040, sim._uniforms(901, 0), horizon=20.0, path=want)
+    _reference_chain(d, 1040, _exponential_draws(901, 0), horizon=20.0, path=want)
     sim._run_chain(d, 1040, sim.replica_rng(901, 0), horizon=20.0, path=got)
     assert len(got) > 10_000
     assert got == want
@@ -560,28 +586,54 @@ def test_hitting_time_with_infinite_cap_is_exact():
     d = _d(40)
     for r in range(10):
         got = sim.sample_hitting_time(d, 0, 32, 903, cap=math.inf, replica=r)
-        k, t, _ = _reference_chain(d, 0, sim._uniforms(903, r), upper=32)
+        k, t, _ = _reference_chain(d, 0, _exponential_draws(903, r), upper=32)
         assert (got.time, got.censored) == (t, False) and k == 32
 
 
-def test_holding_times_take_each_log_from_math_log():
-    # np.log misses math.log by one ulp on some inputs on some CPUs; a run's
-    # later event times absorb that, but its first event time is one holding
-    # time exactly
-    d = _d(50)
+def test_kernel_passage_law_matches_inverted_uniforms():
+    # Exp(1) variates and inverted uniforms are two draws of one holding-time
+    # law, so passages 0 -> 32 from the kernel and from the oracle fed the
+    # former inverted uniforms agree within the two-sample DKW bound at a
+    # 1e-6 false-alarm level
+    d = _d(40)
+    reps = 1000
+    kernel = [sim.sample_hitting_time(d, 0, 32, 904, cap=math.inf, replica=r).time
+              for r in range(reps)]
+    inverted = [_reference_chain(d, 0, _inverted_draws(905, r), upper=32)[1]
+                for r in range(reps)]
+    assert _two_sample_ks(kernel, inverted) < 2 * math.sqrt(math.log(4 / 1e-6) / (2 * reps))
+
+
+def test_first_event_time_is_one_exponential_over_the_total_rate():
+    # a run's first event time is one holding time exactly: the first Exp(1)
+    # variate of its stream, read after the first block's 128 directions
+    d = _d(50, beta=3.0)
     birth_scale = d.beta / (d.n - 1)
-    u = sim.replica_rng(902).random(100_000)
-    counts = np.arange(len(u)) % (d.N + 1)
-    want = [-math.log(1.0 - v) / ((d.N - k) * birth_scale + k * d.alpha)
-            for v, k in zip(u.tolist(), counts.tolist())]
-    got = sim._holding_times(u, counts, d)
-    assert got.tolist() == want
+    for start in (0, 7, d.N // 2, d.N):
+        tot = (d.N - start) * birth_scale + start * d.alpha
+        for r in range(50):
+            path = sim.simulate_trajectory(d, start, 10.0, 906, replica=r)
+            rng = sim.replica_rng(906, r)
+            rng.random(128)
+            assert path.events[1][0] == rng.standard_exponential() / tot
 
 
 def test_pcg64_double_draws_do_not_depend_on_draw_size():
-    # _run_chain reads 256, 512, ... 4096 doubles where _uniforms reads 4096
-    # at a time; both see one stream only because of this numpy fact
+    # the labeled chain's _uniforms reads 4096 doubles at a time; that is the
+    # replica's stream of doubles in order only because of this numpy fact
     whole = sim.replica_rng(77, 3).random(8192)
     rng = sim.replica_rng(77, 3)
     parts = np.concatenate([rng.random(s) for s in (256, 512, 1024, 2048, 4096)])
     assert np.array_equal(parts, whole[:len(parts)])
+
+
+def test_pcg64_exponential_draws_do_not_depend_on_draw_size():
+    # _run_chain reads Exp(1) variates 128, 256, ... 2048 at a time, and the
+    # first-event test reads one; both see one stream only because of this
+    whole = sim.replica_rng(77, 3).standard_exponential(1000)
+    rng = sim.replica_rng(77, 3)
+    parts = np.concatenate([rng.standard_exponential(s) for s in (1, 7, 128, 256, 608)])
+    rng = sim.replica_rng(77, 3)
+    scalars = [rng.standard_exponential() for _ in range(1000)]
+    assert np.array_equal(parts, whole)
+    assert scalars == whole.tolist()
