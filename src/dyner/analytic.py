@@ -410,9 +410,10 @@ class BinomialTail:
 def binomial_tail(i: int, d: DerivedParams) -> BinomialTail:
     """Exact P(Bin(N, p) >= i) by compensated log-space summation.
 
-    The log C(N, k) come from the running log-sum of `_log_binomials`.
-    Terms are accumulated from the far tail downwards with exact
-    compensated addition, after rescaling by the peak log term.
+    The log C(N, k) come from the running log-sum of `_log_binomials`, built
+    only as far as the terms that do not underflow.  Terms are accumulated
+    from the far tail downwards with exact compensated addition, after
+    rescaling by the peak log term.
     """
     if not (0 <= i <= d.N):
         raise ValueError(f"count must be in [0, {d.N}], got {i}")
@@ -425,13 +426,20 @@ def binomial_tail(i: int, d: DerivedParams) -> BinomialTail:
             log_upper_bound=math.nan,
             bounds_valid=False,
         )
-    k = np.arange(i, N + 1)
-    log_pmf = _log_binomials(N, N)[i:] + k * math.log(p) + (N - k) * math.log1p(-p)
-    top = int(np.argmax(log_pmf))
-    peak = float(log_pmf[top])
     # Past the peak the terms fall, and np.exp is 0.0 below -745.2: the sum
-    # stops 746 below the peak.  Reversed, it starts from the far tail.
-    gone = np.flatnonzero(log_pmf[top:] < peak - 746.0)
+    # stops 746 below the peak.  The terms are built up to a count `hi`
+    # that doubles until that stop (or N) lies within.  Reversed, the sum
+    # starts from the far tail.
+    hi = i
+    while True:
+        hi = min(N, 2 * hi)
+        k = np.arange(i, hi + 1)
+        log_pmf = _log_binomials(N, hi)[i:] + k * math.log(p) + (N - k) * math.log1p(-p)
+        top = int(np.argmax(log_pmf))
+        peak = float(log_pmf[top])
+        gone = np.flatnonzero(log_pmf[top:] < peak - 746.0)
+        if len(gone) or hi == N:
+            break
     if len(gone):
         log_pmf = log_pmf[:top + gone[0]]
     total = math.fsum(np.exp(log_pmf[::-1] - peak).tolist())

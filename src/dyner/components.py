@@ -279,7 +279,6 @@ def simulate_graph(
             state.add_edge(a, b)
         else:
             state.remove_edge(a, b)
-        state.time = t
         if verify:
             state.verify()
         if observers:

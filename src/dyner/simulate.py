@@ -134,8 +134,6 @@ def replica_rng(seed: int, replica: int = 0) -> np.random.Generator:
 
 _FIRST_BLOCK = 128  # events read by a run's first block
 _LAST_BLOCK = 2048  # blocks double up to this size
-_FIRST_WIDTH = 32  # counts on each side of the start in the first threshold list;
-# each growth of the list adds twice as many, up to the events of a block
 
 
 def _run_chain(d, k, rng, lower=-1, upper=-1, horizon=math.inf, level=None, path=None,
@@ -157,10 +155,13 @@ def _run_chain(d, k, rng, lower=-1, upper=-1, horizon=math.inf, level=None, path
     two phases.  A Python loop walks the jump directions, taking each jump
     up when the uniform is below the count's jump threshold (`_thresholds`:
     the same branch as u * total rate < birth rate, with one comparison).
-    The thresholds are kept for the counts near the walk and grow when it
-    leaves them.  Then numpy divides the variates of the events whose times
-    are read by their total rates and sums them in event order by
-    `np.cumsum`, so every result equals that of adding one event at a time.
+    A block moves the count by at most B, so from count k it reads the
+    thresholds of one aligned window, counts (c - 1)B to (c + 2)B with
+    c = k // B, clipped to [0, N]; the walk never leaves [0, N], since the
+    threshold is 1 at count 0 and 0 at count N.  Then numpy divides the
+    variates of the events whose times are read by their total rates and
+    sums them in event order by `np.cumsum`, so every result equals that of
+    adding one event at a time.
     """
     N = d.N
     if upper < 0:
@@ -168,64 +169,44 @@ def _run_chain(d, k, rng, lower=-1, upper=-1, horizon=math.inf, level=None, path
     t = 0.0
     above = 0.0
     size = _FIRST_BLOCK
-    width = _FIRST_WIDTH
-    lo = hi = max(0, k - width)
-    th = []  # jump thresholds at counts lo..hi-1
     while True:
         u = rng.random(size)
         x = rng.standard_exponential(size)
-        size = min(2 * size, _LAST_BLOCK)
         # phase 1: the jump directions, as signed bytes (255 is -1)
+        lo = max(0, (k // size - 1) * size)
+        th = _rate_lists(lo, min(N + 1, lo + 3 * size), d)
+        size = min(2 * size, _LAST_BLOCK)
         start = k
-        dirs = iter(u.tolist())
+        j = k - lo
+        j_lower, j_upper = lower - lo, upper - lo
         ups = bytearray()
         up = ups.append
-        while True:
-            if not lo <= k < hi:
-                # the walk left the thresholds: grow them by `width` counts on that side
-                if k >= hi:
-                    grown = min(N + 1, k + width)
-                    th[len(th):] = _rate_lists(hi, grown, d)
-                    hi = grown
-                else:
-                    grown = max(0, k - width)
-                    th[:0] = _rate_lists(grown, lo, d)
-                    lo = grown
-                width = min(2 * width, _LAST_BLOCK)
-            j = k - lo
-            j_lower, j_upper = max(lower, lo - 1) - lo, min(upper, hi) - lo
-            for v in dirs:
-                if v < th[j]:
-                    j += 1
-                    up(1)
-                else:
-                    j -= 1
-                    up(255)
-                if j == j_lower or j == j_upper:
-                    break
-            k = lo + j
-            if k == lower or k == upper or lo <= k < hi:
+        for v in u.tolist():
+            if v < th[j]:
+                j += 1
+                up(1)
+            else:
+                j -= 1
+                up(255)
+            if j == j_lower or j == j_upper:
                 break
-        # phase 2: the event times, only where they are read
+        k = lo + j
+        # phase 2: the event times and the time above `level`, only where read
+        events = cut = len(ups)
         if timed or level is not None:
             counts = _running_sum(start, np.frombuffer(ups, np.int8))
             before = counts[:-1]
         if timed:
-            events = len(ups)
-            dt = x[:events] / _rates(before, d)[1]
-            times = _running_sum(t, dt)[1:]
+            times = _running_sum(t, x[:events] / _rates(before, d)[1])[1:]
             cut = int(np.searchsorted(times, horizon, side="right"))
-            if level is not None:
-                above = _running_sum(above, dt[:cut][before[:cut] >= level])[-1]
             if path is not None:
                 path.extend(zip(times[:cut].tolist(), counts[1:cut + 1].tolist()))
-            if cut < events:
-                return int(before[cut]), horizon, float(above)
             t = float(times[-1])
-        elif level is not None:
-            hit = np.flatnonzero(before >= level)
-            dt = x[hit] / _rates(before[hit], d)[1]
-            above = _running_sum(above, dt)[-1]
+        if level is not None:
+            hit = np.flatnonzero(before[:cut] >= level)
+            above = _running_sum(above, x[hit] / _rates(before[hit], d)[1])[-1]
+        if cut < events:
+            return int(before[cut]), horizon, float(above)
         if k == lower or k == upper:
             return k, (t if timed else None), float(above)
 
@@ -265,8 +246,8 @@ def _thresholds(counts, d):
 def _rate_lists(lo, hi, d):
     """The jump thresholds at counts lo..hi-1 as a tuple of Python floats.
 
-    Cached: the replicas of one sampler start from one count and grow their
-    threshold lists by the same steps, so they mostly ask for the same ranges.
+    Cached: `_run_chain` asks for aligned windows, so the replicas of one
+    sampler, which start from one count, mostly ask for the same windows.
     """
     return tuple(_thresholds(np.arange(lo, hi), d).tolist())
 
@@ -291,9 +272,7 @@ class Trajectory:
         """Edge count in effect at time t (last event at or before t)."""
         if t < 0 or t > self.horizon:
             raise ValueError(f"t must be within [0, {self.horizon}]")
-        times = [ev[0] for ev in self.events]
-        idx = bisect.bisect_right(times, t) - 1
-        return self.events[idx][1]
+        return self.events[bisect.bisect_right(self.events, (t, math.inf)) - 1][1]
 
 
 @dataclass(frozen=True, slots=True)

@@ -58,6 +58,9 @@ def test_trajectory_count_at():
     path = sim.simulate_trajectory(d, 0, 1.5, 7)
     assert path.count_at(0.0) == 0
     assert path.count_at(1.5) == path.events[-1][1]
+    # at an event time the count is the one that event set
+    assert len(path.events) > 2
+    assert all(path.count_at(t) == k for t, k in path.events)
     with pytest.raises(ValueError):
         path.count_at(2.0)
 
@@ -524,6 +527,14 @@ _KERNEL_CASES = {
     # extreme rate ratios, where many thresholds sit off lam/tot
     "slow_deaths": (40, 1.0, 0, dict(upper=600, horizon=60.0, level=580, alpha=1e-3)),
     "fast_deaths": (40, 1.0, 30, dict(lower=0, upper=31, level=10, alpha=1e3)),
+    # starts on both sides of aligned threshold-window edges (multiples of
+    # the block sizes), walking over several blocks
+    "window_edge_127": (2000, 1.0, 127, dict(horizon=0.5)),
+    "window_edge_128": (2000, 1.0, 128, dict(horizon=0.5)),
+    "window_edge_383": (2000, 1.0, 383, dict(horizon=0.5)),
+    "window_edge_384": (2000, 1.0, 384, dict(horizon=0.5)),
+    # sits at the top count N = 6, where the window is clipped at N + 1
+    "dense_top": (4, 200.0, 0, dict(horizon=2.0)),
 }
 
 
@@ -571,7 +582,8 @@ def test_jump_thresholds_decide_each_jump_as_the_rates_do():
 
 def test_kernel_paths_span_many_blocks():
     # horizon 20 at n=2000 runs through every block size; from 1040 the walk
-    # leaves its rate lists on both sides (they grow up, down, up, down)
+    # crosses count 1024, a threshold-window edge for every block size
+    # below 2048, both ways
     d = _d(2000)
     want, got = [(0.0, 1040)], [(0.0, 1040)]
     _reference_chain(d, 1040, _exponential_draws(901, 0), horizon=20.0, path=want)
