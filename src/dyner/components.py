@@ -10,13 +10,15 @@ larger, deletions repair connectivity with a bidirectional search over the
 affected component only.  The first-passage samplers share one driver,
 `_component_passage`, which bounds the largest component by a union-find
 that ignores deletions and rebuilds it only when the bound reaches the
-threshold.
+threshold.  Where the component comes first, one uniform settles the edge
+passage; emergence runs place it in time, domination flags do not need to.
 """
 
 import math
 from collections import deque
 from dataclasses import dataclass
 from itertools import chain
+from typing import NamedTuple
 
 import numpy as np
 
@@ -39,8 +41,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, slots=True)
-class GraphEvent:
+class GraphEvent(NamedTuple):
     """One edge flip: the pair touched plus post-event bookkeeping."""
 
     time: float
@@ -282,10 +283,7 @@ def simulate_graph(
         if verify:
             state.verify()
         if observers:
-            event = GraphEvent(
-                time=t, added=added, u=a, v=b,
-                edge_count=state.edge_count, largest=state._largest,
-            )
+            event = GraphEvent(t, added, a, b, state.edge_count, state._largest)
             for ob in observers:
                 ob(event)
     state.time = horizon
@@ -390,20 +388,10 @@ class EmergenceSample:
     replica: int
 
 
-def emergence_run(
-    d: DerivedParams,
-    eps: float,
-    delta: float,
-    seed: int,
-    cap: float | None = None,
-    replica: int = 0,
-) -> EmergenceSample:
-    """One dynamic run recording both emergence times and the domination flag.
-
-    The labeled chain runs to tau_component, noting tau_edges if the edge
-    count reaches its target first; otherwise tau_edges is drawn from the
-    edge count's exact passage law.
-    """
+def _emergence_passage(d, eps, delta, seed, cap, replica):
+    """The checks and passage times of one emergence replica: (cap, threshold,
+    edge_target, tau_component, tau_edges, settled), where `settled` holds the
+    `_inverse_survival` arguments of an edge passage not placed in time."""
     cap = _checked_cap(d, eps, cap)
     if not (delta > 0.0 and eps + delta < 1.0):
         raise ValueError(f"need delta > 0 with eps + delta < 1, got delta={delta!r}")
@@ -415,6 +403,7 @@ def emergence_run(
     edges = []
     flips = _edge_flips(d, uniform, cap, edges)
     tau_component, tau_edges = _component_passage(flips, edges, d.n, threshold, edge_target)
+    settled = None
     if tau_component is not None and tau_edges is None:
         # the edge count is a Markov chain on its own: from m edges, one
         # uniform u settles its passage against the exact law S(x) =
@@ -426,7 +415,25 @@ def emergence_run(
             tau_edges = next((t for t, added, _ in flips
                               if added and len(edges) >= edge_target), None)
         elif (u := uniform()) >= law.survival(m, rest):
-            tau_edges = min(cap, tau_component + _inverse_survival(law, m, u, rest))
+            settled = (law, m, u, rest)
+    return cap, threshold, edge_target, tau_component, tau_edges, settled
+
+
+def emergence_run(
+    d: DerivedParams,
+    eps: float,
+    delta: float,
+    seed: int,
+    cap: float | None = None,
+    replica: int = 0,
+) -> EmergenceSample:
+    """One dynamic run recording both emergence times and the domination flag;
+    tau_edges is read off the flips when the edge count comes first, else a
+    settled passage is placed in time by inverting its exact law."""
+    cap, threshold, edge_target, tau_component, tau_edges, settled = _emergence_passage(
+        d, eps, delta, seed, cap, replica)
+    if settled:
+        tau_edges = min(cap, tau_component + _inverse_survival(*settled))
     return EmergenceSample(
         eps=eps,
         delta=delta,
@@ -459,12 +466,15 @@ def domination_run(
     cap: float | None = None,
     replica: int = 0,
 ) -> bool | None:
-    """Pathwise domination flag: has the largest component reached
-    ceil(eps n) by the first time the edge count hits [c_{eps+delta} n]?
-    None when the cap intervenes first.  The `dominated` field of the
-    replica's emergence_run.
+    """Pathwise domination flag: has the largest component reached ceil(eps n)
+    by the first time the edge count hits [c_{eps+delta} n]?  None when the cap
+    intervenes first.  The `dominated` field of the replica's emergence_run; a
+    settled edge passage ends after tau_component.
     """
-    return emergence_run(d, eps, delta, seed, cap=cap, replica=replica).dominated
+    *_, tau_component, tau_edges, settled = _emergence_passage(d, eps, delta, seed, cap, replica)
+    if settled:
+        return True
+    return None if tau_edges is None else tau_component is not None and tau_component <= tau_edges
 
 
 def domination_samples(

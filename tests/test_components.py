@@ -137,6 +137,18 @@ def test_simulate_graph_monotone_component_updates():
         previous = largest
 
 
+def test_graph_event_is_an_immutable_record():
+    events = []
+    comp.simulate_graph(_d(12), 2.0, seed=73, observers=(events.append,))
+    assert events
+    event = events[0]
+    assert event._fields == ("time", "added", "u", "v", "edge_count", "largest")
+    assert (event.added, event.edge_count, event.largest) == (True, 1, 2)
+    assert event.u < event.v
+    with pytest.raises(AttributeError):
+        event.largest = 3
+
+
 def test_edge_marginal_matches_transition_function():
     # P(specific pair present at t) from the empty graph equals p01(t)
     d = _d(3)
@@ -409,6 +421,27 @@ def test_domination_censoring_agrees_with_tracked_emergence():
     pooled = (f_lean + f_tracked) / 2
     assert 0.15 <= pooled <= 0.45
     assert abs(f_lean - f_tracked) <= 5 * math.sqrt(pooled * (1 - pooled) * 2 / reps)
+
+
+@pytest.mark.parametrize("n,eps,delta,cap,seed,reps,seen", [
+    # the component comes first and one uniform settles the edge passage
+    pytest.param(200, 0.3, 0.1, None, 1, 30, True, id="settled"),
+    pytest.param(100, 0.2, 0.25, 25.0, 87, 60, None, id="censored-at-cap"),
+    # the law's gate refuses most starts, which then follow the flips
+    pytest.param(200, 0.02, 0.3, None, 3, 10, True, id="refused-follow-flips"),
+    pytest.param(10, 0.75, 0.05, None, 98, 200, True, id="same-addition"),
+    pytest.param(100, 0.3, 0.1, 15.0, 11, 150, False, id="many-false"),
+])
+def test_domination_flag_is_emergence_flag(n, eps, delta, cap, seed, reps, seen):
+    # domination_run skips placing a settled tau_edges in time, and must
+    # still give the flag of the replica's emergence_run, replica for replica
+    d = _d(n)
+    flags = []
+    for r in range(reps):
+        flag = comp.domination_run(d, eps, delta, seed, cap=cap, replica=r)
+        assert flag is comp.emergence_run(d, eps, delta, seed, cap=cap, replica=r).dominated
+        flags.append(flag)
+    assert seen in flags
 
 
 def test_domination_worker_independence():
