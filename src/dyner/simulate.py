@@ -141,31 +141,34 @@ def _run_chain(d, k, rng, lower=-1, upper=-1, horizon=math.inf, level=None, path
     """The event loop of the edge-count chain, from count k at time 0.
 
     Runs until the count steps onto `lower` or `upper` (absorbing counts
-    with lower < k < upper; the defaults never absorb) or the next event
-    would pass `horizon`.  Returns (exit count, exit time, time spent at
-    counts >= level); the exit time is `horizon` when the horizon ended the
-    run.  When `path` is a list, every event is appended to it as
-    (time, count).  A caller that reads no exit time passes timed=False
-    (with no horizon and no path); the time then comes back as None.
+    with lower < k < upper, else ValueError; the defaults never absorb) or
+    the next event would pass `horizon`.  Returns (exit count, exit time,
+    time spent at counts >= level); the exit time is `horizon` when the
+    horizon ended the run.  When `path` is a list, every event is appended
+    to it as (time, count).  A caller that reads no exit time passes
+    timed=False (with no horizon and no path); the time is then None.
 
     The Generator `rng` is read in blocks of B = 128 events doubling up to
     2048: `rng.random(B)`, the jump directions in event order, and then
     `rng.standard_exponential(B)`, their Exp(1) holding-time variates, which
     every run reads whether or not it reads times.  Each block is run in
-    two phases.  A Python loop walks the jump directions, taking each jump
-    up when the uniform is below the count's jump threshold (`_thresholds`:
-    the same branch as u * total rate < birth rate, with one comparison).
-    A block moves the count by at most B, so from count k it reads the
-    thresholds of one aligned window, counts (c - 1)B to (c + 2)B with
-    c = k // B, clipped to [0, N]; the walk never leaves [0, N], since the
-    threshold is 1 at count 0 and 0 at count N.  Then numpy divides the
-    variates of the events whose times are read by their total rates and
-    sums them in event order by `np.cumsum`, so every result equals that of
-    adding one event at a time.
+    two phases.  A Python loop walks the directions through a memoryview,
+    taking each jump up when the uniform is below the count's jump
+    threshold (`_thresholds`: the same branch as u * total rate < birth
+    rate, with one comparison).  A block moves the count by at most B, so
+    from count k it reads one aligned `_rate_lists` window, counts
+    (c - 1)B to (c + 2)B with c = k // B, clipped to [0, N]; the walk never
+    leaves [0, N], since the threshold is 1 at count 0 and 0 at count N,
+    and the window's None at a stop ends it (v < None raises TypeError).
+    Then numpy divides the variates of the events whose times are read by
+    the window's total rates and sums them in event order by `np.cumsum`,
+    so every result equals that of adding one event at a time.
     """
     N = d.N
     if upper < 0:
         upper = N + 1
+    if not (lower < k < upper):
+        raise ValueError(f"start {k} must lie strictly between {lower} and {upper}")
     t = 0.0
     above = 0.0
     size = _FIRST_BLOCK
@@ -174,39 +177,45 @@ def _run_chain(d, k, rng, lower=-1, upper=-1, horizon=math.inf, level=None, path
         x = rng.standard_exponential(size)
         # phase 1: the jump directions, as signed bytes (255 is -1)
         lo = max(0, (k // size - 1) * size)
-        th = _rate_lists(lo, min(N + 1, lo + 3 * size), d)
+        th, tot = _rate_lists(lo, min(N + 1, lo + 3 * size), d, lower, upper)
         size = min(2 * size, _LAST_BLOCK)
-        start = k
-        j = k - lo
-        j_lower, j_upper = lower - lo, upper - lo
+        j = start = k - lo
         ups = bytearray()
         up = ups.append
-        for v in u.tolist():
-            if v < th[j]:
-                j += 1
-                up(1)
-            else:
-                j -= 1
-                up(255)
-            if j == j_lower or j == j_upper:
-                break
+        try:
+            for v in memoryview(u):
+                if v < th[j]:
+                    j += 1
+                    up(1)
+                else:
+                    j -= 1
+                    up(255)
+        except TypeError:  # v < None: the walk stepped onto lower or upper
+            pass
         k = lo + j
-        # phase 2: the event times and the time above `level`, only where read
+        # phase 2: event times and time above `level` where read, by window index
         events = cut = len(ups)
         if timed or level is not None:
-            counts = _running_sum(start, np.frombuffer(ups, np.int8))
-            before = counts[:-1]
+            steps = np.frombuffer(ups, np.int8)
+            after = np.cumsum(steps) + start
+            before = after - steps
         if timed:
-            times = _running_sum(t, x[:events] / _rates(before, d)[1])[1:]
-            cut = int(np.searchsorted(times, horizon, side="right"))
-            if path is not None:
-                path.extend(zip(times[:cut].tolist(), counts[1:cut + 1].tolist()))
+            terms = x[:events] / tot[before]
+            terms[0] += t
+            times = np.cumsum(terms)
             t = float(times[-1])
+            if t > horizon:
+                cut = int(np.searchsorted(times, horizon, side="right"))
+            if path is not None:
+                path.extend(zip(times[:cut].tolist(), (after[:cut] + lo).tolist()))
         if level is not None:
-            hit = np.flatnonzero(before[:cut] >= level)
-            above = _running_sum(above, x[hit] / _rates(before[hit], d)[1])[-1]
+            hit = np.flatnonzero(before[:cut] >= level - lo)
+            if hit.size:
+                terms = x[hit] / tot[before[hit]]
+                terms[0] += above
+                above = np.cumsum(terms)[-1]
         if cut < events:
-            return int(before[cut]), horizon, float(above)
+            return lo + int(before[cut]), horizon, float(above)
         if k == lower or k == upper:
             return k, (t if timed else None), float(above)
 
@@ -243,18 +252,23 @@ def _thresholds(counts, d):
 
 
 @lru_cache(maxsize=32)
-def _rate_lists(lo, hi, d):
-    """The jump thresholds at counts lo..hi-1 as a tuple of Python floats.
+def _rate_lists(lo, hi, d, lower, upper):
+    """The window of counts lo..hi-1: (jump thresholds, total rates).
 
-    Cached: `_run_chain` asks for aligned windows, so the replicas of one
-    sampler, which start from one count, mostly ask for the same windows.
+    The thresholds are a tuple of Python floats with None at `lower` and
+    `upper` where they fall in the window; the total rates are a read-only
+    array.  Cached: `_run_chain` asks for aligned windows, so the replicas
+    of one sampler, which start from one count and share its stops, mostly
+    ask for the same windows.
     """
-    return tuple(_thresholds(np.arange(lo, hi), d).tolist())
-
-
-def _running_sum(start, terms):
-    """[start, start + terms[0], start + terms[0] + terms[1], ...], left to right."""
-    return np.cumsum(np.concatenate(([start], terms)))
+    counts = np.arange(lo, hi)
+    th = _thresholds(counts, d).tolist()
+    for stop in (lower, upper):
+        if lo <= stop < hi:
+            th[stop - lo] = None
+    tot = _rates(counts, d)[1]
+    tot.setflags(write=False)  # the cache hands this array to every caller
+    return tuple(th), tot
 
 
 @dataclass(frozen=True, slots=True)

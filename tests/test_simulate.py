@@ -535,6 +535,14 @@ _KERNEL_CASES = {
     "window_edge_384": (2000, 1.0, 384, dict(horizon=0.5)),
     # sits at the top count N = 6, where the window is clipped at N + 1
     "dense_top": (4, 200.0, 0, dict(horizon=2.0)),
+    # absorbed on the last event of a block (events 128 and 384, caught
+    # after the block) and on the first event of the next (129 and 385,
+    # caught in the walk), at each stop; `events` maps replica to run length
+    "absorb_on_block_end": (40, 1.0, 20, dict(lower=10, upper=30, seed=905,
+                                              events={23: 128, 180: 128, 725: 384, 1228: 384})),
+    "absorb_after_block_end": (40, 1.0, 21, dict(lower=10, upper=30, seed=905,
+                                                 events={221: 129, 1527: 129, 1856: 385,
+                                                         2853: 385})),
 }
 
 
@@ -544,18 +552,24 @@ def test_kernel_matches_scalar_loop(case):
     rule = dict(rule)
     d = _d(n, alpha=rule.pop("alpha", 1.0), beta=beta)
     with_path = rule.pop("path", False)
+    seed = rule.pop("seed", 900)
+    lengths = rule.pop("events", {r: None for r in range(40)})
     untimed = "horizon" not in rule and not with_path
     censored = 0
-    for r in range(40):
+    for r, length in lengths.items():
         want_path, got_path = ([], []) if with_path else (None, None)
-        want = _reference_chain(d, start, _exponential_draws(900, r), path=want_path, **rule)
-        got = sim._run_chain(d, start, sim.replica_rng(900, r), path=got_path, **rule)
+        want = _reference_chain(d, start, _exponential_draws(seed, r), path=want_path, **rule)
+        got = sim._run_chain(d, start, sim.replica_rng(seed, r), path=got_path, **rule)
         assert got == want
         assert got_path == want_path
+        if length is not None:
+            steps = []
+            _reference_chain(d, start, _exponential_draws(seed, r), path=steps, **rule)
+            assert len(steps) == length
         if untimed:
             # escape races and cycles read no exit time: they walk the same
             # directions and divide only the holding times the level needs
-            bare = sim._run_chain(d, start, sim.replica_rng(900, r), timed=False, **rule)
+            bare = sim._run_chain(d, start, sim.replica_rng(seed, r), timed=False, **rule)
             assert bare == (want[0], None, want[2])
         censored += got[1] == rule.get("horizon")
     if case in ("upper_with_cap", "horizon_with_level", "dense"):
@@ -577,7 +591,40 @@ def test_jump_thresholds_decide_each_jump_as_the_rates_do():
             fixed += int(np.count_nonzero(th != lam / tot))
     assert fixed > 0  # lam/tot alone is not the threshold
     d = _d(40, alpha=1e-3)
-    assert sim._rate_lists(5, 60, d) == tuple(sim._thresholds(np.arange(5, 60), d).tolist())
+    th, _ = sim._rate_lists(5, 60, d, -1, d.N + 1)
+    assert th == tuple(sim._thresholds(np.arange(5, 60), d).tolist())
+
+
+def test_rate_windows_hold_none_at_the_stops_and_read_only_total_rates():
+    d = _d(40)
+    lo, hi = 128, 512
+    counts = np.arange(lo, hi)
+    plain, _ = sim._rate_lists(lo, hi, d, -1, d.N + 1)
+    assert plain == tuple(sim._thresholds(counts, d).tolist())
+    # stops inside, on both edges of, and just outside the window
+    for lower, upper in ((200, 300), (-1, 300), (lo, hi - 1), (lo - 1, hi), (0, d.N)):
+        th, tot = sim._rate_lists(lo, hi, d, lower, upper)
+        assert th == tuple(None if c in (lower, upper) else v for c, v in zip(counts, plain))
+        assert tot.tobytes() == sim._rates(counts, d)[1].tobytes()
+        with pytest.raises(ValueError):
+            tot[0] = 1.0
+    # each stop pair on one window is its own cache entry
+    misses = sim._rate_lists.cache_info().misses
+    one = sim._rate_lists(lo, hi, d, 201, 299)
+    other = sim._rate_lists(lo, hi, d, 202, 299)
+    assert sim._rate_lists.cache_info().misses == misses + 2
+    assert one[0][201 - lo] is None and other[0][201 - lo] == plain[201 - lo]
+    assert sim._rate_lists(lo, hi, d, 201, 299) is one
+
+
+def test_kernel_refuses_a_start_outside_its_stops():
+    # no public sampler starts on a stop, and a start there would walk no event
+    d = _d(10)
+    for k, rule in ((5, dict(lower=5, upper=9)), (9, dict(lower=5, upper=9)),
+                    (4, dict(lower=5, upper=9)), (10, dict(lower=5, upper=9)),
+                    (0, dict(lower=0)), (d.N, dict(upper=d.N)), (-1, {}), (d.N + 1, {})):
+        with pytest.raises(ValueError, match="strictly between"):
+            sim._run_chain(d, k, sim.replica_rng(1, 0), **rule)
 
 
 def test_kernel_paths_span_many_blocks():
