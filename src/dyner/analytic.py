@@ -120,6 +120,7 @@ def gumbel_limit_cdf(x: float) -> float:
     return math.exp(-math.exp(-x))
 
 
+@lru_cache(maxsize=8)
 def _harmonic_number(m: int) -> float:
     if m <= 1_000_000:
         return float(np.sum(1.0 / np.arange(1, m + 1)))
@@ -272,6 +273,24 @@ class HittingTimeLaw:
         s = np.clip(np.exp(-np.multiply.outer(x, self.rates)) @ self.weights[j], 0.0, 1.0)
         return float(s) if s.ndim == 0 else s
 
+    def inverse_survival(self, j: int, u: float, horizon: float) -> float:
+        """The x in [0, horizon] where survival(j, x) falls to u >= survival(j, horizon).
+
+        Each round keeps the first of 16 cells whose right end is at or below u;
+        16 rounds shrink the bracket by 2^64, past double precision.  An
+        infinite horizon is bracketed by doubling from 1/rates[0].
+        """
+        lo, hi = 0.0, horizon
+        if math.isinf(hi):
+            hi = 1.0 / self.rates[0]
+            while self.survival(j, hi) > u:
+                hi *= 2.0
+        for _ in range(16):
+            grid = np.linspace(lo, hi, 17)
+            k = int(np.argmax(self.survival(j, grid[1:]) <= u))
+            lo, hi = grid[k], grid[k + 1]
+        return float(hi)
+
 
 def hitting_time_law(i: int, d: DerivedParams) -> HittingTimeLaw:
     """Spectral law of the first passage up to i, from every start below i.
@@ -322,9 +341,14 @@ def fluid_time(c_start: float, c_end: float, d: DerivedParams) -> float:
         if not (math.isfinite(c) and c >= 0):
             raise ValueError(f"{name} must be a finite nonnegative density, got {c!r}")
     fixed_point = d.beta / (2.0 * d.alpha)
-    below = 0 <= c_start < c_end < fixed_point
-    above = fixed_point < c_end < c_start
-    if not (below or above):
+    if min(c_start, c_end) <= fixed_point <= max(c_start, c_end):
+        raise ValueError(
+            f"densities ({c_start}, {c_end}) touch or straddle the fluid "
+            f"fixed point beta/(2 alpha) = {fixed_point}; no finite fluid limit "
+            "exists there - at that density the expected hitting time grows "
+            "logarithmically in n"
+        )
+    if not (c_start < c_end < fixed_point or fixed_point < c_end < c_start):
         raise ValueError(
             "densities must satisfy c_start < c_end < beta/(2 alpha) or "
             f"beta/(2 alpha) < c_end < c_start; got c_start={c_start}, "
@@ -456,20 +480,13 @@ def binomial_tail(i: int, d: DerivedParams) -> BinomialTail:
     )
 
 
-def cycle_expectation(time_above: float, tail) -> LogNonNegative:
-    """Renewal identity for the mean regenerative cycle: E(time above)/tail.
-
-    `tail` may be a plain probability or a LogNonNegative (for tails far
-    below double-precision range).
+def cycle_expectation(time_above: float, tail: LogNonNegative) -> LogNonNegative:
+    """Renewal identity for the mean regenerative cycle: E(time above)/tail,
+    with the tail kept in logs (it may lie far below double-precision range).
     """
     if math.isnan(time_above) or time_above < 0:
         raise ValueError(f"time_above must be nonnegative, got {time_above!r}")
-    if isinstance(tail, LogNonNegative):
-        log_tail = tail.log_value
-    else:
-        if math.isnan(tail) or tail <= 0.0:
-            raise ValueError(f"tail probability must be positive, got {tail!r}")
-        log_tail = math.log(tail)
+    log_tail = tail.log_value
     if log_tail == float("-inf"):
         raise ValueError("tail probability must be positive")
     if log_tail > 1e-12:

@@ -203,17 +203,7 @@ def _expected_hitting(o, d):
 
 
 def _fluid(o, d):
-    c_start, c_end = o["from"], o["to"]
-    boundary = d.beta / (2.0 * d.alpha)
-    touches = c_start == boundary or c_end == boundary
-    if touches or (c_start - boundary) * (c_end - boundary) < 0:
-        raise ValueError(
-            f"densities ({c_start}, {c_end}) touch or straddle the fluid "
-            f"fixed point beta/(2 alpha) = {boundary}; no finite fluid limit "
-            "exists there - at that density the expected hitting time grows "
-            "logarithmically in n"
-        )
-    return [{"from": c_start, "to": c_end, "time": an.fluid_time(c_start, c_end, d)}]
+    return [{"from": o["from"], "to": o["to"], "time": an.fluid_time(o["from"], o["to"], d)}]
 
 
 def _entropy(o, d):

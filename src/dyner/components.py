@@ -263,13 +263,10 @@ def simulate_graph(
     seed: int,
     observers=(),
     replica: int = 0,
-    verify: bool = False,
 ) -> GraphState:
     """Run the labeled dynamics from the empty graph up to the horizon.
 
-    Observers are called synchronously with each GraphEvent.  With
-    verify=True the incremental component bookkeeping is checked against a
-    full recomputation after every event (test mode; n <= 200 recommended).
+    Observers are called synchronously with each GraphEvent.
     """
     if not (0 < horizon < math.inf):
         raise ValueError(f"horizon must be positive and finite, got {horizon!r}")
@@ -280,8 +277,6 @@ def simulate_graph(
             state.add_edge(a, b)
         else:
             state.remove_edge(a, b)
-        if verify:
-            state.verify()
         if observers:
             event = GraphEvent(t, added, a, b, state.edge_count, state._largest)
             for ob in observers:
@@ -344,24 +339,6 @@ def sample_component_hitting(
     return HittingSample(0, threshold, cap if t is None else t, t is None, cap, seed, replica)
 
 
-def _inverse_survival(law, m: int, u: float, horizon: float) -> float:
-    """The x in [0, horizon] where law.survival(m, x) falls to u >= survival(m, horizon).
-
-    Each round keeps the first of 16 cells whose right end is at or below u;
-    16 rounds shrink the bracket by 2^64, past double precision.
-    """
-    lo, hi = 0.0, horizon
-    if math.isinf(hi):
-        hi = 1.0 / law.rates[0]
-        while law.survival(m, hi) > u:
-            hi *= 2.0
-    for _ in range(16):
-        grid = np.linspace(lo, hi, 17)
-        k = int(np.argmax(law.survival(m, grid[1:]) <= u))
-        lo, hi = grid[k], grid[k + 1]
-    return float(hi)
-
-
 @dataclass(frozen=True, slots=True)
 class EmergenceSample:
     """Paired observation of component emergence and the edge-count proxy.
@@ -390,8 +367,8 @@ class EmergenceSample:
 
 def _emergence_passage(d, eps, delta, seed, cap, replica):
     """The checks and passage times of one emergence replica: (cap, threshold,
-    edge_target, tau_component, tau_edges, settled), where `settled` holds the
-    `_inverse_survival` arguments of an edge passage not placed in time."""
+    edge_target, tau_component, tau_edges, settled), where `settled` holds
+    (law, m, u, horizon) of an edge passage not placed in time."""
     cap = _checked_cap(d, eps, cap)
     if not (delta > 0.0 and eps + delta < 1.0):
         raise ValueError(f"need delta > 0 with eps + delta < 1, got delta={delta!r}")
@@ -433,7 +410,8 @@ def emergence_run(
     cap, threshold, edge_target, tau_component, tau_edges, settled = _emergence_passage(
         d, eps, delta, seed, cap, replica)
     if settled:
-        tau_edges = min(cap, tau_component + _inverse_survival(*settled))
+        law, m, u, rest = settled
+        tau_edges = min(cap, tau_component + law.inverse_survival(m, u, rest))
     return EmergenceSample(
         eps=eps,
         delta=delta,

@@ -1,8 +1,9 @@
 """Minimal SVG 1.1 line charts: polylines plus axes, no plotting dependency."""
 
-__all__ = ["render_line_svg", "write_line_svg"]
+__all__ = ["write_line_svg"]
 
 _PALETTE = ("#000000", "#cc0000", "#0044cc", "#008844", "#a05a00")
+_WIDTH, _HEIGHT = 720, 480
 
 
 def _ticks(lo: float, hi: float, count: int = 5):
@@ -10,16 +11,8 @@ def _ticks(lo: float, hi: float, count: int = 5):
     return [lo + span * i / (count - 1) for i in range(count)]
 
 
-def render_line_svg(
-    xs,
-    curves: dict,
-    title: str = "",
-    x_label: str = "",
-    y_label: str = "",
-    width: int = 720,
-    height: int = 480,
-) -> str:
-    """SVG document with one polyline per named curve over shared x values."""
+def write_line_svg(path, xs, curves: dict, title="", x_label="", y_label="") -> None:
+    """Write an SVG document with one polyline per named curve over shared x values."""
     xs = [float(x) for x in xs]
     if not xs or not curves:
         raise ValueError("need x values and at least one curve")
@@ -38,8 +31,8 @@ def render_line_svg(
     y_hi += pad
 
     left, right, top, bottom = 64, 24, 36, 48
-    plot_w = width - left - right
-    plot_h = height - top - bottom
+    plot_w = _WIDTH - left - right
+    plot_h = _HEIGHT - top - bottom
 
     def sx(x):
         return left + (x - x_lo) / (x_hi - x_lo) * plot_w
@@ -49,8 +42,8 @@ def render_line_svg(
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-        f'width="{width}" height="{height}" viewBox="0 0 {width} {height}">',
-        f'<rect x="0" y="0" width="{width}" height="{height}" fill="white"/>',
+        f'width="{_WIDTH}" height="{_HEIGHT}" viewBox="0 0 {_WIDTH} {_HEIGHT}">',
+        f'<rect x="0" y="0" width="{_WIDTH}" height="{_HEIGHT}" fill="white"/>',
         f'<line x1="{left}" y1="{top + plot_h}" x2="{left + plot_w}" '
         f'y2="{top + plot_h}" stroke="#333333" stroke-width="1"/>',
         f'<line x1="{left}" y1="{top}" x2="{left}" y2="{top + plot_h}" '
@@ -58,7 +51,7 @@ def render_line_svg(
     ]
     if title:
         parts.append(
-            f'<text x="{width / 2:.1f}" y="20" text-anchor="middle" '
+            f'<text x="{_WIDTH / 2:.1f}" y="20" text-anchor="middle" '
             f'font-size="14" font-family="sans-serif">{title}</text>'
         )
     for xv in _ticks(x_lo, x_hi):
@@ -83,7 +76,7 @@ def render_line_svg(
         )
     if x_label:
         parts.append(
-            f'<text x="{left + plot_w / 2:.1f}" y="{height - 10}" '
+            f'<text x="{left + plot_w / 2:.1f}" y="{_HEIGHT - 10}" '
             f'text-anchor="middle" font-size="12" font-family="sans-serif">{x_label}</text>'
         )
     if y_label:
@@ -110,10 +103,5 @@ def render_line_svg(
             f'font-family="sans-serif">{name}</text>'
         )
     parts.append("</svg>")
-    return "\n".join(parts) + "\n"
-
-
-def write_line_svg(path, xs, curves: dict, **kwargs) -> None:
-    svg = render_line_svg(xs, curves, **kwargs)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(svg)
+        fh.write("\n".join(parts) + "\n")

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dyner import analytic as an
+from dyner.logspace import LogNonNegative
 from dyner.model import ModelParams, derive
 
 
@@ -275,6 +276,30 @@ def test_hitting_time_law_solved_once_read_only():
             an.hitting_time_law(bad, d)
 
 
+@pytest.mark.parametrize("horizon", [50.0, math.inf])
+def test_hitting_time_law_inverse_survival(horizon):
+    # the returned x is where the survival falls to u: at or below u at x,
+    # above it just before.  survival sums its terms in a dot product for one
+    # time and in a matrix product for many, which round up to 3 ulps apart
+    # here, so "at or below" allows 1e-15 relative
+    law = an.hitting_time_law(32, _d(40))
+    checked = 0
+    for j in (0, 16, 24, 31):
+        for u in (0.9, 0.5, 0.3, 0.1, 1e-3):
+            if u < law.survival(j, horizon):
+                continue
+            x = law.inverse_survival(j, u, horizon)
+            assert 0.0 < x <= horizon
+            assert law.survival(j, x) <= u * (1.0 + 1e-15)
+            assert u < law.survival(j, x * (1.0 - 1e-9))
+            checked += 1
+    assert checked >= 12
+    with pytest.raises(ValueError):
+        law.inverse_survival(32, 0.5, horizon)
+    with pytest.raises(ValueError):
+        an.hitting_time_law(128, _d(200)).inverse_survival(0, 0.5, horizon)
+
+
 # ------------------------------------------------------------ fluid limit
 
 
@@ -438,17 +463,16 @@ def test_binomial_tail_drops_only_terms_that_underflow(n, i):
 
 
 def test_cycle_expectation_examples():
-    assert an.cycle_expectation(0.05, 0.05).value == pytest.approx(1.0, rel=1e-12)
-    assert an.cycle_expectation(0.37, 1.0).value == pytest.approx(0.37, rel=1e-12)
-    got = an.cycle_expectation(0.05, math.exp(-3.04)).value
+    tail = LogNonNegative.from_linear
+    assert an.cycle_expectation(0.05, tail(0.05)).value == pytest.approx(1.0, rel=1e-12)
+    assert an.cycle_expectation(0.37, tail(1.0)).value == pytest.approx(0.37, rel=1e-12)
+    got = an.cycle_expectation(0.05, tail(math.exp(-3.04))).value
     assert got == pytest.approx(0.05 * math.exp(3.04), rel=1e-12)
     with pytest.raises(ValueError):
-        an.cycle_expectation(0.05, 0.0)
+        an.cycle_expectation(0.05, tail(0.0))
 
 
 def test_cycle_expectation_log_tail():
-    from dyner.logspace import LogNonNegative
-
     tail = LogNonNegative(-5000.0)
     est = an.cycle_expectation(2.0, tail)
     assert est.log_value == pytest.approx(math.log(2.0) + 5000.0, rel=1e-12)

@@ -9,7 +9,7 @@ import sys
 
 import pytest
 
-from dyner.cli import build_parser, main
+from dyner.cli import _COMMANDS, _FLAGS, build_parser, main
 
 SRC = str(pathlib.Path(__file__).resolve().parents[1] / "src")
 
@@ -184,6 +184,8 @@ def test_rates_rows_and_svg(tmp_path, capsys):
     svg = svg_path.read_text()
     assert svg.count("<polyline") == 2
     assert "<svg" in svg
+    assert hashlib.sha256(svg_path.read_bytes()).hexdigest() == (
+        "918b355f14efc3285f04a1b52feca616268fc88b0a23e7983de46910a3a4e430")
 
 
 def test_config_file_round_trip_and_override(tmp_path, capsys):
@@ -414,6 +416,30 @@ def test_static_single_vertex_exits_2(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+
+
+# Values under which every command runs, with the exceptions below.
+_VALID = {"n": "12", "seed": "1", "t": "1.0", "from-state": "0", "to-state": "1",
+          "from": "2", "to": "4", "c": "0.8", "i": "60", "horizon": "1.0",
+          "replicas": "2", "floor": "1", "eps": "0.3", "delta": "0.1"}
+_VALID_FOR = {"fluid": {"from": "0", "to": "0.3"}, "renewal": {"replicas": "100"}}
+_NAN_CASES = [(spec, name) for spec in _COMMANDS for name in spec.flags.split()
+              if _FLAGS[name].type is float]
+
+
+@pytest.mark.parametrize("spec,flag", _NAN_CASES,
+                         ids=[f"{s.group}-{s.name}-{f}" for s, f in _NAN_CASES])
+def test_nan_float_flag_is_validation_error(spec, flag, capsys):
+    values = dict(_VALID, **_VALID_FOR.get(spec.name, {}))
+    argv = [spec.group, spec.name]
+    for name in spec.flags.split():
+        if name in values:
+            argv += [f"--{name}", values[name]]
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert main(argv + [f"--{flag}", "nan"]) == 2
+    err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error:")
 
 

@@ -107,9 +107,24 @@ def test_random_edit_sequence_stays_exact(pairs, seed):
 # ------------------------------------------------------------ dynamics
 
 
+def _verified_graph(d, horizon, seed, replica=0):
+    # simulate_graph's run, after driving the same flips into a GraphState
+    # whose incremental bookkeeping is checked against a full recomputation
+    # after every flip; both must end on the same graph
+    state = comp.GraphState(d.n)
+    for _, added, key in comp._edge_flips(d, comp._uniforms(seed, replica), horizon, []):
+        if added:
+            state.add_edge(*divmod(key, d.n))
+        else:
+            state.remove_edge(*divmod(key, d.n))
+        state.verify()
+    graph = comp.simulate_graph(d, horizon, seed, replica=replica)
+    assert graph.adj == state.adj
+    return graph
+
+
 def test_simulate_graph_verified_bookkeeping():
-    d = _d(30)
-    state = comp.simulate_graph(d, 4.0, seed=71, verify=True)
+    state = _verified_graph(_d(30), 4.0, seed=71)
     assert state.time == 4.0
     state.verify()
 
@@ -181,7 +196,7 @@ def test_dense_graph_edge_count_is_binomial():
     horizon = 1.0
     reps = 300
     counts = [
-        comp.simulate_graph(d, horizon, seed=79, replica=r, verify=True).edge_count
+        _verified_graph(d, horizon, seed=79, replica=r).edge_count
         for r in range(reps)
     ]
     p_t = an.transition_probability(0, 1, horizon, d)
@@ -368,6 +383,46 @@ def test_emergence_law_draw_matches_reference_law():
              for r in range(reps)]
     followed = [_reference_emergence(d, 0.3, 0.1, 90, replica=r)[1] for r in range(reps)]
     assert _two_sample_ks(drawn, followed) <= 2 * math.sqrt(math.log(4 / 1e-3) / (2 * reps))
+
+
+def test_emergence_places_settled_passage_by_inverse_survival():
+    # the first replica whose component comes first, at an edge count m the
+    # law accepts: the next uniform of its stream, u, settles the edge
+    # passage, and tau_edges = tau_component + inverse_survival(m, u, rest)
+    d = _d(80)
+    eps, delta, seed = 0.3, 0.1, 90
+    cap = sim.default_hitting_cap(d)
+    threshold = comp._component_threshold(eps, d.n)
+    edge_target = closest_integer(an.c_epsilon(eps + delta) * d.n)
+    law = an.hitting_time_law(edge_target, d)
+    for r in range(20):
+        draws = 0
+        stream = comp._uniforms(seed, r)
+
+        def uniform():
+            nonlocal draws
+            draws += 1
+            return stream()
+
+        state, edges = comp.GraphState(d.n), []
+        for t, added, key in comp._edge_flips(d, uniform, cap, edges):
+            if len(edges) >= edge_target:
+                break
+            if added:
+                state.add_edge(*divmod(key, d.n))
+            else:
+                state.remove_edge(*divmod(key, d.n))
+            if state.largest_component_size() >= threshold:
+                break
+        m, rest = len(edges), cap - t
+        u = float(sim.replica_rng(seed, r).random(draws + 1)[draws])
+        if m < edge_target and law.accepts(m) and u >= law.survival(m, rest):
+            break
+    else:
+        pytest.fail("no settled replica")
+    sample = comp.emergence_run(d, eps, delta, seed, replica=r)
+    assert (sample.tau_component, sample.edges_censored) == (t, False)
+    assert sample.tau_edges == t + law.inverse_survival(m, u, rest) < cap
 
 
 def test_emergence_same_addition_dominates():
