@@ -16,7 +16,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .logspace import LogNonNegative, log_add, log_sum
+from .logspace import LogNonNegative, log_add
 from .model import DerivedParams, birth_rate, closest_integer, death_rate
 
 __all__ = [
@@ -91,26 +91,27 @@ def edge_separation(t: float, d: DerivedParams) -> float:
     return math.exp(-d.update_rate * t)
 
 
+def _log_stationarity_cdf(t: float, d: DerivedParams) -> float:
+    """log P(T_s <= t) = N log1p(-e^{-lambda t}); -inf while e^{-lambda t} rounds to 1."""
+    _check_time(t)
+    decay = math.exp(-d.update_rate * t)
+    if decay >= 1.0:
+        return -math.inf
+    return d.N * math.log1p(-decay)
+
+
 def stationarity_cdf(t: float, d: DerivedParams) -> float:
     """P(T_s <= t) for the fastest time to stationarity of the whole graph.
 
     T_s is the maximum of N i.i.d. Exp(update_rate) refresh clocks, so the
     CDF is (1 - e^{-lambda t})^N, evaluated as exp(N log1p(-e^{-lambda t})).
     """
-    _check_time(t)
-    decay = math.exp(-d.update_rate * t)
-    if decay >= 1.0:
-        return 0.0
-    return math.exp(d.N * math.log1p(-decay))
+    return math.exp(_log_stationarity_cdf(t, d))
 
 
 def graph_separation(t: float, d: DerivedParams) -> float:
     """Separation of the full graph from stationarity: 1 - stationarity_cdf(t)."""
-    _check_time(t)
-    decay = math.exp(-d.update_rate * t)
-    if decay >= 1.0:
-        return 1.0
-    return -math.expm1(d.N * math.log1p(-decay))
+    return -math.expm1(_log_stationarity_cdf(t, d))
 
 
 def gumbel_limit_cdf(x: float) -> float:
@@ -166,6 +167,11 @@ def expected_hitting_step(i: int, d: DerivedParams) -> LogNonNegative:
     return LogNonNegative(float(_hitting_step_logs(d, i + 1)[i]))
 
 
+def _hitting_logs(d: DerivedParams, i: int) -> np.ndarray:
+    """log E(tau_j(i)) for j = 0..i-1: the step logs log-summed from k = i-1 down to j."""
+    return np.logaddexp.accumulate(_hitting_step_logs(d, i)[::-1])[::-1]
+
+
 def _log_binomials(N: int, top: int) -> np.ndarray:
     """log C(N, k) for k = 0..top: the running sum of log((N - k)/(k + 1)) from 0."""
     k = np.arange(top)
@@ -198,8 +204,7 @@ def expected_hitting(j: int, i: int, d: DerivedParams) -> LogNonNegative:
     """
     if not (0 <= j < i <= d.N):
         raise ValueError(f"need 0 <= j < i <= {d.N}, got j={j}, i={i}")
-    logs = _hitting_step_logs(d, i)
-    return LogNonNegative(float(log_sum(logs[j:i])))
+    return LogNonNegative(float(_hitting_logs(d, i)[j]))
 
 
 def expected_hitting_oracle(j: int, i: int, d: DerivedParams) -> float:
@@ -270,24 +275,34 @@ class HittingTimeLaw:
         x = np.asarray(x, dtype=float)
         if not np.all(x >= 0):
             raise ValueError("times must be nonnegative")
-        s = np.clip(np.exp(-np.multiply.outer(x, self.rates)) @ self.weights[j], 0.0, 1.0)
+        s = self._survival(self.weights[j], x)
         return float(s) if s.ndim == 0 else s
+
+    def _survival(self, weights, x):
+        # each time's terms are summed on their own row, so a time reads the
+        # same bits alone as in any array
+        return (np.exp(-np.multiply.outer(x, self.rates)) * weights).sum(-1).clip(0.0, 1.0)
 
     def inverse_survival(self, j: int, u: float, horizon: float) -> float:
         """The x in [0, horizon] where survival(j, x) falls to u >= survival(j, horizon).
 
         Each round keeps the first of 16 cells whose right end is at or below u;
         16 rounds shrink the bracket by 2^64, past double precision.  An
-        infinite horizon is bracketed by doubling from 1/rates[0].
+        infinite horizon is bracketed by doubling from 1/rates[0].  A NaN u,
+        or one below survival(j, horizon), raises ValueError.
         """
+        floor = self.survival(j, horizon)
+        if not (u >= floor):
+            raise ValueError(f"u must be at least survival({j}, {horizon}) = {floor}, got {u!r}")
+        weights = self.weights[j]
         lo, hi = 0.0, horizon
         if math.isinf(hi):
             hi = 1.0 / self.rates[0]
-            while self.survival(j, hi) > u:
+            while self._survival(weights, hi) > u:
                 hi *= 2.0
         for _ in range(16):
             grid = np.linspace(lo, hi, 17)
-            k = int(np.argmax(self.survival(j, grid[1:]) <= u))
+            k = int(np.argmax(self._survival(weights, grid[1:]) <= u))
             lo, hi = grid[k], grid[k + 1]
         return float(hi)
 
@@ -313,7 +328,7 @@ def _hitting_time_law(i: int, d: DerivedParams) -> HittingTimeLaw:
     eig, vec = np.linalg.eigh(np.diag(birth + death) + np.diag(off, 1) + np.diag(off, -1))
     log_pi = np.concatenate(([0.0], np.cumsum(np.log(birth[:-1]) - np.log(death[1:]))))
     half = 0.5 * (log_pi - log_pi.max())
-    means = np.exp(np.logaddexp.accumulate(_hitting_step_logs(d, i)[::-1])[::-1])
+    means = np.exp(_hitting_logs(d, i))
     # the smallest eigenvalue can sit below the solver's absolute precision;
     # recover it from the exact mean from 0, sum_k 1/rate_k = E(tau_0(i))
     rates = eig.copy()

@@ -367,8 +367,9 @@ class EmergenceSample:
 
 def _emergence_passage(d, eps, delta, seed, cap, replica):
     """The checks and passage times of one emergence replica: (cap, threshold,
-    edge_target, tau_component, tau_edges, settled), where `settled` holds
-    (law, m, u, horizon) of an edge passage not placed in time."""
+    edge_target, tau_component, tau_edges, settled, dominated), where
+    `settled` holds (law, m, u, horizon) of an edge passage not placed in
+    time, which ends after tau_component."""
     cap = _checked_cap(d, eps, cap)
     if not (delta > 0.0 and eps + delta < 1.0):
         raise ValueError(f"need delta > 0 with eps + delta < 1, got delta={delta!r}")
@@ -393,7 +394,9 @@ def _emergence_passage(d, eps, delta, seed, cap, replica):
                               if added and len(edges) >= edge_target), None)
         elif (u := uniform()) >= law.survival(m, rest):
             settled = (law, m, u, rest)
-    return cap, threshold, edge_target, tau_component, tau_edges, settled
+    dominated = True if settled else None if tau_edges is None else (
+        tau_component is not None and tau_component <= tau_edges)
+    return cap, threshold, edge_target, tau_component, tau_edges, settled, dominated
 
 
 def emergence_run(
@@ -407,8 +410,8 @@ def emergence_run(
     """One dynamic run recording both emergence times and the domination flag;
     tau_edges is read off the flips when the edge count comes first, else a
     settled passage is placed in time by inverting its exact law."""
-    cap, threshold, edge_target, tau_component, tau_edges, settled = _emergence_passage(
-        d, eps, delta, seed, cap, replica)
+    cap, threshold, edge_target, tau_component, tau_edges, settled, dominated = (
+        _emergence_passage(d, eps, delta, seed, cap, replica))
     if settled:
         law, m, u, rest = settled
         tau_edges = min(cap, tau_component + law.inverse_survival(m, u, rest))
@@ -421,8 +424,7 @@ def emergence_run(
         component_censored=tau_component is None,
         tau_edges=cap if tau_edges is None else tau_edges,
         edges_censored=tau_edges is None,
-        dominated=None if tau_edges is None else (
-            tau_component is not None and tau_component <= tau_edges),
+        dominated=dominated,
         cap=cap,
         seed=seed,
         replica=replica,
@@ -446,13 +448,9 @@ def domination_run(
 ) -> bool | None:
     """Pathwise domination flag: has the largest component reached ceil(eps n)
     by the first time the edge count hits [c_{eps+delta} n]?  None when the cap
-    intervenes first.  The `dominated` field of the replica's emergence_run; a
-    settled edge passage ends after tau_component.
+    intervenes first.  The `dominated` field of the replica's emergence_run.
     """
-    *_, tau_component, tau_edges, settled = _emergence_passage(d, eps, delta, seed, cap, replica)
-    if settled:
-        return True
-    return None if tau_edges is None else tau_component is not None and tau_component <= tau_edges
+    return _emergence_passage(d, eps, delta, seed, cap, replica)[-1]
 
 
 def domination_samples(

@@ -4,7 +4,7 @@ import math
 import sys
 from dataclasses import dataclass
 
-__all__ = ["LogNonNegative", "ZERO", "ONE", "log_add", "log_sum"]
+__all__ = ["LogNonNegative", "ZERO", "ONE", "log_add"]
 
 _NEG_INF = float("-inf")
 _LINEAR_MAX_LOG = math.log(sys.float_info.max)  # ~709.78
@@ -19,14 +19,6 @@ def log_add(a: float, b: float) -> float:
     if a < b:
         a, b = b, a
     return a + math.log1p(math.exp(b - a))
-
-
-def log_sum(values) -> float:
-    """Left fold of log_add over an iterable of log magnitudes."""
-    acc = _NEG_INF
-    for v in values:
-        acc = log_add(acc, v)
-    return acc
 
 
 @dataclass(frozen=True, slots=True, order=True)

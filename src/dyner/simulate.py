@@ -154,12 +154,12 @@ def _run_chain(d, k, rng, lower=-1, upper=-1, horizon=math.inf, level=None, path
     every run reads whether or not it reads times.  Each block is run in
     two phases.  A Python loop walks the directions through a memoryview,
     taking each jump up when the uniform is below the count's jump
-    threshold (`_thresholds`: the same branch as u * total rate < birth
-    rate, with one comparison).  A block moves the count by at most B, so
-    from count k it reads one aligned `_rate_lists` window, counts
+    threshold, birth rate / total rate.  A block moves the count by at most
+    B, so from count k it reads one aligned `_rate_lists` window, counts
     (c - 1)B to (c + 2)B with c = k // B, clipped to [0, N]; the walk never
-    leaves [0, N], since the threshold is 1 at count 0 and 0 at count N,
-    and the window's None at a stop ends it (v < None raises TypeError).
+    leaves [0, N], since the threshold is exactly 1 at count 0 and 0 at
+    count N, and the window's None at a stop ends it (v < None raises
+    TypeError).
     Then numpy divides the variates of the events whose times are read by
     the window's total rates and sums them in event order by `np.cumsum`,
     so every result equals that of adding one event at a time.
@@ -220,53 +220,24 @@ def _run_chain(d, k, rng, lower=-1, upper=-1, horizon=math.inf, level=None, path
             return k, (t if timed else None), float(above)
 
 
-def _rates(counts, d):
-    """(birth rate, total rate) at an array of counts.
-
-    model.birth_rate/death_rate inlined, with the operations in the order
-    of the scalar loop the kernel replaced, so each rate matches its bits.
-    """
-    lam = (d.N - counts) * (d.beta / (d.n - 1))
-    return lam, lam + counts * d.alpha
-
-
-def _thresholds(counts, d):
-    """The jump threshold at an array of counts.
-
-    The threshold at count k is the smallest double v >= 0 whose rounded
-    product with the total rate reaches the birth rate.  Rounded
-    multiplication by a positive number is monotone, so for every uniform
-    v >= 0 the test v < threshold takes the branch of v * total < birth,
-    bit for bit.  lam/tot lies next to the threshold, and nextafter steps
-    move it there.
-    """
-    lam, tot = _rates(counts, d)
-    th = lam / tot
-    while True:
-        low = th * tot < lam
-        high = (th > 0) & (np.nextafter(th, 0) * tot >= lam)
-        if not (low.any() or high.any()):
-            return th
-        th[low] = np.nextafter(th[low], 1)
-        th[high] = np.nextafter(th[high], 0)
-
-
 @lru_cache(maxsize=32)
 def _rate_lists(lo, hi, d, lower, upper):
     """The window of counts lo..hi-1: (jump thresholds, total rates).
 
-    The thresholds are a tuple of Python floats with None at `lower` and
-    `upper` where they fall in the window; the total rates are a read-only
-    array.  Cached: `_run_chain` asks for aligned windows, so the replicas
-    of one sampler, which start from one count and share its stops, mostly
-    ask for the same windows.
+    The thresholds lam/tot, with the birth rate lam = (N - k) (beta/(n - 1))
+    and the total rate tot = lam + k alpha, are a tuple of Python floats
+    with None at `lower` and `upper` where they fall in the window; the
+    total rates are a read-only array.  Cached: `_run_chain` asks for
+    aligned windows, so the replicas of one sampler, which start from one
+    count and share its stops, mostly ask for the same windows.
     """
     counts = np.arange(lo, hi)
-    th = _thresholds(counts, d).tolist()
+    lam = (d.N - counts) * (d.beta / (d.n - 1))
+    tot = lam + counts * d.alpha
+    th = (lam / tot).tolist()
     for stop in (lower, upper):
         if lo <= stop < hi:
             th[stop - lo] = None
-    tot = _rates(counts, d)[1]
     tot.setflags(write=False)  # the cache hands this array to every caller
     return tuple(th), tot
 
@@ -284,7 +255,7 @@ class Trajectory:
 
     def count_at(self, t: float) -> int:
         """Edge count in effect at time t (last event at or before t)."""
-        if t < 0 or t > self.horizon:
+        if not (0 <= t <= self.horizon):
             raise ValueError(f"t must be within [0, {self.horizon}]")
         return self.events[bisect.bisect_right(self.events, (t, math.inf)) - 1][1]
 

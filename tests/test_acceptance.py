@@ -83,6 +83,48 @@ def test_c2_separation_identity():
     assert elapsed < 1.0
 
 
+def _labeled_generator(n, alpha, beta):
+    # the whole labeled chain on the 2^N graphs (bit e of a state is pair e):
+    # a present edge leaves at rate alpha, an absent pair arrives at beta/(n-1)
+    pairs = n * (n - 1) // 2
+    states = np.arange(1 << pairs)
+    q = np.zeros((states.size, states.size))
+    for e in range(pairs):
+        present = (states >> e) & 1
+        q[states, states ^ (1 << e)] = np.where(present, alpha, beta / (n - 1))
+    q[states, states] = -q.sum(axis=1)
+    p = beta / (beta + (n - 1) * alpha)
+    edges = np.array([bin(s).count("1") for s in states])
+    return q, p**edges * (1.0 - p) ** (pairs - edges)
+
+
+def test_c2b_graph_separation_of_the_whole_chain():
+    # the separation s_x(t) = 1 - min_y P_x(X_t = y)/pi(y) of the labeled
+    # chain, from every start x, is the law of T_s: graph_separation(t)
+    from scipy.linalg import expm
+
+    t0 = time.time()
+    worst = 0.0
+    # n=5 reads two times: one expm of its 1,024 states took about 0.45 s on
+    # a 2-core x86 host, against the criterion's 3 s budget
+    for n, alpha, beta, times in ((4, 1.0, 1.0, (0.05, 0.4, 1.5, 6.0)),
+                                  (4, 0.7, 2.3, (0.05, 0.4, 1.5, 6.0)),
+                                  (5, 1.3, 0.6, (0.4, 6.0))):
+        d = _d(n, alpha, beta)
+        q, pi = _labeled_generator(n, alpha, beta)
+        for t in times:
+            ratio = expm(q * t) / pi
+            separation = 1.0 - ratio.min(axis=1)
+            worst = max(worst, float(np.max(np.abs(separation - an.graph_separation(t, d)))))
+            # from the empty graph the halting state is the complete graph
+            assert int(np.argmin(ratio[0])) == pi.size - 1
+    elapsed = time.time() - t0
+    ok = worst < 1e-12 and elapsed < 3.0
+    _report("C2b separation of the whole chain", ok, f"worst gap {worst:.2e}", elapsed, 3)
+    assert worst < 1e-12
+    assert elapsed < 3.0
+
+
 # ---------------------------------------------------------------- criterion 3
 
 

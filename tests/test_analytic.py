@@ -276,12 +276,20 @@ def test_hitting_time_law_solved_once_read_only():
             an.hitting_time_law(bad, d)
 
 
+def test_hitting_time_law_survival_of_one_time_is_its_entry_in_an_array():
+    # each time's terms are summed on their own row, so a time reads the
+    # same bits alone as inside any array of times
+    law = an.hitting_time_law(32, _d(40))
+    xs = np.linspace(0.0, 30.0, 255)
+    for j in range(32):
+        if law.accepts(j):
+            assert law.survival(j, xs).tolist() == [law.survival(j, x) for x in xs.tolist()]
+
+
 @pytest.mark.parametrize("horizon", [50.0, math.inf])
 def test_hitting_time_law_inverse_survival(horizon):
     # the returned x is where the survival falls to u: at or below u at x,
-    # above it just before.  survival sums its terms in a dot product for one
-    # time and in a matrix product for many, which round up to 3 ulps apart
-    # here, so "at or below" allows 1e-15 relative
+    # above it just before
     law = an.hitting_time_law(32, _d(40))
     checked = 0
     for j in (0, 16, 24, 31):
@@ -290,7 +298,7 @@ def test_hitting_time_law_inverse_survival(horizon):
                 continue
             x = law.inverse_survival(j, u, horizon)
             assert 0.0 < x <= horizon
-            assert law.survival(j, x) <= u * (1.0 + 1e-15)
+            assert law.survival(j, x) <= u
             assert u < law.survival(j, x * (1.0 - 1e-9))
             checked += 1
     assert checked >= 12
@@ -298,6 +306,38 @@ def test_hitting_time_law_inverse_survival(horizon):
         law.inverse_survival(32, 0.5, horizon)
     with pytest.raises(ValueError):
         an.hitting_time_law(128, _d(200)).inverse_survival(0, 0.5, horizon)
+
+
+def test_inverse_survival_from_the_settle_bound_lands_near_the_horizon():
+    # an emergence replica settles its edge passage when u >= survival(m,
+    # rest) and inverts it on [0, rest].  From u at that bound, or the next
+    # two doubles up, the passage time lies near rest: every round must read
+    # at least one cell at or below u, else it would keep its first cell
+    law = an.hitting_time_law(32, _d(40))
+    early, checked = [], 0
+    for j in range(16, 32):
+        for rest in np.linspace(0.5, 20.0, 400).tolist():
+            u = law.survival(j, rest)
+            if u > 1.0 - 1e-6:
+                continue
+            for _ in range(3):
+                x = law.inverse_survival(j, u, rest)
+                if not x >= 0.9 * rest:
+                    early.append((j, rest, u, x))
+                checked += 1
+                u = math.nextafter(u, 1.0)
+    assert checked > 15_000
+    assert early == []
+
+
+def test_inverse_survival_refuses_nan_and_u_below_the_horizon_survival():
+    law = an.hitting_time_law(32, _d(40))
+    floor = law.survival(20, 5.0)
+    for u, horizon in ((math.nan, 5.0), (math.nextafter(floor, 0.0), 5.0),
+                       (math.nan, math.inf), (-1e-300, math.inf)):
+        with pytest.raises(ValueError, match="survival"):
+            law.inverse_survival(20, u, horizon)
+    assert law.inverse_survival(20, floor, 5.0) == pytest.approx(5.0, rel=1e-9)
 
 
 # ------------------------------------------------------------ fluid limit

@@ -463,7 +463,7 @@ README_DIGESTS = [
      "8d616989783b6dea3219f99493b526fbe68b871c2d3a6dce906b63fcf2e64ad6"),
     (["components", "emergence", "--n", "100", "--eps", "0.3", "--delta", "0.1",
       "--replicas", "20", "--seed", "9"],
-     "916c96dca0fe7d00960e71e3db41b2d5f39cbcf0d712923b3c77474a7b2ca4a8"),
+     "c0b995ac4c2cb90d2b8a46108b7bd5c855e610a0678ae7c4e2726e5ac5a6431e"),
     (["analytic", "hitting", "--n", "3", "--alpha", "1", "--beta", "1", "--from", "0",
       "--to", "2"],
      "0846c05ec48e1324b3f3906de33de0281063937f18557d1de8aa2f08e5506e53"),

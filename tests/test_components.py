@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.stats import binom, chisquare
+from scipy.stats import binom, chisquare, ks_2samp
 
 from dyner import analytic as an
 from dyner import components as comp
@@ -14,15 +14,6 @@ from dyner.model import ModelParams, closest_integer, derive
 
 def _d(n, alpha=1.0, beta=1.0):
     return derive(ModelParams(n, alpha, beta))
-
-
-def _two_sample_ks(xs, ys):
-    xs = np.sort(xs)
-    ys = np.sort(ys)
-    grid = np.concatenate([xs, ys])
-    fx = np.searchsorted(xs, grid, side="right") / len(xs)
-    fy = np.searchsorted(ys, grid, side="right") / len(ys)
-    return float(np.max(np.abs(fx - fy)))
 
 
 # ------------------------------------------------------------ GraphState
@@ -246,7 +237,7 @@ def test_edge_count_law_matches_aggregate_chain():
     aggregate = [
         s.time for s in sim.sample_hitting_times(d, 0, level, 400, seed=77)
     ]
-    assert _two_sample_ks(labeled, aggregate) <= 0.1
+    assert ks_2samp(labeled, aggregate).statistic <= 0.1
 
 
 def test_snapshot_matches_static_uniform_law():
@@ -263,7 +254,7 @@ def test_snapshot_matches_static_uniform_law():
                 break
         dynamic.append(state.largest_component_size())
     static = comp.static_largest_samples(60, m_target, 250, seed=79)
-    assert _two_sample_ks(dynamic, static) <= 0.12
+    assert ks_2samp(dynamic, static).statistic <= 0.12
 
 
 # ------------------------------------------------------------ component hitting
@@ -382,7 +373,7 @@ def test_emergence_law_draw_matches_reference_law():
     drawn = [comp.emergence_run(d, 0.3, 0.1, seed=90, replica=r).tau_edges
              for r in range(reps)]
     followed = [_reference_emergence(d, 0.3, 0.1, 90, replica=r)[1] for r in range(reps)]
-    assert _two_sample_ks(drawn, followed) <= 2 * math.sqrt(math.log(4 / 1e-3) / (2 * reps))
+    assert ks_2samp(drawn, followed).statistic <= 2 * math.sqrt(math.log(4 / 1e-3) / (2 * reps))
 
 
 def test_emergence_places_settled_passage_by_inverse_survival():

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.stats import chisquare
+from scipy.stats import chisquare, ks_2samp
 
 from dyner import analytic as an
 from dyner import simulate as sim
@@ -16,15 +16,6 @@ from dyner.stats import ks_distance, mean_ci
 
 def _d(n, alpha=1.0, beta=1.0):
     return derive(ModelParams(n, alpha, beta))
-
-
-def _two_sample_ks(xs, ys):
-    xs = np.sort(xs)
-    ys = np.sort(ys)
-    grid = np.concatenate([xs, ys])
-    fx = np.searchsorted(xs, grid, side="right") / len(xs)
-    fy = np.searchsorted(ys, grid, side="right") / len(ys)
-    return float(np.max(np.abs(fx - fy)))
 
 
 # ------------------------------------------------------------ trajectories
@@ -61,8 +52,9 @@ def test_trajectory_count_at():
     # at an event time the count is the one that event set
     assert len(path.events) > 2
     assert all(path.count_at(t) == k for t, k in path.events)
-    with pytest.raises(ValueError):
-        path.count_at(2.0)
+    for t in (2.0, -0.5, math.nan):
+        with pytest.raises(ValueError):
+            path.count_at(t)
 
 
 @pytest.mark.parametrize("horizon", [0.0, -1.0, math.inf, math.nan])
@@ -229,7 +221,7 @@ def test_stationarity_agrees_with_direct_max_construction():
     inverse = sim.sample_stationarity_times(d, 3000, seed=34)
     rng = np.random.default_rng(35)
     direct = rng.exponential(1.0 / d.update_rate, size=(3000, d.N)).max(axis=1)
-    assert _two_sample_ks(inverse, direct) <= 0.045
+    assert ks_2samp(inverse, direct).statistic <= 0.045
 
 
 # ------------------------------------------------------------ cycles and renewal
@@ -502,7 +494,7 @@ def _reference_chain(d, k, draws, lower=-1, upper=-1, horizon=math.inf, level=No
             return k, horizon, above
         if k >= level:
             above += dt
-        k = k + 1 if v * tot < lam else k - 1
+        k = k + 1 if v < lam / tot else k - 1
         if path is not None:
             path.append((t, k))
         if k == lower or k == upper:
@@ -524,7 +516,7 @@ _KERNEL_CASES = {
     "next_to_upper": (10, 1.0, 8, dict(lower=5, upper=9)),
     "next_to_top": (6, 200.0, 14, dict(upper=15)),
     "empty_start": (2, 1.0, 0, dict(upper=1)),
-    # extreme rate ratios, where many thresholds sit off lam/tot
+    # extreme rate ratios
     "slow_deaths": (40, 1.0, 0, dict(upper=600, horizon=60.0, level=580, alpha=1e-3)),
     "fast_deaths": (40, 1.0, 30, dict(lower=0, upper=31, level=10, alpha=1e3)),
     # starts on both sides of aligned threshold-window edges (multiples of
@@ -576,38 +568,31 @@ def test_kernel_matches_scalar_loop(case):
         assert 0 < censored < 40  # both exits are exercised
 
 
-def test_jump_thresholds_decide_each_jump_as_the_rates_do():
-    fixed = 0
+def test_jump_thresholds_keep_the_walk_in_range():
+    # uniforms lie in [0, 1): a threshold of exactly 1 always jumps up from
+    # the empty graph, one of exactly 0 always jumps down from the full one
     for n in (2, 40, 2000):
         for alpha, beta in ((1.0, 1.0), (1.0, 200.0), (1e-3, 1.0), (1e3, 1.0)):
             d = _d(n, alpha=alpha, beta=beta)
-            counts = np.arange(d.N + 1)
-            lam, tot = sim._rates(counts, d)
-            th = sim._thresholds(counts, d)
-            assert np.all(th * tot >= lam)
-            # no smaller double reaches lam; at lam = 0 the threshold is 0,
-            # below every uniform
-            assert np.all((np.nextafter(th, -1) * tot < lam) | ((th == 0) & (lam == 0)))
-            fixed += int(np.count_nonzero(th != lam / tot))
-    assert fixed > 0  # lam/tot alone is not the threshold
-    d = _d(40, alpha=1e-3)
-    th, _ = sim._rate_lists(5, 60, d, -1, d.N + 1)
-    assert th == tuple(sim._thresholds(np.arange(5, 60), d).tolist())
+            assert sim._rate_lists(0, 2, d, -1, d.N + 1)[0][0] == 1.0
+            assert sim._rate_lists(d.N - 1, d.N + 1, d, -1, d.N + 1)[0][-1] == 0.0
 
 
 def test_rate_windows_hold_none_at_the_stops_and_read_only_total_rates():
     d = _d(40)
     lo, hi = 128, 512
     counts = np.arange(lo, hi)
+    lam = (d.N - counts) * (d.beta / (d.n - 1))
+    tot = lam + counts * d.alpha
     plain, _ = sim._rate_lists(lo, hi, d, -1, d.N + 1)
-    assert plain == tuple(sim._thresholds(counts, d).tolist())
+    assert plain == tuple((lam / tot).tolist())
     # stops inside, on both edges of, and just outside the window
     for lower, upper in ((200, 300), (-1, 300), (lo, hi - 1), (lo - 1, hi), (0, d.N)):
-        th, tot = sim._rate_lists(lo, hi, d, lower, upper)
+        th, rates = sim._rate_lists(lo, hi, d, lower, upper)
         assert th == tuple(None if c in (lower, upper) else v for c, v in zip(counts, plain))
-        assert tot.tobytes() == sim._rates(counts, d)[1].tobytes()
+        assert rates.tobytes() == tot.tobytes()
         with pytest.raises(ValueError):
-            tot[0] = 1.0
+            rates[0] = 1.0
     # each stop pair on one window is its own cache entry
     misses = sim._rate_lists.cache_info().misses
     one = sim._rate_lists(lo, hi, d, 201, 299)
@@ -660,7 +645,7 @@ def test_kernel_passage_law_matches_inverted_uniforms():
               for r in range(reps)]
     inverted = [_reference_chain(d, 0, _inverted_draws(905, r), upper=32)[1]
                 for r in range(reps)]
-    assert _two_sample_ks(kernel, inverted) < 2 * math.sqrt(math.log(4 / 1e-6) / (2 * reps))
+    assert ks_2samp(kernel, inverted).statistic < 2 * math.sqrt(math.log(4 / 1e-6) / (2 * reps))
 
 
 def test_first_event_time_is_one_exponential_over_the_total_rate():
