@@ -49,6 +49,8 @@ __all__ = [
 ]
 
 ORACLE_DIMENSION_CAP = 2000
+# the ends of inverse_survival's 16 cells, in units of one cell
+_CELLS = np.arange(17.0)
 
 
 def _check_time(t: float) -> None:
@@ -301,7 +303,10 @@ class HittingTimeLaw:
             while self._survival(weights, hi) > u:
                 hi *= 2.0
         for _ in range(16):
-            grid = np.linspace(lo, hi, 17)
+            # the bits of np.linspace(lo, hi, 17), without its call overhead
+            grid = _CELLS * ((hi - lo) / 16)
+            grid += lo
+            grid[16] = hi
             k = int(np.argmax(self._survival(weights, grid[1:]) <= u))
             lo, hi = grid[k], grid[k + 1]
         return float(hi)

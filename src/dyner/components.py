@@ -7,11 +7,13 @@ loop, the `_edge_flips` generator, drives every labeled sampler.
 `simulate_graph` applies each flip to a `GraphState`, which maintains
 components incrementally: insertions merge the smaller component into the
 larger, deletions repair connectivity with a bidirectional search over the
-affected component only.  The first-passage samplers share one driver,
+affected component only, and a list of component counts indexed by size
+keeps the largest size.  The first-passage samplers share one driver,
 `_component_passage`, which bounds the largest component by a union-find
-that ignores deletions and rebuilds it only when the bound reaches the
-threshold.  Where the component comes first, one uniform settles the edge
-passage; emergence runs place it in time, domination flags do not need to.
+that ignores deletions, fed the added edges one at a time, and rebuilds it
+only when the bound reaches the threshold.  Where the component comes
+first, one uniform settles the edge passage; emergence runs place it in
+time, domination flags do not need to.
 """
 
 import math
@@ -57,8 +59,9 @@ class GraphState:
 
     Components are identified by opaque integer labels; `members[label]` is
     the vertex set, `comp_of[v]` the label of v's component.  The largest
-    component size is maintained against a multiset of component sizes so
-    queries are O(1).
+    component size is kept against a list of component counts indexed by
+    size, so queries are O(1); after a split it is found by scanning down
+    from its old value.
     """
 
     __slots__ = (
@@ -75,7 +78,8 @@ class GraphState:
         self.members = {v: {v} for v in range(n)}
         self.edge_count = 0
         self.time = 0.0
-        self._size_counts = {1: n}
+        self._size_counts = [0] * (n + 1)
+        self._size_counts[1] = n
         self._largest = 1
         self._next_label = n
 
@@ -85,68 +89,73 @@ class GraphState:
     def largest_component_size(self) -> int:
         return self._largest
 
-    def _count_change(self, size: int, delta: int) -> None:
-        counts = self._size_counts
-        new = counts.get(size, 0) + delta
-        if new:
-            counts[size] = new
-        else:
-            del counts[size]
+    def _bad_pair(self, u: int, v: int) -> ValueError:
+        if u == v:
+            return ValueError("self-loops are not allowed")
+        return ValueError(f"edge ({u}, {v}) has a vertex outside [0, {self.n})")
 
     def add_edge(self, u: int, v: int) -> None:
-        if u == v:
-            raise ValueError("self-loops are not allowed")
         if u > v:
             u, v = v, u
-        if v in self.adj[u]:
+        if not 0 <= u < v < self.n:
+            raise self._bad_pair(u, v)
+        adj_u, adj_v = self.adj[u], self.adj[v]
+        if v in adj_u:
             raise ValueError(f"edge ({u}, {v}) already present")
         self.edge_count += 1
-        self.adj[u].add(v)
-        self.adj[v].add(u)
-        la, lb = self.comp_of[u], self.comp_of[v]
+        adj_u.add(v)
+        adj_v.add(u)
+        comp_of = self.comp_of
+        la, lb = comp_of[u], comp_of[v]
         if la == lb:
             return
-        a, b = self.members[la], self.members[lb]
+        members = self.members
+        a, b = members[la], members[lb]
         if len(a) < len(b):
             la, lb, a, b = lb, la, b, a
-        self._count_change(len(a), -1)
-        self._count_change(len(b), -1)
-        comp_of = self.comp_of
+        counts = self._size_counts
+        counts[len(a)] -= 1
+        counts[len(b)] -= 1
         for w in b:
             comp_of[w] = la
         a.update(b)
-        del self.members[lb]
+        del members[lb]
         merged = len(a)
-        self._count_change(merged, +1)
+        counts[merged] += 1
         if merged > self._largest:
             self._largest = merged
 
     def remove_edge(self, u: int, v: int) -> None:
         if u > v:
             u, v = v, u
-        if v not in self.adj[u]:
+        if not 0 <= u < v < self.n:
+            raise self._bad_pair(u, v)
+        adj = self.adj
+        if v not in adj[u]:
             raise ValueError(f"edge ({u}, {v}) not present")
         self.edge_count -= 1
-        self.adj[u].discard(v)
-        self.adj[v].discard(u)
+        adj[u].discard(v)
+        adj[v].discard(u)
         side = self._split_side(u, v)
         if side is None:
             return  # still connected through another path
-        label = self.comp_of[u]
-        old = self.members[label]
+        comp_of = self.comp_of
+        old = self.members[comp_of[u]]
         old_size = len(old)
         new_label = self._next_label
         self._next_label = new_label + 1
-        comp_of = self.comp_of
         for w in side:
             comp_of[w] = new_label
-            old.discard(w)
+        old -= side
         self.members[new_label] = side
-        self._count_change(old_size, -1)
-        self._count_change(len(old), +1)
-        self._count_change(len(side), +1)
-        if old_size == self._largest and self._size_counts.get(old_size, 0) == 0:
-            self._largest = max(self._size_counts)
+        counts = self._size_counts
+        counts[old_size] -= 1
+        counts[len(old)] += 1
+        counts[len(side)] += 1
+        largest = self._largest
+        while not counts[largest]:
+            largest -= 1
+        self._largest = largest
 
     def _split_side(self, u: int, v: int) -> set | None:
         """After removing (u, v): the vertex set split off, or None if still connected.
@@ -199,6 +208,10 @@ class GraphState:
             assert all(self.comp_of[w] == label for w in comp)
         assert sorted(sizes) == sorted(len(m) for m in self.members.values())
         assert 2 * self.edge_count == sum(len(a) for a in self.adj)
+        counts = [0] * (self.n + 1)
+        for size in sizes:
+            counts[size] += 1
+        assert self._size_counts == counts, "component size counts drifted"
         assert self._largest == max(sizes), (self._largest, max(sizes))
 
 
@@ -270,13 +283,15 @@ def simulate_graph(
     """
     if not (0 < horizon < math.inf):
         raise ValueError(f"horizon must be positive and finite, got {horizon!r}")
-    state = GraphState(d.n)
+    n = d.n
+    state = GraphState(n)
+    add, remove = state.add_edge, state.remove_edge
     for t, added, key in _edge_flips(d, _uniforms(seed, replica), horizon, []):
-        a, b = divmod(key, d.n)
+        a, b = divmod(key, n)
         if added:
-            state.add_edge(a, b)
+            add(a, b)
         else:
-            state.remove_edge(a, b)
+            remove(a, b)
         if observers:
             event = GraphEvent(t, added, a, b, state.edge_count, state._largest)
             for ob in observers:
@@ -310,20 +325,27 @@ def _component_passage(flips, edges: list, n: int, threshold: int, edge_target=m
     before it.  The bound, a union-find of every edge added since its last
     rebuild, bounds the largest component of every graph since then; it is
     rebuilt from the present edges only when it reaches the threshold.
+    Between rebuilds its largest set is below the threshold, so `union`
+    stops at the added edge whose merged set reaches it.
     """
     if threshold <= 1:
         return 0.0, None
+    t = tau_edges = None
+
+    def added_keys():
+        nonlocal t, tau_edges
+        for t, added, key in flips:
+            if added:
+                if tau_edges is None and len(edges) >= edge_target:
+                    tau_edges = t
+                yield key
+
+    keys = added_keys()
     bound = _UnionFind(n)
-    tau_edges = None
-    for t, added, key in flips:
-        if not added:
-            continue
-        if tau_edges is None and len(edges) >= edge_target:
-            tau_edges = t
-        if bound.union((key,)) >= threshold:
-            bound = _UnionFind(n, edges)
-            if bound.largest >= threshold:
-                return t, tau_edges
+    while bound.union(keys, threshold) >= threshold:
+        bound = _UnionFind(n, edges)
+        if bound.largest >= threshold:
+            return t, tau_edges
     return None, tau_edges
 
 
@@ -472,8 +494,11 @@ class _UnionFind:
         self.largest = 1
         self.union(keys)
 
-    def union(self, keys) -> int:
-        """Join the ends of each edge key a*n+b; returns the largest size."""
+    def union(self, keys, stop=math.inf) -> int:
+        """Join the ends of each edge key a*n+b; returns the largest size.
+
+        Stops after the join that brings the largest size to `stop`.
+        """
         n, parent, size, largest = self.n, self.parent, self.size, self.largest
         for key in keys:
             a, b = divmod(key, n)
@@ -488,6 +513,8 @@ class _UnionFind:
                 size[a] += size[b]
                 if size[a] > largest:
                     largest = size[a]
+                    if largest >= stop:
+                        break
         self.largest = largest
         return largest
 

@@ -75,6 +75,54 @@ def test_duplicate_and_missing_edges_rejected():
         state.add_edge(2, 2)
 
 
+@pytest.mark.parametrize("u,v", [(-1, 3), (1, 7), (3, -1), (7, 1), (5, 0)])
+def test_out_of_range_vertex_rejected_before_any_change(u, v):
+    state = comp.GraphState(5)
+    state.add_edge(0, 1)
+    state.add_edge(3, 4)
+    adj = [set(a) for a in state.adj]
+    for edit in (state.add_edge, state.remove_edge):
+        with pytest.raises(ValueError, match="outside"):
+            edit(u, v)
+        assert state.adj == adj and state.edge_count == 2
+        state.verify()
+
+
+def test_non_integer_vertex_rejected_before_any_change():
+    state = comp.GraphState(5)
+    with pytest.raises(TypeError):
+        state.add_edge(1, 2.5)
+    assert state.edge_count == 0 and not any(state.adj)
+    state.verify()
+
+
+def test_split_of_one_of_two_largest_keeps_largest():
+    # two components of 3; splitting one leaves the other at the top
+    state = comp.GraphState(7)
+    for u, v in ((0, 1), (1, 2), (3, 4), (4, 5)):
+        state.add_edge(u, v)
+    state.remove_edge(0, 1)
+    state.verify()
+    assert state.largest_component_size() == 3
+
+
+def test_split_drops_largest_by_more_than_one():
+    # a path on 6 vertices cut in the middle: the largest falls from 6 to 3
+    state = comp.GraphState(8)
+    for u in range(5):
+        state.add_edge(u, u + 1)
+    state.add_edge(6, 7)
+    state.remove_edge(2, 3)
+    state.verify()
+    assert state.largest_component_size() == 3
+    state.remove_edge(1, 2)
+    state.verify()
+    assert state.largest_component_size() == 3
+    state.remove_edge(3, 4)
+    state.verify()
+    assert state.largest_component_size() == 2
+
+
 @given(st.lists(st.tuples(st.integers(0, 9), st.integers(0, 9)), max_size=60),
        st.integers(0, 2**32 - 1))
 @settings(max_examples=40, deadline=None)
@@ -284,6 +332,29 @@ def test_component_hitting_censored_at_cap():
     sample = comp.sample_component_hitting(d, 0.99, seed=83, cap=0.05)
     assert sample.censored
     assert sample.time == 0.05
+
+
+def _scripted_flips(n, script, edges):
+    # (added, a, b) steps at times 1, 2, ..., keeping `edges` as _edge_flips does
+    for t, (added, a, b) in enumerate(script, 1):
+        key = a * n + b
+        if added:
+            edges.append(key)
+        else:
+            edges.remove(key)
+        yield float(t), added, key
+
+
+def test_component_passage_takes_up_a_below_threshold_rebuild():
+    # the bound reaches the threshold 3 through the deleted edge (0, 1) at
+    # t=3 and is rebuilt at 2; the rebuilt bound then sees {4, 5, 6} reach
+    # exactly 3 at t=5, the step at which the edge count reaches 3 too
+    script = [(True, 0, 1), (False, 0, 1), (True, 1, 2), (True, 4, 5), (True, 5, 6),
+              (True, 6, 7)]
+    edges = []
+    flips = _scripted_flips(8, script, edges)
+    assert comp._component_passage(flips, edges, 8, 3, edge_target=3) == (5.0, 5.0)
+    assert next(flips) == (6.0, True, 6 * 8 + 7)
 
 
 def test_emergence_run_fields():
