@@ -5,20 +5,21 @@ deletions remove a uniform present edge, insertions add a uniform absent
 pair, which reproduces the per-pair on-off dynamics exactly.  One event
 loop, the `_edge_flips` generator, drives every labeled sampler.
 `simulate_graph` applies each flip to a `GraphState`, which maintains
-components incrementally: insertions merge the smaller component into the
-larger, deletions repair connectivity with a bidirectional search over the
-affected component only, and a list of component counts indexed by size
-keeps the largest size.  The first-passage samplers share one driver,
-`_component_passage`, which bounds the largest component by a union-find
-that ignores deletions, fed the added edges one at a time, and rebuilds it
-only when the bound reaches the threshold.  Where the component comes
-first, one uniform settles the edge passage; emergence runs place it in
-time, domination flags do not need to.
+components incrementally, each as one vertex set shared by its vertices:
+insertions merge the smaller set into the larger, deletions repair
+connectivity with a bidirectional search over the affected component only,
+and a list of component counts indexed by size keeps the largest size.
+The first-passage samplers share one driver, `_component_passage`, which
+bounds the largest component by a union-find that ignores deletions, fed
+the added edges one at a time, and rebuilds it only when the bound reaches
+the threshold.  Where the component comes first, one uniform settles the
+edge passage; emergence runs place it in time, domination flags do not
+need to.
 """
 
 import math
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import chain
 from typing import NamedTuple
 
@@ -57,31 +58,26 @@ class GraphEvent(NamedTuple):
 class GraphState:
     """Undirected labeled graph with incremental component bookkeeping.
 
-    Components are identified by opaque integer labels; `members[label]` is
-    the vertex set, `comp_of[v]` the label of v's component.  The largest
+    A component is its vertex set: `comp_of[v]` is the set that holds v,
+    one object shared by every vertex of the component.  The largest
     component size is kept against a list of component counts indexed by
     size, so queries are O(1); after a split it is found by scanning down
     from its old value.
     """
 
-    __slots__ = (
-        "n", "adj", "comp_of", "members", "edge_count", "time",
-        "_size_counts", "_largest", "_next_label",
-    )
+    __slots__ = ("n", "adj", "comp_of", "edge_count", "time", "_size_counts", "_largest")
 
     def __init__(self, n: int):
         if n < 2:
             raise ValueError(f"need at least 2 vertices, got {n}")
         self.n = n
         self.adj = [set() for _ in range(n)]
-        self.comp_of = list(range(n))
-        self.members = {v: {v} for v in range(n)}
+        self.comp_of = [{v} for v in range(n)]
         self.edge_count = 0
         self.time = 0.0
         self._size_counts = [0] * (n + 1)
         self._size_counts[1] = n
         self._largest = 1
-        self._next_label = n
 
     def has_edge(self, u: int, v: int) -> bool:
         return v in self.adj[u]
@@ -106,20 +102,17 @@ class GraphState:
         adj_u.add(v)
         adj_v.add(u)
         comp_of = self.comp_of
-        la, lb = comp_of[u], comp_of[v]
-        if la == lb:
+        a, b = comp_of[u], comp_of[v]
+        if a is b:
             return
-        members = self.members
-        a, b = members[la], members[lb]
         if len(a) < len(b):
-            la, lb, a, b = lb, la, b, a
+            a, b = b, a
         counts = self._size_counts
         counts[len(a)] -= 1
         counts[len(b)] -= 1
         for w in b:
-            comp_of[w] = la
-        a.update(b)
-        del members[lb]
+            comp_of[w] = a
+        a |= b
         merged = len(a)
         counts[merged] += 1
         if merged > self._largest:
@@ -140,14 +133,11 @@ class GraphState:
         if side is None:
             return  # still connected through another path
         comp_of = self.comp_of
-        old = self.members[comp_of[u]]
+        old = comp_of[u]
         old_size = len(old)
-        new_label = self._next_label
-        self._next_label = new_label + 1
         for w in side:
-            comp_of[w] = new_label
+            comp_of[w] = side
         old -= side
-        self.members[new_label] = side
         counts = self._size_counts
         counts[old_size] -= 1
         counts[len(old)] += 1
@@ -187,6 +177,7 @@ class GraphState:
 
     def verify(self) -> None:
         """Recompute components from scratch and compare; AssertionError on drift."""
+        comp_of = self.comp_of
         seen = [False] * self.n
         sizes = []
         for v0 in range(self.n):
@@ -195,7 +186,6 @@ class GraphState:
             comp = {v0}
             seen[v0] = True
             queue = deque((v0,))
-            label = self.comp_of[v0]
             while queue:
                 x = queue.popleft()
                 for w in self.adj[x]:
@@ -204,9 +194,9 @@ class GraphState:
                         comp.add(w)
                         queue.append(w)
             sizes.append(len(comp))
-            assert comp == self.members[label], f"component of {v0} drifted"
-            assert all(self.comp_of[w] == label for w in comp)
-        assert sorted(sizes) == sorted(len(m) for m in self.members.values())
+            owner = comp_of[v0]
+            assert comp == owner, f"component of {v0} drifted"
+            assert all(comp_of[w] is owner for w in comp), f"component of {v0} is not shared"
         assert 2 * self.edge_count == sum(len(a) for a in self.adj)
         counts = [0] * (self.n + 1)
         for size in sizes:
@@ -300,20 +290,17 @@ def simulate_graph(
     return state
 
 
-def _component_threshold(eps: float, n: int) -> int:
-    # ceil(eps n) with a guard against float crumbs just above an integer
-    return math.ceil(eps * n - 1e-9)
-
-
-def _checked_cap(d: DerivedParams, eps: float, cap: float | None) -> float:
-    """The cap of a component passage, the default one when None; checks eps too."""
+def _passage_bounds(d: DerivedParams, eps: float, cap: float | None) -> tuple:
+    """(cap, threshold) of a component passage: the cap, the default one when
+    None, and the threshold ceil(eps n); checks eps and the cap."""
     if not (0.0 < eps < 1.0):
         raise ValueError(f"eps must be in (0, 1), got {eps!r}")
     if cap is None:
         cap = default_hitting_cap(d)
     if not (cap > 0):
         raise ValueError(f"cap must be positive, got {cap!r}")
-    return cap
+    # ceil(eps n) with a guard against float crumbs just above an integer
+    return cap, math.ceil(eps * d.n - 1e-9)
 
 
 def _component_passage(flips, edges: list, n: int, threshold: int, edge_target=math.inf):
@@ -353,8 +340,7 @@ def sample_component_hitting(
     d: DerivedParams, eps: float, seed: int, cap: float | None = None, replica: int = 0
 ) -> HittingSample:
     """First time the largest component reaches ceil(eps n), from the empty graph."""
-    cap = _checked_cap(d, eps, cap)
-    threshold = _component_threshold(eps, d.n)
+    cap, threshold = _passage_bounds(d, eps, cap)
     edges = []
     flips = _edge_flips(d, _uniforms(seed, replica), cap, edges)
     t, _ = _component_passage(flips, edges, d.n, threshold)
@@ -388,14 +374,12 @@ class EmergenceSample:
 
 
 def _emergence_passage(d, eps, delta, seed, cap, replica):
-    """The checks and passage times of one emergence replica: (cap, threshold,
-    edge_target, tau_component, tau_edges, settled, dominated), where
-    `settled` holds (law, m, u, horizon) of an edge passage not placed in
-    time, which ends after tau_component."""
-    cap = _checked_cap(d, eps, cap)
+    """One emergence replica: (sample, settled).  `settled` is None, or the
+    (law, m, u, rest) of an edge passage that ends after tau_component and
+    is not yet placed in time; the sample's tau_edges then reads the cap."""
+    cap, threshold = _passage_bounds(d, eps, cap)
     if not (delta > 0.0 and eps + delta < 1.0):
         raise ValueError(f"need delta > 0 with eps + delta < 1, got delta={delta!r}")
-    threshold = _component_threshold(eps, d.n)
     edge_target = closest_integer(c_epsilon(eps + delta) * d.n)
     if edge_target > d.N:
         raise ValueError(f"edge target {edge_target} exceeds the pair count {d.N}")
@@ -418,7 +402,12 @@ def _emergence_passage(d, eps, delta, seed, cap, replica):
             settled = (law, m, u, rest)
     dominated = True if settled else None if tau_edges is None else (
         tau_component is not None and tau_component <= tau_edges)
-    return cap, threshold, edge_target, tau_component, tau_edges, settled, dominated
+    sample = EmergenceSample(
+        eps, delta, threshold, edge_target,
+        cap if tau_component is None else tau_component, tau_component is None,
+        cap if tau_edges is None else tau_edges, tau_edges is None and not settled,
+        dominated, cap, seed, replica)
+    return sample, settled
 
 
 def emergence_run(
@@ -432,25 +421,12 @@ def emergence_run(
     """One dynamic run recording both emergence times and the domination flag;
     tau_edges is read off the flips when the edge count comes first, else a
     settled passage is placed in time by inverting its exact law."""
-    cap, threshold, edge_target, tau_component, tau_edges, settled, dominated = (
-        _emergence_passage(d, eps, delta, seed, cap, replica))
+    sample, settled = _emergence_passage(d, eps, delta, seed, cap, replica)
     if settled:
         law, m, u, rest = settled
-        tau_edges = min(cap, tau_component + law.inverse_survival(m, u, rest))
-    return EmergenceSample(
-        eps=eps,
-        delta=delta,
-        threshold=threshold,
-        edge_target=edge_target,
-        tau_component=cap if tau_component is None else tau_component,
-        component_censored=tau_component is None,
-        tau_edges=cap if tau_edges is None else tau_edges,
-        edges_censored=tau_edges is None,
-        dominated=dominated,
-        cap=cap,
-        seed=seed,
-        replica=replica,
-    )
+        tau_edges = sample.tau_component + law.inverse_survival(m, u, rest)
+        sample = replace(sample, tau_edges=min(sample.cap, tau_edges))
+    return sample
 
 
 def emergence_samples(
@@ -472,7 +448,7 @@ def domination_run(
     by the first time the edge count hits [c_{eps+delta} n]?  None when the cap
     intervenes first.  The `dominated` field of the replica's emergence_run.
     """
-    return _emergence_passage(d, eps, delta, seed, cap, replica)[-1]
+    return _emergence_passage(d, eps, delta, seed, cap, replica)[0].dominated
 
 
 def domination_samples(

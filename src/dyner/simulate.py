@@ -12,6 +12,7 @@ spread over workers.
 
 import bisect
 import math
+import operator
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -116,14 +117,14 @@ def replica_rng(seed: int, replica: int = 0) -> np.random.Generator:
     so replica r sees the same randomness no matter which worker runs it.
     The keys are computed in aligned blocks of 64 replicas (block r // 64,
     entry r % 64), equal word for word to SeedSequence's, and the 16 blocks
-    used last are kept.  Replicas from 2^32 on are keyed by
-    SeedSequence itself.  Seeds must lie in [0, 2^64).  The generator's
-    seed sequence cannot spawn children.
+    used last are kept.  Replicas from 2^32 on are keyed by SeedSequence
+    itself.  Seed and replica must be integers (a float raises TypeError),
+    seeds in [0, 2^64).  The generator's seed sequence cannot spawn children.
     """
-    seed = int(seed)
+    seed = operator.index(seed)
     if not (0 <= seed < _SEED_LIMIT):
         raise ValueError(f"seed must be in [0, 2^64), got {seed}")
-    replica = int(replica)
+    replica = operator.index(replica)
     if replica < 0:
         raise ValueError(f"replica must be a non-negative integer, got {replica}")
     if replica >= _WORD:
@@ -165,6 +166,8 @@ def _run_chain(d, k, rng, lower=-1, upper=-1, horizon=math.inf, level=None, path
     so every result equals that of adding one event at a time.
     """
     N = d.N
+    # integer counts only: a float stop would never be stepped onto
+    k, lower, upper = operator.index(k), operator.index(lower), operator.index(upper)
     if upper < 0:
         upper = N + 1
     if not (lower < k < upper):

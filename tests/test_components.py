@@ -334,6 +334,12 @@ def test_component_hitting_censored_at_cap():
     assert sample.time == 0.05
 
 
+def test_component_hitting_refuses_float_seed():
+    # int() would draw seed 1's stream under a sample that records 1.7
+    with pytest.raises(TypeError):
+        comp.sample_component_hitting(_d(10), 0.3, seed=1.7)
+
+
 def _scripted_flips(n, script, edges):
     # (added, a, b) steps at times 1, 2, ..., keeping `edges` as _edge_flips does
     for t, (added, a, b) in enumerate(script, 1):
@@ -380,9 +386,7 @@ def _reference_emergence(d, eps, delta, seed, cap=None, replica=0):
     # a GraphState follows every flip until the component passage is seen,
     # and the flips' own edge list gives the edge count until its passage.
     # Also returns the edge count at the component passage (None without one)
-    if cap is None:
-        cap = sim.default_hitting_cap(d)
-    threshold = comp._component_threshold(eps, d.n)
+    cap, threshold = comp._passage_bounds(d, eps, cap)
     edge_target = closest_integer(an.c_epsilon(eps + delta) * d.n)
     state = comp.GraphState(d.n)
     edges = []
@@ -453,8 +457,8 @@ def test_emergence_places_settled_passage_by_inverse_survival():
     # passage, and tau_edges = tau_component + inverse_survival(m, u, rest)
     d = _d(80)
     eps, delta, seed = 0.3, 0.1, 90
-    cap = sim.default_hitting_cap(d)
-    threshold = comp._component_threshold(eps, d.n)
+    cap, threshold = comp._passage_bounds(d, eps, None)
+    assert cap == sim.default_hitting_cap(d)
     edge_target = closest_integer(an.c_epsilon(eps + delta) * d.n)
     law = an.hitting_time_law(edge_target, d)
     for r in range(20):
@@ -492,7 +496,7 @@ def test_emergence_same_addition_dominates():
     # addition, which counts as domination
     d = _d(10)
     eps, delta = 0.75, 0.05
-    assert comp._component_threshold(eps, 10) == 8
+    assert comp._passage_bounds(d, eps, None)[1] == 8
     assert closest_integer(an.c_epsilon(eps + delta) * 10) == 10
     same = 0
     for r in range(200):

@@ -411,6 +411,17 @@ def _seed_sequence_draws(seed, replica):
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(replica,))).random(4)
 
 
+def test_replica_rng_takes_integers_only():
+    for bad in (1.7, 2.0):
+        with pytest.raises(TypeError):
+            sim.replica_rng(bad, 0)
+        with pytest.raises(TypeError):
+            sim.replica_rng(1, bad)
+    for seed, replica in ((np.int64(7), np.uint32(3)), (np.uint64(2**64 - 1), np.int8(70))):
+        got = sim.replica_rng(seed, replica).random(4)
+        assert np.array_equal(got, sim.replica_rng(int(seed), int(replica)).random(4))
+
+
 def _assert_streams_are_seed_sequences(pairs):
     for seed, replica in pairs:
         got = sim.replica_rng(seed, replica).random(4)
@@ -610,6 +621,21 @@ def test_kernel_refuses_a_start_outside_its_stops():
                     (0, dict(lower=0)), (d.N, dict(upper=d.N)), (-1, {}), (d.N + 1, {})):
         with pytest.raises(ValueError, match="strictly between"):
             sim._run_chain(d, k, sim.replica_rng(1, 0), **rule)
+
+
+@pytest.mark.parametrize("call", [
+    lambda d: sim.sample_time_above(d, 5.0, 2, seed=1),
+    lambda d: sim.sample_escapes(d, 4.5, 8, 2, 3, seed=1),
+    lambda d: sim.simulate_trajectory(d, 2.5, 1.0, seed=1),
+    lambda d: sim.sample_hitting_time(d, 0, 5.0, seed=1),
+], ids=["time_above", "escapes", "trajectory", "hitting"])
+def test_kernel_refuses_non_integer_counts(call):
+    # a float count never lands on a stop, so the walk could not end; the
+    # integer call first fills the rate windows' cache
+    d = _d(10)
+    sim.sample_hitting_time(d, 0, 5, seed=1)
+    with pytest.raises(TypeError):
+        call(d)
 
 
 def test_kernel_paths_span_many_blocks():
