@@ -440,7 +440,6 @@ class BinomialTail:
     they underflow long before the bracket stops being informative.
     """
 
-    i: int
     log_probability: float
     log_lower_bound: float
     log_upper_bound: float
@@ -464,7 +463,6 @@ def binomial_tail(i: int, d: DerivedParams) -> BinomialTail:
     N, p = d.N, d.p
     if i == 0:
         return BinomialTail(
-            i=0,
             log_probability=0.0,
             log_lower_bound=math.nan,
             log_upper_bound=math.nan,
@@ -492,7 +490,6 @@ def binomial_tail(i: int, d: DerivedParams) -> BinomialTail:
     log_upper = -N * divergence
     log_lower = log_upper - 0.5 * math.log(8.0 * i)
     return BinomialTail(
-        i=i,
         log_probability=log_tail,
         log_lower_bound=log_lower,
         log_upper_bound=log_upper,

@@ -227,7 +227,11 @@ def _rates(o, _):
     eps_min, eps_max, step = o["eps-min"], o["eps-max"], o["step"]
     if not (step > 0 and eps_max >= eps_min):
         raise ValueError("need step > 0 and eps-max >= eps-min")
-    count = closest_integer((eps_max - eps_min) / step) + 1
+    span = (eps_max - eps_min) / step
+    if not math.isfinite(span):
+        raise ValueError(f"cannot round {span!r} to an integer")
+    # the grid ends at the last point at or below eps-max, give or take 1e-9 steps
+    count = math.floor(span + 1e-9) + 1
     for eps in (eps_min, eps_max):  # a bad end fails here, before any grid is built
         an.rate_functions(eps)
     if count > 10**6:
@@ -244,8 +248,8 @@ def _rates(o, _):
 def _trajectory(o, d):
     paths = sim.run_replicas(sim.simulate_trajectory, (d, o["start"], o["horizon"], o["seed"]),
                              o["replicas"], o["workers"])
-    return [{"replica": path.replica, "time": t, "count": k}
-            for path in paths for t, k in path.events]
+    return [{"replica": r, "time": t, "count": k}
+            for r, path in enumerate(paths) for t, k in path.events]
 
 
 def _hitting_samples(o, d):
@@ -255,7 +259,7 @@ def _hitting_samples(o, d):
     samples = sim.sample_hitting_times(d, j, i, o["replicas"], o["seed"], cap=o["cap"],
                                        workers=o["workers"])
     uncensored = [s.time for s in samples if not s.censored]
-    rows = [{"replica": s.replica, "time": s.time, "censored": s.censored} for s in samples]
+    rows = [{"replica": r, "time": s.time, "censored": s.censored} for r, s in enumerate(samples)]
     return _samples(rows, uncensored)
 
 
@@ -271,11 +275,11 @@ def _renewal(o, d):
                                        workers=o["workers"])
     value = est.estimate
     return _samples(
-        [{"replica": cy.replica, "time_above": cy.time_above} for cy in est.cycles],
+        [{"replica": r, "time_above": above} for r, above in enumerate(est.cycles)],
         log_estimate=value.log_value, estimate=value.value if value.is_representable else None,
         log_half_width=est.half_width.log_value, mean_time_above=est.time_above.mean,
         hw_time_above=est.time_above.half_width, log_tail=est.log_tail,
-        log_base=est.base.log_value, i=est.i, s=est.s, count=est.count)
+        log_base=est.base.log_value, i=est.i, s=est.s, count=est.time_above.count)
 
 
 def _escape(o, d):
@@ -301,10 +305,10 @@ def _emergence(o, d):
         o["cap"] = sim.default_hitting_cap(d)
     samples = comp.emergence_samples(d, o["eps"], o["delta"], o["replicas"], o["seed"],
                                      cap=o["cap"], workers=o["workers"])
-    rows = [{"replica": s.replica, "tau_component": s.tau_component,
+    rows = [{"replica": r, "tau_component": s.tau_component,
              "component_censored": s.component_censored, "tau_edges": s.tau_edges,
              "edges_censored": s.edges_censored, "dominated": s.dominated}
-            for s in samples]
+            for r, s in enumerate(samples)]
     probed = [s for s in samples if not s.edges_censored]
     if not probed:
         return _samples(rows)

@@ -228,7 +228,7 @@ def _edge_flips(d: DerivedParams, uniform, horizon: float, edges: list):
     """
     n, alpha, N = d.n, d.alpha, d.N
     birth_scale = d.beta / (n - 1)
-    pos = {}
+    present = set()
     t = 0.0
     log_ = math.log
     while True:
@@ -239,12 +239,11 @@ def _edge_flips(d: DerivedParams, uniform, horizon: float, edges: list):
         if t > horizon:
             return
         if uniform() * tot < del_rate:
-            key = edges[int(uniform() * m)]
-            last = edges.pop()
-            idx = pos.pop(key)
-            if key != last:
-                edges[idx] = last
-                pos[last] = idx
+            idx = int(uniform() * m)
+            key = edges[idx]
+            edges[idx] = edges[-1]
+            edges.pop()
+            present.remove(key)
             yield t, False, key
         else:
             while True:
@@ -253,9 +252,9 @@ def _edge_flips(d: DerivedParams, uniform, horizon: float, edges: list):
                 if b >= a:
                     b += 1
                 key = a * n + b if a < b else b * n + a
-                if key not in pos:
+                if key not in present:
                     break
-            pos[key] = m
+            present.add(key)
             edges.append(key)
             yield t, True, key
 
@@ -344,7 +343,7 @@ def sample_component_hitting(
     edges = []
     flips = _edge_flips(d, _uniforms(seed, replica), cap, edges)
     t, _ = _component_passage(flips, edges, d.n, threshold)
-    return HittingSample(0, threshold, cap if t is None else t, t is None, cap, seed, replica)
+    return HittingSample(cap if t is None else t, t is None)
 
 
 @dataclass(frozen=True, slots=True)
@@ -359,23 +358,16 @@ class EmergenceSample:
                    tau_edges was censored)
     """
 
-    eps: float
-    delta: float
-    threshold: int
-    edge_target: int
     tau_component: float
     component_censored: bool
     tau_edges: float
     edges_censored: bool
     dominated: bool | None
-    cap: float
-    seed: int
-    replica: int
 
 
 def _emergence_passage(d, eps, delta, seed, cap, replica):
     """One emergence replica: (sample, settled).  `settled` is None, or the
-    (law, m, u, rest) of an edge passage that ends after tau_component and
+    (law, m, u, cap) of an edge passage that ends after tau_component and
     is not yet placed in time; the sample's tau_edges then reads the cap."""
     cap, threshold = _passage_bounds(d, eps, cap)
     if not (delta > 0.0 and eps + delta < 1.0):
@@ -394,19 +386,18 @@ def _emergence_passage(d, eps, delta, seed, cap, replica):
         # P(tau_m(target) > x), censored when u < S(cap - tau_component).
         # Starts refused by the law's precision gate follow the flips.
         law = hitting_time_law(edge_target, d)
-        m, rest = len(edges), cap - tau_component
+        m = len(edges)
         if not law.accepts(m):
             tau_edges = next((t for t, added, _ in flips
                               if added and len(edges) >= edge_target), None)
-        elif (u := uniform()) >= law.survival(m, rest):
-            settled = (law, m, u, rest)
+        elif (u := uniform()) >= law.survival(m, cap - tau_component):
+            settled = (law, m, u, cap)
     dominated = True if settled else None if tau_edges is None else (
         tau_component is not None and tau_component <= tau_edges)
     sample = EmergenceSample(
-        eps, delta, threshold, edge_target,
         cap if tau_component is None else tau_component, tau_component is None,
         cap if tau_edges is None else tau_edges, tau_edges is None and not settled,
-        dominated, cap, seed, replica)
+        dominated)
     return sample, settled
 
 
@@ -423,9 +414,9 @@ def emergence_run(
     settled passage is placed in time by inverting its exact law."""
     sample, settled = _emergence_passage(d, eps, delta, seed, cap, replica)
     if settled:
-        law, m, u, rest = settled
-        tau_edges = sample.tau_component + law.inverse_survival(m, u, rest)
-        sample = replace(sample, tau_edges=min(sample.cap, tau_edges))
+        law, m, u, cap = settled
+        tau = sample.tau_component
+        sample = replace(sample, tau_edges=min(cap, tau + law.inverse_survival(m, u, cap - tau)))
     return sample
 
 

@@ -34,7 +34,6 @@ from .stats import EstimateCI, mean_ci
 __all__ = [
     "Trajectory",
     "HittingSample",
-    "CycleSample",
     "RenewalEstimate",
     "replica_rng",
     "default_hitting_cap",
@@ -249,11 +248,7 @@ def _rate_lists(lo, hi, d, lower, upper):
 class Trajectory:
     """Event-timed path of the edge count: (time, count) pairs from (0, start)."""
 
-    params: DerivedParams
-    start: int
     horizon: float
-    seed: int
-    replica: int
     events: tuple
 
     def count_at(self, t: float) -> int:
@@ -267,24 +262,8 @@ class Trajectory:
 class HittingSample:
     """One first-passage observation; time carries the cap when censored."""
 
-    start: int
-    target: int
     time: float
     censored: bool
-    cap: float
-    seed: int
-    replica: int
-
-
-@dataclass(frozen=True, slots=True)
-class CycleSample:
-    """Time spent at or above level i while descending from i to s."""
-
-    i: int
-    s: int
-    time_above: float
-    seed: int
-    replica: int
 
 
 @dataclass(frozen=True, slots=True)
@@ -294,13 +273,12 @@ class RenewalEstimate:
     estimate = mean(time above i per cycle) / P(Bin(N, p) >= i)
              + exact expected hitting time 0 -> s,
     kept in log scale; the CI is propagated from the cycle-time numerator
-    only (the tail and the base term are exact).  `cycles` holds the
-    CycleSample of each replica, in replica order.
+    only (the tail and the base term are exact).  `cycles` holds each
+    replica's time above i, in replica order.
     """
 
     estimate: LogNonNegative
     half_width: LogNonNegative
-    count: int
     time_above: EstimateCI
     log_tail: float
     base: LogNonNegative
@@ -324,10 +302,7 @@ def simulate_trajectory(
         raise ValueError(f"horizon must be positive and finite, got {horizon!r}")
     events = [(0.0, start)]
     _run_chain(d, start, replica_rng(seed, replica), horizon=horizon, path=events)
-    return Trajectory(
-        params=d, start=start, horizon=horizon, seed=seed, replica=replica,
-        events=tuple(events),
-    )
+    return Trajectory(horizon, tuple(events))
 
 
 def sample_hitting_time(
@@ -350,7 +325,7 @@ def sample_hitting_time(
     if not (cap > 0):
         raise ValueError(f"cap must be positive, got {cap!r}")
     k, t, _ = _run_chain(d, start, replica_rng(seed, replica), upper=target, horizon=cap)
-    return HittingSample(start, target, t, k != target, cap, seed, replica)
+    return HittingSample(t, k != target)
 
 
 def sample_stationarity_time(d: DerivedParams, seed: int, replica: int = 0) -> float:
@@ -368,9 +343,7 @@ def sample_stationarity_time(d: DerivedParams, seed: int, replica: int = 0) -> f
     return -math.log(-math.expm1(math.log(v) / d.N)) / d.update_rate
 
 
-def sample_time_above(
-    d: DerivedParams, i: int, s: int, seed: int, replica: int = 0
-) -> CycleSample:
+def sample_time_above(d: DerivedParams, i: int, s: int, seed: int, replica: int = 0) -> float:
     """Lebesgue time with edge count >= i, starting at i, until first hit of s.
 
     This is the whole above-i time of an (i -> s -> i) regenerative cycle:
@@ -378,8 +351,7 @@ def sample_time_above(
     """
     if not (0 <= s < i <= d.N):
         raise ValueError(f"need 0 <= s < i <= {d.N}, got i={i}, s={s}")
-    _, _, above = _run_chain(d, i, replica_rng(seed, replica), lower=s, level=i, timed=False)
-    return CycleSample(i=i, s=s, time_above=above, seed=seed, replica=replica)
+    return _run_chain(d, i, replica_rng(seed, replica), lower=s, level=i, timed=False)[2]
 
 
 def _escaped(d, j, i, s, seed, replica):
@@ -469,7 +441,7 @@ def estimate_hitting_renewal(
         raise ValueError(f"need at least 100 replicas, got {replicas}")
     i, s = renewal_targets(d, c)
     cycles = run_replicas(sample_time_above, (d, i, s, seed), replicas, workers)
-    above = mean_ci([cy.time_above for cy in cycles])
+    above = mean_ci(cycles)
     tail = binomial_tail(i, d)
     cycle_term = cycle_expectation(above.mean, LogNonNegative(tail.log_probability))
     base = expected_hitting(0, s, d) if s >= 1 else ZERO
@@ -480,7 +452,6 @@ def estimate_hitting_renewal(
     return RenewalEstimate(
         estimate=cycle_term + base,
         half_width=half,
-        count=len(cycles),
         time_above=above,
         log_tail=tail.log_probability,
         base=base,

@@ -1,5 +1,4 @@
 import pathlib
-import signal
 import sys
 
 import pytest
@@ -9,23 +8,6 @@ if str(SRC) not in sys.path:
     sys.path.insert(0, str(SRC))
 
 from dyner.model import ModelParams, derive  # noqa: E402
-
-TIME_LIMIT_S = 120  # far above the slowest test, about 7 s
-
-
-@pytest.fixture(autouse=True)
-def _time_limit():
-    """Fail a test that runs over TIME_LIMIT_S instead of hanging the suite."""
-    def over(signum, frame):
-        # pytrace=False: a traceback through this frame can crash pytest's
-        # report formatter (INTERNALERROR) instead of failing the test
-        pytest.fail(f"test ran over {TIME_LIMIT_S} s", pytrace=False)
-
-    old = signal.signal(signal.SIGALRM, over)
-    signal.setitimer(signal.ITIMER_REAL, TIME_LIMIT_S)
-    yield
-    signal.setitimer(signal.ITIMER_REAL, 0)
-    signal.signal(signal.SIGALRM, old)
 
 
 @pytest.fixture

@@ -188,6 +188,19 @@ def test_rates_rows_and_svg(tmp_path, capsys):
         "918b355f14efc3285f04a1b52feca616268fc88b0a23e7983de46910a3a4e430")
 
 
+@pytest.mark.parametrize("eps_max,step,last,count", [
+    ("0.5", "0.3", 0.31, 2),
+    ("0.79", "0.05", 0.76, 16),
+])
+def test_rates_grid_stops_at_eps_max(eps_max, step, last, count, capsys):
+    # a span that is not a whole number of steps used to round up past --eps-max
+    run_cli("analytic", "rates", "--eps-min", "0.01", "--eps-max", eps_max, "--step", step)
+    rows = [l for l in capsys.readouterr().out.splitlines() if not l.startswith("#")][1:]
+    grid = [float(row.split(",")[0]) for row in rows]
+    assert len(grid) == count
+    assert grid[0] == 0.01 and grid[-1] == last
+
+
 def test_config_file_round_trip_and_override(tmp_path, capsys):
     path = tmp_path / "run.cfg"
     path.write_text("n=6\nalpha=1.0\nbeta=1.0\nseed=4\nreplicas=5\nfrom=0.0\nto=3.0\n")

@@ -365,9 +365,8 @@ def test_component_passage_takes_up_a_below_threshold_rebuild():
 
 def test_emergence_run_fields():
     d = _d(40)
+    assert comp._passage_bounds(d, 0.2, None)[1] == 8
     sample = comp.emergence_run(d, 0.2, 0.2, seed=84)
-    assert sample.threshold == 8
-    assert sample.edge_target == closest_integer(an.c_epsilon(0.4) * 40)
     assert not sample.edges_censored
     assert not sample.component_censored
     assert sample.dominated == (sample.tau_component <= sample.tau_edges)
@@ -423,18 +422,19 @@ def test_emergence_matches_reference(n, reps, cap, eps, delta, seed, min_refused
     # came first at an edge count the law's precision gate refuses
     d = _d(n)
     law = an.hitting_time_law(closest_integer(an.c_epsilon(eps + delta) * n), d)
+    cap_used = comp._passage_bounds(d, eps, cap)[0]
     refused = 0
     for r in range(reps):
         sample = comp.emergence_run(d, eps, delta, seed=seed, cap=cap, replica=r)
         tau_component, tau_edges, dominated, m = _reference_emergence(d, eps, delta, seed, cap, r)
         assert sample.component_censored == (tau_component is None)
-        assert sample.tau_component == (sample.cap if tau_component is None else tau_component)
+        assert sample.tau_component == (cap_used if tau_component is None else tau_component)
         if dominated is False:
             assert (sample.tau_edges, sample.dominated) == (tau_edges, False)
         component_first = m is not None and (tau_edges is None or tau_edges > tau_component)
         if component_first and not law.accepts(m):
             refused += 1
-            assert sample.tau_edges == (sample.cap if tau_edges is None else tau_edges)
+            assert sample.tau_edges == (cap_used if tau_edges is None else tau_edges)
             assert sample.dominated == dominated
     assert refused >= min_refused
 
