@@ -3,10 +3,10 @@
 Covers the single-edge transition functions and separation, the law of the
 fastest time to stationarity and its Gumbel limit, expected hitting times of
 the edge-count chain (stable recursion, series form, and a linear-solve
-oracle) and their exact spectral law, the deterministic fluid limit,
-entropy exponents and binomial tail bounds for supercritical targets, and
-the large-deviation exponents that govern when a macroscopic component
-first appears.
+oracle) and their exact spectral law, its escape probabilities, the
+deterministic fluid limit, entropy exponents and binomial tail bounds for
+supercritical targets, and the large-deviation exponents that govern when a
+macroscopic component first appears.
 """
 
 import math
@@ -32,6 +32,7 @@ __all__ = [
     "expected_hitting_step_series",
     "expected_hitting",
     "expected_hitting_oracle",
+    "escape_probability",
     "HittingTimeLaw",
     "hitting_time_law",
     "fluid_time",
@@ -245,6 +246,21 @@ def expected_hitting_oracle(j: int, i: int, d: DerivedParams) -> float:
     for k in range(i - 2, j - 1, -1):
         x = (rhs[k] + lam[k] * x) / diag[k]
     return float(x)
+
+
+def escape_probability(j: int, i: int, s: int, d: DerivedParams) -> LogNonNegative:
+    """P_j(tau_i < tau_s): the edge count from j reaches i before it falls to s.
+
+    Gambler's ruin through the chain's scale function: the probability is
+    sum_{k=s}^{j-1} w_k / sum_{k=s}^{i-1} w_k, with w_s = 1 and
+    w_k = prod_{l=s+1}^{k} mu_l/lambda_l, all in logs.
+    """
+    if not (0 <= s < j < i <= d.N):
+        raise ValueError(f"need 0 <= s < j < i <= {d.N}, got s={s}, j={j}, i={i}")
+    l = np.arange(s + 1, i)
+    log_ratios = np.log(l * d.alpha / ((d.N - l) * d.beta / (d.n - 1)))
+    log_w = np.concatenate(([0.0], np.cumsum(log_ratios)))
+    return LogNonNegative(float(np.logaddexp.reduce(log_w[:j - s]) - np.logaddexp.reduce(log_w)))
 
 
 LAW_TOLERANCE = 1e-9

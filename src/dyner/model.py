@@ -4,13 +4,14 @@ Each of the N = n(n-1)/2 vertex pairs carries an independent on-off process:
 a present edge is deleted at rate alpha, an absent edge appears at rate
 beta/(n-1).  The edge count's birth rate is rounded in two orders:
 `birth_rate` and the recursion `analytic._hitting_step_logs` compute
-(N-k) beta/(n-1); the event kernels (`simulate._rate_lists`,
-`components._edge_flips`) and `analytic._hitting_time_law` compute
-(N-k) (beta/(n-1)).  They can differ in the last bit, and output pins
-both: every random stream pins the kernels' order, and the exact means pin
-the recursion's.  Emergence runs read those means, so the recursion in the
-kernels' order changes the `components emergence` README digest.  So the
-two orders stay apart.
+(N-k) beta/(n-1); the event kernels (`simulate._rate_lists`, whose
+windows give the count chain both its jump thresholds and the total rates
+of its holding times, and `components._edge_flips`) and
+`analytic._hitting_time_law` compute (N-k) (beta/(n-1)).  They can differ
+in the last bit, and output pins both: every random stream pins the
+kernels' order, and the exact means pin the recursion's.  Emergence runs
+read those means, so the recursion in the kernels' order changes the
+`components emergence` README digest.  So the two orders stay apart.
 """
 
 import math

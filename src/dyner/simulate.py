@@ -4,10 +4,12 @@ The edge count is simulated as an aggregate chain (two competing
 exponentials per step), which by superposition has exactly the same law as
 tracking all N per-edge clocks but costs O(1) per event.  One event loop,
 `_run_chain`, serves every sampler here; each sampler only picks its stop
-rule (absorbing counts, a time horizon, a level to time above).  Every
-replica owns an independent, reproducible random stream derived from
-(seed, replica), so results are bit-identical regardless of how replicas are
-spread over workers.
+rule (absorbing counts, a time horizon, a level to time above).  The loop
+walks the jump directions in Python and leaves the holding times to numpy,
+once per run or per 2048 pending events, drawing them only where read.
+Every replica owns an independent, reproducible random stream derived from
+(seed, replica), so results are bit-identical regardless of how replicas
+are spread over workers.
 """
 
 import bisect
@@ -150,19 +152,27 @@ def _run_chain(d, k, rng, lower=-1, upper=-1, horizon=math.inf, level=None, path
 
     The Generator `rng` is read in blocks of B = 128 events doubling up to
     2048: `rng.random(B)`, the jump directions in event order, and then
-    `rng.standard_exponential(B)`, their Exp(1) holding-time variates, which
-    every run reads whether or not it reads times.  Each block is run in
-    two phases.  A Python loop walks the directions through a memoryview,
-    taking each jump up when the uniform is below the count's jump
-    threshold, birth rate / total rate.  A block moves the count by at most
-    B, so from count k it reads one aligned `_rate_lists` window, counts
-    (c - 1)B to (c + 2)B with c = k // B, clipped to [0, N]; the walk never
-    leaves [0, N], since the threshold is exactly 1 at count 0 and 0 at
-    count N, and the window's None at a stop ends it (v < None raises
-    TypeError).
-    Then numpy divides the variates of the events whose times are read by
-    the window's total rates and sums them in event order by `np.cumsum`,
-    so every result equals that of adding one event at a time.
+    `rng.standard_exponential(B)`, their Exp(1) holding-time variates.  A
+    Python loop walks each block's directions through a memoryview, taking
+    each jump up when the uniform is below the count's jump threshold,
+    birth rate / total rate.  A block moves the count by at most B, so from
+    count k it reads one aligned `_rate_lists` window, counts (c - 1)B to
+    (c + 2)B with c = k // B, clipped to [0, N]; the walk never leaves
+    [0, N], since the threshold is exactly 1 at count 0 and 0 at count N,
+    and the window's None at a stop ends it (v < None raises TypeError).
+    The variates are drawn after the walk: all B when the walk goes on, as
+    the next block's directions follow them in the stream, and in the
+    final block only those of its events, none when no time is read.
+
+    The directions of all blocks go to one byte string, and numpy reads
+    them only when the walk stops or at least 2048 events are pending,
+    which bounds the pending arrays and the walk past a horizon.  So the
+    blocks pending before the last one, of size B, hold at most
+    128 + ... + B/2 = B - 128 events, and the last block's window, which
+    reaches B counts beyond its start either way, holds every count they
+    visit.  Numpy divides the variates of the events whose times are read
+    by that window's total rates and sums them in event order by
+    `np.cumsum`, so every result equals that of adding one event at a time.
     """
     N = d.N
     # integer counts only: a float stop would never be stepped onto
@@ -171,18 +181,19 @@ def _run_chain(d, k, rng, lower=-1, upper=-1, horizon=math.inf, level=None, path
         upper = N + 1
     if not (lower < k < upper):
         raise ValueError(f"start {k} must lie strictly between {lower} and {upper}")
+    reads = timed or level is not None
     t = 0.0
     above = 0.0
     size = _FIRST_BLOCK
+    base = k  # the count before the pending events
+    ups = bytearray()  # the pending jump directions, as signed bytes (255 is -1)
+    xs = []  # their Exp(1) variates, one array per block
     while True:
         u = rng.random(size)
-        x = rng.standard_exponential(size)
-        # phase 1: the jump directions, as signed bytes (255 is -1)
         lo = max(0, (k // size - 1) * size)
         th, tot = _rate_lists(lo, min(N + 1, lo + 3 * size), d, lower, upper)
-        size = min(2 * size, _LAST_BLOCK)
-        j = start = k - lo
-        ups = bytearray()
+        j = k - lo
+        pending = len(ups)
         up = ups.append
         try:
             for v in memoryview(u):
@@ -195,14 +206,27 @@ def _run_chain(d, k, rng, lower=-1, upper=-1, horizon=math.inf, level=None, path
         except TypeError:  # v < None: the walk stepped onto lower or upper
             pass
         k = lo + j
-        # phase 2: event times and time above `level` where read, by window index
-        events = cut = len(ups)
-        if timed or level is not None:
+        stopped = k == lower or k == upper
+        if not stopped:
+            x = rng.standard_exponential(size)
+        elif reads:
+            x = rng.standard_exponential(len(ups) - pending)
+        if reads:
+            xs.append(x)
+        size = min(2 * size, _LAST_BLOCK)
+        if not (stopped or len(ups) >= _LAST_BLOCK):
+            continue
+        # event times and time above `level` where read, by index in the
+        # last block's window, which holds every pending count
+        cut = events = len(ups)
+        if reads:
+            if len(xs) > 1:
+                x = np.concatenate(xs)
             steps = np.frombuffer(ups, np.int8)
-            after = np.cumsum(steps) + start
+            after = np.cumsum(steps) + (base - lo)
             before = after - steps
         if timed:
-            terms = x[:events] / tot[before]
+            terms = x / tot[before]
             terms[0] += t
             times = np.cumsum(terms)
             t = float(times[-1])
@@ -218,8 +242,11 @@ def _run_chain(d, k, rng, lower=-1, upper=-1, horizon=math.inf, level=None, path
                 above = np.cumsum(terms)[-1]
         if cut < events:
             return lo + int(before[cut]), horizon, float(above)
-        if k == lower or k == upper:
+        if stopped:
             return k, (t if timed else None), float(above)
+        base = k
+        ups = bytearray()  # a new one: numpy may still hold the old one's buffer
+        xs = []
 
 
 @lru_cache(maxsize=32)

@@ -24,7 +24,7 @@ from dyner import analytic as an
 from dyner import components as comp
 from dyner import simulate as sim
 from dyner.model import ModelParams, closest_integer, derive
-from dyner.stats import ks_distance, mean_ci
+from dyner.stats import Z95, ks_distance, mean_ci
 
 SRC = str(pathlib.Path(__file__).resolve().parents[1] / "src")
 WORKERS = 2
@@ -400,15 +400,21 @@ def test_c10_component_emergence_domination():
 # ---------------------------------------------------------------- criterion 11
 
 
+def _c11_stops(n):
+    # start j, target i and floor s
+    return round(0.7 * n), round(0.9 * n), n // 2
+
+
+@lru_cache(maxsize=1)
+def _c11_estimates():
+    return {n: sim.sample_escape_probability(_d(n), *_c11_stops(n), 3000, seed=11000 + n,
+                                             workers=WORKERS)
+            for n in (20, 40, 60)}
+
+
 def test_c11_escape_probability_decays():
     t0 = time.time()
-    estimates = {}
-    for n in (20, 40, 60):
-        d = _d(n)
-        j, i, s = round(0.7 * n), round(0.9 * n), n // 2
-        estimates[n] = sim.sample_escape_probability(
-            d, j, i, s, 3000, seed=11000 + n, workers=WORKERS
-        )
+    estimates = _c11_estimates()
     decreasing = estimates[20].mean > estimates[40].mean > estimates[60].mean
     separated = not estimates[20].overlaps(estimates[60])
     elapsed = time.time() - t0
@@ -419,6 +425,25 @@ def test_c11_escape_probability_decays():
             elapsed, 300)
     assert decreasing
     assert separated
+    assert elapsed < 300.0
+
+
+def test_c11b_escape_probability_exact():
+    # the scale-function law beside C11's samples: it falls strictly in n,
+    # and each sample lies within 5 standard errors of it
+    t0 = time.time()
+    estimates = _c11_estimates()
+    exact = {n: an.escape_probability(*_c11_stops(n), _d(n)).value for n in (20, 40, 60)}
+    z = {n: (e.mean - exact[n]) * Z95 / e.half_width for n, e in estimates.items()}
+    decreasing = exact[20] > exact[40] > exact[60]
+    agrees = all(abs(v) <= 5.0 for v in z.values())
+    elapsed = time.time() - t0
+    ok = decreasing and agrees and elapsed < 300.0
+    _report("C11b escape probability against its exact law", ok,
+            ", ".join(f"n={n}: exact {exact[n]:.5f}, z={z[n]:+.2f}" for n in (20, 40, 60)),
+            elapsed, 300)
+    assert decreasing
+    assert agrees
     assert elapsed < 300.0
 
 

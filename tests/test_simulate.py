@@ -1,10 +1,11 @@
+import itertools
 import math
 import random
 from concurrent.futures import Future
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.stats import chisquare, ks_2samp
 
@@ -286,6 +287,20 @@ def _escape_oracle(d, j, i, s):
     return float(np.linalg.solve(a, b)[j - s])
 
 
+@pytest.mark.parametrize("n, alpha, beta, j, i, s", [
+    (3, 1.0, 1.0, 1, 2, 0), (8, 1.0, 1.0, 4, 6, 2), (20, 1.0, 1.0, 14, 18, 10),
+    (40, 1.0, 1.0, 28, 36, 20), (12, 0.3, 5.0, 40, 60, 30), (10, 1e3, 1e-3, 3, 5, 1),
+    (10, 1e-3, 1e3, 30, 44, 29),
+])
+def test_exact_escape_matches_absorbing_chain(n, alpha, beta, j, i, s):
+    d = _d(n, alpha=alpha, beta=beta)
+    exact = an.escape_probability(j, i, s, d)
+    assert exact.value == pytest.approx(_escape_oracle(d, j, i, s), rel=1e-9)
+    for bad in ((i, i, s), (s, i, s), (j, d.N + 1, s), (j, i, -1)):
+        with pytest.raises(ValueError):
+            an.escape_probability(*bad, d)
+
+
 def test_escape_one_step_exact():
     # n=3, s=0, j=1, i=2: single jump decides; p(1,2) = 1/2 exactly
     d = _d(3)
@@ -545,6 +560,17 @@ _KERNEL_CASES = {
     "absorb_after_block_end": (40, 1.0, 21, dict(lower=10, upper=30, seed=905,
                                                  events={221: 129, 1527: 129, 1856: 385,
                                                          2853: 385})),
+    # the horizon is passed in one block and the stop reached in a later
+    # block before the pending events are timed: the horizon still ends the
+    # run; `events` maps replica to (run length, walk length to the stop)
+    "horizon_before_later_stop": (40, 1.0, 20, dict(upper=30, horizon=4.0, seed=905,
+                                                    events={77: (123, 450), 0: (166, 446),
+                                                            3: (136, 1520), 4: (138, 934)})),
+    # an untimed level run over several numpy passes: the first pass takes
+    # events 1-3968 and each later one at most 2048, so these runs take 2, 2,
+    # 3 and 4 passes, and the last one spends time above the level in each
+    "long_cycle": (40, 1.0, 32, dict(lower=9, level=22, seed=905,
+                                     events={156: 4061, 19: 5283, 67: 6139, 245: 8145})),
 }
 
 
@@ -567,6 +593,12 @@ def test_kernel_matches_scalar_loop(case):
         if length is not None:
             steps = []
             _reference_chain(d, start, _exponential_draws(seed, r), path=steps, **rule)
+            if isinstance(length, tuple):
+                length, walked = length
+                walk = []
+                _reference_chain(d, start, _exponential_draws(seed, r), path=walk,
+                                 **dict(rule, horizon=math.inf))
+                assert len(walk) == walked
             assert len(steps) == length
         if untimed:
             # escape races and cycles read no exit time: they walk the same
@@ -576,6 +608,45 @@ def test_kernel_matches_scalar_loop(case):
         censored += got[1] == rule.get("horizon")
     if case in ("upper_with_cap", "horizon_with_level", "dense"):
         assert 0 < censored < 40  # both exits are exercised
+
+
+_REFERENCE_EVENTS = 6000  # examples whose oracle walks longer are dropped
+
+
+@st.composite
+def _chain_calls(draw):
+    n = draw(st.integers(2, 200))
+    rate = st.floats(-3.0, 3.0).map(lambda e: 10.0 ** e)
+    d = _d(n, alpha=draw(rate), beta=draw(rate))
+    k = draw(st.integers(0, d.N))
+    gap = st.sampled_from(range(9)).map(lambda e: 2 ** e)  # 1 to 256 counts
+    rule = {}
+    if k > 0 and draw(st.booleans()):
+        rule["lower"] = max(0, k - draw(gap))
+    if k < d.N and draw(st.booleans()):
+        rule["upper"] = min(d.N, k + draw(gap))
+    if draw(st.booleans()):
+        rule["level"] = draw(st.integers(0, d.N + 1))
+    stops = rule.keys() & {"lower", "upper"}
+    timed = not stops or draw(st.booleans())
+    if timed and (not stops or draw(st.booleans())):
+        # 16 to 8192 holding times at the start's total rate
+        tot = (d.N - k) * (d.beta / (n - 1)) + k * d.alpha
+        rule["horizon"] = 2.0 ** draw(st.sampled_from(range(4, 14))) / tot
+    return d, k, rule, timed, timed and draw(st.booleans())
+
+
+@given(call=_chain_calls(), seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=200, deadline=None)
+def test_kernel_matches_scalar_loop_on_random_inputs(call, seed):
+    d, k, rule, timed, with_path = call
+    want_path, got_path = ([], []) if with_path else (None, None)
+    draws = itertools.islice(_exponential_draws(seed, 0), _REFERENCE_EVENTS)
+    want = _reference_chain(d, k, draws, path=want_path, **rule)
+    assume(want is not None)  # the oracle ran out of draws
+    got = sim._run_chain(d, k, sim.replica_rng(seed, 0), path=got_path, timed=timed, **rule)
+    assert got == (want if timed else (want[0], None, want[2]))
+    assert got_path == want_path
 
 
 def test_jump_thresholds_keep_the_walk_in_range():
@@ -687,6 +758,36 @@ def test_first_event_time_is_one_exponential_over_the_total_rate():
             assert path.events[1][0] == rng.standard_exponential() / tot
 
 
+@pytest.mark.parametrize("rule", [dict(timed=False), dict(level=32, timed=False), {}],
+                         ids=["untimed", "untimed_level", "timed"])
+def test_final_block_draws_only_the_variates_it_reads(rule):
+    # a run leaves its Generator right after the Exp(1) variates of its
+    # final block's events, or right after that block's directions when it
+    # reads no time; every earlier block reads all of its variates
+    d = _d(40)
+    later = 0
+    for r in range(40):
+        steps = []
+        _reference_chain(d, 28, _exponential_draws(907, r), lower=20, upper=36, path=steps)
+        later += len(steps) > 128
+        rng = sim.replica_rng(907, r)
+        sim._run_chain(d, 28, rng, lower=20, upper=36, **rule)
+        ref = sim.replica_rng(907, r)
+        size, left = 128, len(steps)
+        while left > size:
+            ref.random(size)
+            ref.standard_exponential(size)
+            left -= size
+            size = min(2 * size, 2048)
+        ref.random(size)
+        if rule == dict(timed=False):
+            assert rng.bit_generator.state == ref.bit_generator.state
+        else:
+            ref.standard_exponential(left)
+            assert rng.standard_exponential() == ref.standard_exponential()
+    assert 0 < later < 40  # runs that stop in the first block and in the second
+
+
 def test_pcg64_double_draws_do_not_depend_on_draw_size():
     # the labeled chain's _uniforms reads 4096 doubles at a time; that is the
     # replica's stream of doubles in order only because of this numpy fact
@@ -697,8 +798,9 @@ def test_pcg64_double_draws_do_not_depend_on_draw_size():
 
 
 def test_pcg64_exponential_draws_do_not_depend_on_draw_size():
-    # _run_chain reads Exp(1) variates 128, 256, ... 2048 at a time, and the
-    # first-event test reads one; both see one stream only because of this
+    # _run_chain reads Exp(1) variates 128, 256, ... 2048 at a time, and in
+    # its final block one per event; the first-event test reads one; all see
+    # one stream only because of this
     whole = sim.replica_rng(77, 3).standard_exponential(1000)
     rng = sim.replica_rng(77, 3)
     parts = np.concatenate([rng.standard_exponential(s) for s in (1, 7, 128, 256, 608)])
