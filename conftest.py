@@ -2,7 +2,7 @@ import signal
 
 import pytest
 
-TIME_LIMIT_S = 120  # far above the slowest test, about 7 s
+TIME_LIMIT_S = 120  # far above the slowest test, about 5 s
 
 
 @pytest.fixture(autouse=True)

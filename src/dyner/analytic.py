@@ -3,10 +3,10 @@
 Covers the single-edge transition functions and separation, the law of the
 fastest time to stationarity and its Gumbel limit, expected hitting times of
 the edge-count chain (stable recursion, series form, and a linear-solve
-oracle) and their exact spectral law, its escape probabilities, the
-deterministic fluid limit, entropy exponents and binomial tail bounds for
-supercritical targets, and the large-deviation exponents that govern when a
-macroscopic component first appears.
+oracle), their exact spectral law with a gate-free sampler, escape
+probabilities, the deterministic fluid limit, entropy exponents and
+binomial tail bounds for supercritical targets, and the large-deviation
+exponents that govern when a macroscopic component first appears.
 """
 
 import math
@@ -35,6 +35,7 @@ __all__ = [
     "escape_probability",
     "HittingTimeLaw",
     "hitting_time_law",
+    "sample_passage",
     "fluid_time",
     "fluid_trajectory",
     "relative_entropy",
@@ -50,8 +51,6 @@ __all__ = [
 ]
 
 ORACLE_DIMENSION_CAP = 2000
-# the ends of inverse_survival's 16 cells, in units of one cell
-_CELLS = np.arange(17.0)
 
 
 def _check_time(t: float) -> None:
@@ -293,67 +292,66 @@ class HittingTimeLaw:
         x = np.asarray(x, dtype=float)
         if not np.all(x >= 0):
             raise ValueError("times must be nonnegative")
-        s = self._survival(self.weights[j], x)
-        return float(s) if s.ndim == 0 else s
-
-    def _survival(self, weights, x):
         # each time's terms are summed on their own row, so a time reads the
         # same bits alone as in any array
-        return (np.exp(-np.multiply.outer(x, self.rates)) * weights).sum(-1).clip(0.0, 1.0)
-
-    def inverse_survival(self, j: int, u: float, horizon: float) -> float:
-        """The x in [0, horizon] where survival(j, x) falls to u >= survival(j, horizon).
-
-        Each round keeps the first of 16 cells whose right end is at or below u;
-        16 rounds shrink the bracket by 2^64, past double precision.  An
-        infinite horizon is bracketed by doubling from 1/rates[0].  A NaN u,
-        or one below survival(j, horizon), raises ValueError.
-        """
-        floor = self.survival(j, horizon)
-        if not (u >= floor):
-            raise ValueError(f"u must be at least survival({j}, {horizon}) = {floor}, got {u!r}")
-        weights = self.weights[j]
-        lo, hi = 0.0, horizon
-        if math.isinf(hi):
-            hi = 1.0 / self.rates[0]
-            while self._survival(weights, hi) > u:
-                hi *= 2.0
-        for _ in range(16):
-            # the bits of np.linspace(lo, hi, 17), without its call overhead
-            grid = _CELLS * ((hi - lo) / 16)
-            grid += lo
-            grid[16] = hi
-            k = int(np.argmax(self._survival(weights, grid[1:]) <= u))
-            lo, hi = grid[k], grid[k + 1]
-        return float(hi)
+        s = (np.exp(-np.multiply.outer(x, self.rates)) * self.weights[j]).sum(-1).clip(0.0, 1.0)
+        return float(s) if s.ndim == 0 else s
 
 
 def hitting_time_law(i: int, d: DerivedParams) -> HittingTimeLaw:
-    """Spectral law of the first passage up to i, from every start below i.
-
-    Solved once per (i, d) and process; the arrays are read-only.
-    """
+    """Spectral law of the first passage up to i, from every start below i;
+    solved once per (i, d) and process, its arrays read-only."""
     if not (1 <= i <= d.N):
         raise ValueError(f"target must be in [1, {d.N}], got {i}")
     return _hitting_time_law(i, d)
 
 
+def _killed_chain(i: int, d: DerivedParams) -> tuple:
+    """The birth and death rates at the counts 0..i-1, which the generator killed at i keeps."""
+    k = np.arange(i)
+    return (d.N - k) * (d.beta / (d.n - 1)), k * d.alpha
+
+
+def _symmetrised(birth, death) -> np.ndarray:
+    """The killed generator symmetrised by pi^{1/2}, pi_{k+1}/pi_k = birth_k/death_{k+1}."""
+    off = -np.sqrt(birth[:-1] * death[1:])
+    return np.diag(birth + death) + np.diag(off, 1) + np.diag(off, -1)
+
+
+@lru_cache(maxsize=8)
+def _killed_rates(i: int, d: DerivedParams) -> np.ndarray:
+    """The rates of the generator killed at i, ascending and read-only; the
+    smallest, which can sit below the solver's absolute precision, comes
+    from the exact mean, sum_k 1/rate_k = E(tau_0(i))."""
+    rates = np.linalg.eigvalsh(_symmetrised(*_killed_chain(i, d)))
+    rates[0] = 1.0 / (math.exp(_hitting_logs(d, i)[0]) - np.sum(1.0 / rates[1:]))
+    rates.setflags(write=False)  # the cache hands this array to every caller
+    return rates
+
+
+def _rates_below(j: int, d: DerivedParams, x: np.ndarray) -> np.ndarray:
+    """How many rates of the generator killed at j lie below each x: the
+    negative LDL^T pivots p_k of its symmetrised form minus x (Sylvester),
+    run as r_k = p_k - birth_k = death_k r_{k-1}/p_{k-1} - x, which does not
+    cancel, so even rates below the solver's precision are resolved."""
+    r, p, pivots = np.zeros(len(x)), 1.0, np.empty((j, len(x)))
+    with np.errstate(divide="ignore", invalid="ignore"):  # a zero pivot
+        for birth, death, row in zip(*(a.tolist() for a in _killed_chain(j, d)), pivots):
+            r *= death
+            r /= p
+            r -= x
+            p = np.add(r, birth, out=row)
+    return np.count_nonzero(pivots < 0, axis=0)
+
+
 @lru_cache(maxsize=8)
 def _hitting_time_law(i: int, d: DerivedParams) -> HittingTimeLaw:
-    k = np.arange(i)
-    birth = (d.N - k) * (d.beta / (d.n - 1))
-    death = k * d.alpha
-    # generator killed at i, symmetrised by pi^{1/2} with pi the reversible
-    # measure pi_{k+1}/pi_k = birth_k/death_{k+1}, kept in logs
-    off = -np.sqrt(birth[:-1] * death[1:])
-    eig, vec = np.linalg.eigh(np.diag(birth + death) + np.diag(off, 1) + np.diag(off, -1))
+    birth, death = _killed_chain(i, d)
+    _, vec = np.linalg.eigh(_symmetrised(birth, death))
     log_pi = np.concatenate(([0.0], np.cumsum(np.log(birth[:-1]) - np.log(death[1:]))))
     half = 0.5 * (log_pi - log_pi.max())
     means = np.exp(_hitting_logs(d, i))
-    # the smallest eigenvalue can sit below the solver's absolute precision;
-    # recover it from the exact mean from 0, sum_k 1/rate_k = E(tau_0(i))
-    rates = eig.copy()
-    rates[0] = 1.0 / (means[0] - np.sum(1.0 / eig[1:]))
+    rates = _killed_rates(i, d)
     # deep starts overflow or cancel here; the gate refuses them
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         # a_k(j) = V_jk sum_l V_lk (pi_l/pi_j)^{1/2}
@@ -361,9 +359,30 @@ def _hitting_time_law(i: int, d: DerivedParams) -> HittingTimeLaw:
         accepted = (np.abs(weights.sum(axis=1) - 1.0) <= LAW_TOLERANCE) & (
             np.abs(weights @ (1.0 / rates) - means) <= LAW_TOLERANCE * means
         )
-    for arr in (rates, weights, accepted):
+    for arr in (weights, accepted):
         arr.setflags(write=False)
     return HittingTimeLaw(target=i, rates=rates, weights=weights, accepted=accepted)
+
+
+def sample_passage(j: int, i: int, d: DerivedParams, uniform) -> float:
+    """One draw of tau_j(i) from the next i + j floats in [0, 1) of `uniform`.
+
+    With lambda and mu the rates of the generators killed at i and at j,
+    Keilson's tau_0(i) = sum_k E_k/lambda_k (E_k ~ Exp(1)) is tau_0(j) plus
+    an independent tau_j(i), and Cauchy interlacing, lambda_k <= mu_k, gives
+    (Fill 2009) tau_j(i) = sum_k B_k E_k/lambda_k, with B_k ~ Bernoulli(1 -
+    lambda_k/mu_k) for k < j and 1 above.  The first j uniforms give the B_k:
+    u_k < 1 - lambda_k/mu_k when at most k of the mu lie below
+    lambda_k/(1 - u_k), so mu is counted, not listed, and no start is refused.
+    """
+    if not (0 <= j < i <= d.N):
+        raise ValueError(f"need 0 <= j < i <= {d.N}, got j={j}, i={i}")
+    lam = _killed_rates(i, d)
+    u = np.array([uniform() for _ in range(i + j)])
+    terms = -np.log1p(-u[j:]) / lam
+    if j:
+        terms[:j] *= _rates_below(j, d, lam[:j] / (1.0 - u[:j])) <= np.arange(j)
+    return float(terms.sum())
 
 
 def fluid_time(c_start: float, c_end: float, d: DerivedParams) -> float:

@@ -12,20 +12,20 @@ and a list of component counts indexed by size keeps the largest size.
 The first-passage samplers share one driver, `_component_passage`, which
 bounds the largest component by a union-find that ignores deletions, fed
 the added edges one at a time, and rebuilds it only when the bound reaches
-the threshold.  Where the component comes first, one uniform settles the
-edge passage; emergence runs place it in time, domination flags do not
-need to.
+the threshold.  Where the component comes first, one draw from two
+killed spectra (`analytic.sample_passage`) settles the edge passage, for
+emergence runs and domination flags alike.
 """
 
 import math
 from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
 
-from .analytic import c_epsilon, hitting_time_law
+from .analytic import c_epsilon, sample_passage
 from .model import DerivedParams, closest_integer
 from .simulate import HittingSample, default_hitting_cap, replica_rng, run_replicas
 
@@ -365,42 +365,6 @@ class EmergenceSample:
     dominated: bool | None
 
 
-def _emergence_passage(d, eps, delta, seed, cap, replica):
-    """One emergence replica: (sample, settled).  `settled` is None, or the
-    (law, m, u, cap) of an edge passage that ends after tau_component and
-    is not yet placed in time; the sample's tau_edges then reads the cap."""
-    cap, threshold = _passage_bounds(d, eps, cap)
-    if not (delta > 0.0 and eps + delta < 1.0):
-        raise ValueError(f"need delta > 0 with eps + delta < 1, got delta={delta!r}")
-    edge_target = closest_integer(c_epsilon(eps + delta) * d.n)
-    if edge_target > d.N:
-        raise ValueError(f"edge target {edge_target} exceeds the pair count {d.N}")
-    uniform = _uniforms(seed, replica)
-    edges = []
-    flips = _edge_flips(d, uniform, cap, edges)
-    tau_component, tau_edges = _component_passage(flips, edges, d.n, threshold, edge_target)
-    settled = None
-    if tau_component is not None and tau_edges is None:
-        # the edge count is a Markov chain on its own: from m edges, one
-        # uniform u settles its passage against the exact law S(x) =
-        # P(tau_m(target) > x), censored when u < S(cap - tau_component).
-        # Starts refused by the law's precision gate follow the flips.
-        law = hitting_time_law(edge_target, d)
-        m = len(edges)
-        if not law.accepts(m):
-            tau_edges = next((t for t, added, _ in flips
-                              if added and len(edges) >= edge_target), None)
-        elif (u := uniform()) >= law.survival(m, cap - tau_component):
-            settled = (law, m, u, cap)
-    dominated = True if settled else None if tau_edges is None else (
-        tau_component is not None and tau_component <= tau_edges)
-    sample = EmergenceSample(
-        cap if tau_component is None else tau_component, tau_component is None,
-        cap if tau_edges is None else tau_edges, tau_edges is None and not settled,
-        dominated)
-    return sample, settled
-
-
 def emergence_run(
     d: DerivedParams,
     eps: float,
@@ -409,15 +373,30 @@ def emergence_run(
     cap: float | None = None,
     replica: int = 0,
 ) -> EmergenceSample:
-    """One dynamic run recording both emergence times and the domination flag;
-    tau_edges is read off the flips when the edge count comes first, else a
-    settled passage is placed in time by inverting its exact law."""
-    sample, settled = _emergence_passage(d, eps, delta, seed, cap, replica)
-    if settled:
-        law, m, u, cap = settled
-        tau = sample.tau_component
-        sample = replace(sample, tau_edges=min(cap, tau + law.inverse_survival(m, u, cap - tau)))
-    return sample
+    """One dynamic run recording both emergence times and the domination flag.
+
+    tau_edges is read off the flips when the edge count comes first.  When
+    the component comes first, at m edges, the edge count, a Markov chain on
+    its own, ends its passage after one draw of tau_m(target) from the
+    replica's uniforms (`analytic.sample_passage`), censored past the cap.
+    """
+    cap, threshold = _passage_bounds(d, eps, cap)
+    if not (delta > 0.0 and eps + delta < 1.0):
+        raise ValueError(f"need delta > 0 with eps + delta < 1, got delta={delta!r}")
+    edge_target = closest_integer(c_epsilon(eps + delta) * d.n)
+    if edge_target > d.N:
+        raise ValueError(f"edge target {edge_target} exceeds the pair count {d.N}")
+    uniform, edges = _uniforms(seed, replica), []
+    flips = _edge_flips(d, uniform, cap, edges)
+    tau_component, tau_edges = _component_passage(flips, edges, d.n, threshold, edge_target)
+    if tau_component is not None and tau_edges is None:
+        t = tau_component + sample_passage(len(edges), edge_target, d, uniform)
+        tau_edges = t if t <= cap else None
+    dominated = None if tau_edges is None else (
+        tau_component is not None and tau_component <= tau_edges)
+    return EmergenceSample(
+        cap if tau_component is None else tau_component, tau_component is None,
+        cap if tau_edges is None else tau_edges, tau_edges is None, dominated)
 
 
 def emergence_samples(
@@ -437,9 +416,8 @@ def domination_run(
 ) -> bool | None:
     """Pathwise domination flag: has the largest component reached ceil(eps n)
     by the first time the edge count hits [c_{eps+delta} n]?  None when the cap
-    intervenes first.  The `dominated` field of the replica's emergence_run.
-    """
-    return _emergence_passage(d, eps, delta, seed, cap, replica)[0].dominated
+    intervenes first.  The `dominated` field of the replica's emergence_run."""
+    return emergence_run(d, eps, delta, seed, cap, replica).dominated
 
 
 def domination_samples(

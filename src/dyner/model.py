@@ -6,11 +6,11 @@ beta/(n-1).  The edge count's birth rate is rounded in two orders:
 `birth_rate` and the recursion `analytic._hitting_step_logs` compute
 (N-k) beta/(n-1); the event kernels (`simulate._rate_lists`, whose
 windows give the count chain both its jump thresholds and the total rates
-of its holding times, and `components._edge_flips`) and
-`analytic._hitting_time_law` compute (N-k) (beta/(n-1)).  They can differ
-in the last bit, and output pins both: every random stream pins the
-kernels' order, and the exact means pin the recursion's.  Emergence runs
-read those means, so the recursion in the kernels' order changes the
+of its holding times, and `components._edge_flips`) and the spectral
+law's and its sampler's `analytic._killed_chain` compute (N-k) (beta/(n-1)).
+They can differ in the last bit, and output pins both: every random stream
+pins the kernels' order, and the exact means pin the recursion's.  Emergence
+runs read those means, so the recursion in the kernels' order changes the
 `components emergence` README digest.  So the two orders stay apart.
 """
 

@@ -5,8 +5,8 @@ exponentials per step), which by superposition has exactly the same law as
 tracking all N per-edge clocks but costs O(1) per event.  One event loop,
 `_run_chain`, serves every sampler here; each sampler only picks its stop
 rule (absorbing counts, a time horizon, a level to time above).  The loop
-walks the jump directions in Python and leaves the holding times to numpy,
-once per run or per 2048 pending events, drawing them only where read.
+walks the jump directions in Python and leaves the holding times to numpy
+in batches, drawing them only where read.
 Every replica owns an independent, reproducible random stream derived from
 (seed, replica), so results are bit-identical regardless of how replicas
 are spread over workers.
@@ -165,9 +165,10 @@ def _run_chain(d, k, rng, lower=-1, upper=-1, horizon=math.inf, level=None, path
     final block only those of its events, none when no time is read.
 
     The directions of all blocks go to one byte string, and numpy reads
-    them only when the walk stops or at least 2048 events are pending,
-    which bounds the pending arrays and the walk past a horizon.  So the
-    blocks pending before the last one, of size B, hold at most
+    them only when the walk stops, at least 2048 events are pending, or a
+    bound on their time (each block's variates over the smaller end of its
+    window's total rates, which are linear in the count) passes the horizon.
+    So the blocks pending before the last one, of size B, hold at most
     128 + ... + B/2 = B - 128 events, and the last block's window, which
     reaches B counts beyond its start either way, holds every count they
     visit.  Numpy divides the variates of the events whose times are read
@@ -182,8 +183,7 @@ def _run_chain(d, k, rng, lower=-1, upper=-1, horizon=math.inf, level=None, path
     if not (lower < k < upper):
         raise ValueError(f"start {k} must lie strictly between {lower} and {upper}")
     reads = timed or level is not None
-    t = 0.0
-    above = 0.0
+    t = above = due = 0.0  # due bounds the time after the pending events
     size = _FIRST_BLOCK
     base = k  # the count before the pending events
     ups = bytearray()  # the pending jump directions, as signed bytes (255 is -1)
@@ -213,8 +213,10 @@ def _run_chain(d, k, rng, lower=-1, upper=-1, horizon=math.inf, level=None, path
             x = rng.standard_exponential(len(ups) - pending)
         if reads:
             xs.append(x)
+        if horizon < math.inf:
+            due += float(x.sum()) / min(tot[0], tot[-1])
         size = min(2 * size, _LAST_BLOCK)
-        if not (stopped or len(ups) >= _LAST_BLOCK):
+        if not (stopped or len(ups) >= _LAST_BLOCK or due > horizon):
             continue
         # event times and time above `level` where read, by index in the
         # last block's window, which holds every pending count
@@ -244,7 +246,7 @@ def _run_chain(d, k, rng, lower=-1, upper=-1, horizon=math.inf, level=None, path
             return lo + int(before[cut]), horizon, float(above)
         if stopped:
             return k, (t if timed else None), float(above)
-        base = k
+        base, due = k, t
         ups = bytearray()  # a new one: numpy may still hold the old one's buffer
         xs = []
 

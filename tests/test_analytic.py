@@ -286,58 +286,71 @@ def test_hitting_time_law_survival_of_one_time_is_its_entry_in_an_array():
             assert law.survival(j, xs).tolist() == [law.survival(j, x) for x in xs.tolist()]
 
 
-@pytest.mark.parametrize("horizon", [50.0, math.inf])
-def test_hitting_time_law_inverse_survival(horizon):
-    # the returned x is where the survival falls to u: at or below u at x,
-    # above it just before
-    law = an.hitting_time_law(32, _d(40))
-    checked = 0
-    for j in (0, 16, 24, 31):
-        for u in (0.9, 0.5, 0.3, 0.1, 1e-3):
-            if u < law.survival(j, horizon):
-                continue
-            x = law.inverse_survival(j, u, horizon)
-            assert 0.0 < x <= horizon
-            assert law.survival(j, x) <= u
-            assert u < law.survival(j, x * (1.0 - 1e-9))
-            checked += 1
-    assert checked >= 12
-    with pytest.raises(ValueError):
-        law.inverse_survival(32, 0.5, horizon)
-    with pytest.raises(ValueError):
-        an.hitting_time_law(128, _d(200)).inverse_survival(0, 0.5, horizon)
+# ------------------------------------------------------------ passage sampler
 
 
-def test_inverse_survival_from_the_settle_bound_lands_near_the_horizon():
-    # an emergence replica settles its edge passage when u >= survival(m,
-    # rest) and inverts it on [0, rest].  From u at that bound, or the next
-    # two doubles up, the passage time lies near rest: every round must read
-    # at least one cell at or below u, else it would keep its first cell
-    law = an.hitting_time_law(32, _d(40))
-    early, checked = [], 0
-    for j in range(16, 32):
-        for rest in np.linspace(0.5, 20.0, 400).tolist():
-            u = law.survival(j, rest)
-            if u > 1.0 - 1e-6:
-                continue
-            for _ in range(3):
-                x = law.inverse_survival(j, u, rest)
-                if not x >= 0.9 * rest:
-                    early.append((j, rest, u, x))
-                checked += 1
-                u = math.nextafter(u, 1.0)
-    assert checked > 15_000
-    assert early == []
+def _uniform(seed, count):
+    return iter(np.random.default_rng(seed).random(count).tolist()).__next__
 
 
-def test_inverse_survival_refuses_nan_and_u_below_the_horizon_survival():
-    law = an.hitting_time_law(32, _d(40))
-    floor = law.survival(20, 5.0)
-    for u, horizon in ((math.nan, 5.0), (math.nextafter(floor, 0.0), 5.0),
-                       (math.nan, math.inf), (-1e-300, math.inf)):
-        with pytest.raises(ValueError, match="survival"):
-            law.inverse_survival(20, u, horizon)
-    assert law.inverse_survival(20, floor, 5.0) == pytest.approx(5.0, rel=1e-9)
+def test_sample_passage_matches_the_law_at_accepted_starts():
+    # by DKW each empirical CDF is within sqrt(log(2/a) / (2 reps)) of the
+    # true one except with probability a
+    from scipy.stats import kstest
+
+    d = _d(40)
+    law = an.hitting_time_law(32, d)
+    reps = 5_000
+    bound = math.sqrt(math.log(2 / 1e-3) / (2 * reps))
+    for j in (0, 10, 20, 31):
+        assert law.accepts(j)
+        uniform = _uniform(j, reps * (32 + j))
+        draws = [an.sample_passage(j, 32, d, uniform) for _ in range(reps)]
+        assert kstest(draws, lambda x: 1.0 - law.survival(j, x)).statistic <= bound
+
+
+def test_sample_passage_mean_at_a_start_the_gate_refuses():
+    d = _d(200)
+    assert not an.hitting_time_law(128, d).accepts(0)
+    reps = 2_000
+    uniform = _uniform(3, reps * 128)
+    draws = np.array([an.sample_passage(0, 128, d, uniform) for _ in range(reps)])
+    se = draws.std(ddof=1) / math.sqrt(reps)
+    assert abs(draws.mean() - an.expected_hitting(0, 128, d).value) <= 5 * se
+
+
+def test_rates_below_counts_the_spectrum_to_relative_precision():
+    # against the dense solver where it resolves the rates, and at n=500,
+    # j=400, around a smallest rate near 6e-17, far below its precision
+    d = _d(200)
+    for j in (1, 60, 127):
+        rates = np.linalg.eigvalsh(an._symmetrised(*an._killed_chain(j, d)))
+        x = np.sort(np.random.default_rng(j).uniform(0.0, 1.2 * rates[-1], 500))
+        assert an._rates_below(j, d, x).tolist() == np.searchsorted(rates, x).tolist()
+    d = _d(500)
+    smallest = an._killed_rates(400, d)[0]
+    assert smallest < 1e-15
+    x = smallest * np.array([1.0 - 1e-9, 1.0 + 1e-9])
+    assert an._rates_below(400, d, x).tolist() == [0, 1]
+
+
+@pytest.mark.parametrize("n,i", [(40, 32), (200, 128)])
+def test_killed_rates_interlace(n, i):
+    # Cauchy: the rates killed at j < i sit at or above the first j killed at i
+    d = _d(n)
+    lam = an._killed_rates(i, d)
+    for j in range(1, i):
+        assert np.all(lam[:j] <= an._killed_rates(j, d) * (1.0 + 1e-12))
+
+
+def test_sample_passage_reads_i_plus_j_uniforms():
+    d = _d(40)
+    reads = []
+    an.sample_passage(10, 32, d, lambda: reads.append(1) or 0.5)
+    assert len(reads) == 42
+    for j, i in ((-1, 5), (5, 5), (0, d.N + 1)):
+        with pytest.raises(ValueError):
+            an.sample_passage(j, i, d, _uniform(0, 100))
 
 
 # ------------------------------------------------------------ fluid limit

@@ -476,7 +476,7 @@ README_DIGESTS = [
      "8d616989783b6dea3219f99493b526fbe68b871c2d3a6dce906b63fcf2e64ad6"),
     (["components", "emergence", "--n", "100", "--eps", "0.3", "--delta", "0.1",
       "--replicas", "20", "--seed", "9"],
-     "c0b995ac4c2cb90d2b8a46108b7bd5c855e610a0678ae7c4e2726e5ac5a6431e"),
+     "2e837ceba7621b98eb32369e8220b81b55270953fa2d0ff553822e11cf7255f0"),
     (["analytic", "hitting", "--n", "3", "--alpha", "1", "--beta", "1", "--from", "0",
       "--to", "2"],
      "0846c05ec48e1324b3f3906de33de0281063937f18557d1de8aa2f08e5506e53"),

@@ -383,14 +383,12 @@ def test_emergence_validation():
 def _reference_emergence(d, eps, delta, seed, cap=None, replica=0):
     # the tracked loop that _component_passage replaced, kept as its oracle:
     # a GraphState follows every flip until the component passage is seen,
-    # and the flips' own edge list gives the edge count until its passage.
-    # Also returns the edge count at the component passage (None without one)
+    # and the flips' own edge list gives the edge count until its passage
     cap, threshold = comp._passage_bounds(d, eps, cap)
     edge_target = closest_integer(an.c_epsilon(eps + delta) * d.n)
     state = comp.GraphState(d.n)
     edges = []
     tau_component = None if threshold > 1 else 0.0
-    crossing_edges = None if threshold > 1 else 0
     tau_edges = dominated = None
     for t, added, key in comp._edge_flips(d, comp._uniforms(seed, replica), cap, edges):
         if tau_component is None:
@@ -399,44 +397,35 @@ def _reference_emergence(d, eps, delta, seed, cap=None, replica=0):
             else:
                 state.remove_edge(*divmod(key, d.n))
             if state.largest_component_size() >= threshold:
-                tau_component, crossing_edges = t, state.edge_count
+                tau_component = t
         if tau_edges is None and len(edges) >= edge_target:
             tau_edges = t
             dominated = tau_component is not None and tau_component <= t
         if tau_component is not None and tau_edges is not None:
             break
-    return tau_component, tau_edges, dominated, crossing_edges
+    return tau_component, tau_edges, dominated
 
 
-@pytest.mark.parametrize("n,reps,cap,eps,delta,seed,min_refused", [
-    pytest.param(60, 200, None, 0.3, 0.1, 80, 0, id="60-200-None"),
-    pytest.param(100, 100, None, 0.3, 0.1, 80, 0, id="100-100-None"),
-    pytest.param(300, 10, 20.0, 0.3, 0.1, 80, 0, id="300-10-20.0"),
+@pytest.mark.parametrize("n,reps,cap,eps,delta,seed", [
+    pytest.param(60, 200, None, 0.3, 0.1, 80, id="60-200-None"),
+    pytest.param(100, 100, None, 0.3, 0.1, 80, id="100-100-None"),
+    pytest.param(300, 10, 20.0, 0.3, 0.1, 80, id="300-10-20.0"),
     # threshold 4, edge target 121: the law's gate refuses every start
-    # below 27 edges, so most runs follow the flips after the component
-    pytest.param(200, 10, None, 0.02, 0.3, 3, 1, id="200-10-None-refused"),
+    # below 27 edges, where the passage is drawn all the same
+    pytest.param(200, 10, None, 0.02, 0.3, 3, id="200-10-None-refused"),
 ])
-def test_emergence_matches_reference(n, reps, cap, eps, delta, seed, min_refused):
+def test_emergence_matches_reference(n, reps, cap, eps, delta, seed):
     # tau_component is read off the same flips, so it is equal bit for bit;
-    # tau_edges is too wherever the edge target came first, or the component
-    # came first at an edge count the law's precision gate refuses
+    # so is tau_edges wherever the edge target came first
     d = _d(n)
-    law = an.hitting_time_law(closest_integer(an.c_epsilon(eps + delta) * n), d)
     cap_used = comp._passage_bounds(d, eps, cap)[0]
-    refused = 0
     for r in range(reps):
         sample = comp.emergence_run(d, eps, delta, seed=seed, cap=cap, replica=r)
-        tau_component, tau_edges, dominated, m = _reference_emergence(d, eps, delta, seed, cap, r)
+        tau_component, tau_edges, dominated = _reference_emergence(d, eps, delta, seed, cap, r)
         assert sample.component_censored == (tau_component is None)
         assert sample.tau_component == (cap_used if tau_component is None else tau_component)
         if dominated is False:
             assert (sample.tau_edges, sample.dominated) == (tau_edges, False)
-        component_first = m is not None and (tau_edges is None or tau_edges > tau_component)
-        if component_first and not law.accepts(m):
-            refused += 1
-            assert sample.tau_edges == (cap_used if tau_edges is None else tau_edges)
-            assert sample.dominated == dominated
-    assert refused >= min_refused
 
 
 def test_emergence_law_draw_matches_reference_law():
@@ -451,16 +440,15 @@ def test_emergence_law_draw_matches_reference_law():
     assert ks_2samp(drawn, followed).statistic <= 2 * math.sqrt(math.log(4 / 1e-3) / (2 * reps))
 
 
-def test_emergence_places_settled_passage_by_inverse_survival():
-    # the first replica whose component comes first, at an edge count m the
-    # law accepts: the next uniform of its stream, u, settles the edge
-    # passage, and tau_edges = tau_component + inverse_survival(m, u, rest)
+def test_emergence_places_settled_passage_by_the_spectral_draw():
+    # the first replica whose component comes first, at m edges: the next
+    # uniforms of its stream draw tau_m(target), and tau_edges is
+    # tau_component plus that draw
     d = _d(80)
     eps, delta, seed = 0.3, 0.1, 90
     cap, threshold = comp._passage_bounds(d, eps, None)
     assert cap == sim.default_hitting_cap(d)
     edge_target = closest_integer(an.c_epsilon(eps + delta) * d.n)
-    law = an.hitting_time_law(edge_target, d)
     for r in range(20):
         draws = 0
         stream = comp._uniforms(seed, r)
@@ -480,15 +468,16 @@ def test_emergence_places_settled_passage_by_inverse_survival():
                 state.remove_edge(*divmod(key, d.n))
             if state.largest_component_size() >= threshold:
                 break
-        m, rest = len(edges), cap - t
-        u = float(sim.replica_rng(seed, r).random(draws + 1)[draws])
-        if m < edge_target and law.accepts(m) and u >= law.survival(m, rest):
+        m = len(edges)
+        if m < edge_target:
             break
     else:
-        pytest.fail("no settled replica")
+        pytest.fail("no replica whose component comes first")
+    rest = sim.replica_rng(seed, r).random(draws + m + edge_target)[draws:]
+    passage = an.sample_passage(m, edge_target, d, iter(rest.tolist()).__next__)
     sample = comp.emergence_run(d, eps, delta, seed, replica=r)
     assert (sample.tau_component, sample.edges_censored) == (t, False)
-    assert sample.tau_edges == t + law.inverse_survival(m, u, rest) < cap
+    assert sample.tau_edges == t + passage < cap
 
 
 def test_emergence_same_addition_dominates():
@@ -548,14 +537,14 @@ def test_domination_censoring_agrees_with_tracked_emergence():
     # the component comes first and one uniform settles the edge passage
     pytest.param(200, 0.3, 0.1, None, 1, 30, True, id="settled"),
     pytest.param(100, 0.2, 0.25, 25.0, 87, 60, None, id="censored-at-cap"),
-    # the law's gate refuses most starts, which then follow the flips
+    # the law's gate refuses most starts; the draw needs no gate
     pytest.param(200, 0.02, 0.3, None, 3, 10, True, id="refused-follow-flips"),
     pytest.param(10, 0.75, 0.05, None, 98, 200, True, id="same-addition"),
     pytest.param(100, 0.3, 0.1, 15.0, 11, 150, False, id="many-false"),
 ])
 def test_domination_flag_is_emergence_flag(n, eps, delta, cap, seed, reps, seen):
-    # domination_run skips placing a settled tau_edges in time, and must
-    # still give the flag of the replica's emergence_run, replica for replica
+    # domination_run gives the flag of the replica's emergence_run, replica
+    # for replica
     d = _d(n)
     flags = []
     for r in range(reps):

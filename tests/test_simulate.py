@@ -721,6 +721,31 @@ def test_kernel_paths_span_many_blocks():
     assert all(type(t) is float and type(k) is int for t, k in got)
 
 
+class _CountingRng:
+    """A Generator that counts its `random` calls, one per block of directions."""
+
+    def __init__(self, rng):
+        self.rng, self.blocks = rng, 0
+
+    def random(self, size):
+        self.blocks += 1
+        return self.rng.random(size)
+
+    def __getattr__(self, name):
+        return getattr(self.rng, name)
+
+
+def test_horizon_in_the_first_block_reads_at_most_two_blocks():
+    # the pending times are summed once a bound on them passes the horizon,
+    # so a short trajectory does not walk and draw blocks far past it
+    d = _d(6)
+    for r in range(50):
+        rng, path = _CountingRng(sim.replica_rng(101, r)), []
+        sim._run_chain(d, 0, rng, horizon=3.0, path=path)
+        assert len(path) < 128
+        assert rng.blocks <= 2
+
+
 def test_hitting_time_with_infinite_cap_is_exact():
     # an infinite cap censors nothing, and the sample still carries its time
     d = _d(40)
