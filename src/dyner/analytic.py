@@ -318,13 +318,21 @@ def _symmetrised(birth, death) -> np.ndarray:
     return np.diag(birth + death) + np.diag(off, 1) + np.diag(off, -1)
 
 
+_LOG_MAX = math.log(np.finfo(float).max)
+
+
 @lru_cache(maxsize=8)
 def _killed_rates(i: int, d: DerivedParams) -> np.ndarray:
     """The rates of the generator killed at i, ascending and read-only; the
     smallest, which can sit below the solver's absolute precision, comes
-    from the exact mean, sum_k 1/rate_k = E(tau_0(i))."""
+    from the exact mean, sum_k 1/rate_k = E(tau_0(i)), in logs where the mean
+    overflows."""
     rates = np.linalg.eigvalsh(_symmetrised(*_killed_chain(i, d)))
-    rates[0] = 1.0 / (math.exp(_hitting_logs(d, i)[0]) - np.sum(1.0 / rates[1:]))
+    log_mean, rest = float(_hitting_logs(d, i)[0]), float(np.sum(1.0 / rates[1:]))
+    if log_mean < _LOG_MAX:
+        rates[0] = 1.0 / (math.exp(log_mean) - rest)
+    else:  # the mean leaves double range; the rate may underflow to 0
+        rates[0] = math.exp(-log_mean - math.log1p(-rest * math.exp(-log_mean)))
     rates.setflags(write=False)  # the cache hands this array to every caller
     return rates
 
@@ -374,14 +382,30 @@ def sample_passage(j: int, i: int, d: DerivedParams, uniform) -> float:
     lambda_k/mu_k) for k < j and 1 above.  The first j uniforms give the B_k:
     u_k < 1 - lambda_k/mu_k when at most k of the mu lie below
     lambda_k/(1 - u_k), so mu is counted, not listed, and no start is refused.
+    A rate that underflows to 0 makes the draw inf.
     """
+    return _thinned_sum(j, d, *_passage_terms(j, i, d, uniform))
+
+
+def _passage_terms(j: int, i: int, d: DerivedParams, uniform) -> tuple:
+    """The terms E_k/lambda_k of a draw of tau_j(i), all kept, from the next
+    i + j uniforms, and the shifts lambda_k/(1 - u_k) that thin the first j."""
     if not (0 <= j < i <= d.N):
         raise ValueError(f"need 0 <= j < i <= {d.N}, got j={j}, i={i}")
     lam = _killed_rates(i, d)
     u = np.array([uniform() for _ in range(i + j)])
-    terms = -np.log1p(-u[j:]) / lam
+    with np.errstate(divide="ignore", over="ignore"):  # a rate at or near 0
+        return -np.log1p(-u[j:]) / lam, lam[:j] / (1.0 - u[:j])
+
+
+def _thinned_sum(j: int, d: DerivedParams, terms: np.ndarray, shifts: np.ndarray) -> float:
+    """The draw: the sum of `terms`, term k < j kept when at most k rates
+    killed at j lie below shift k.  Dropped terms are set to 0 in place, not
+    multiplied by 0, which would make an inf term NaN.  Floating-point
+    addition is monotone in each operand, so the sum of the same array
+    before thinning bounds the draw."""
     if j:
-        terms[:j] *= _rates_below(j, d, lam[:j] / (1.0 - u[:j])) <= np.arange(j)
+        terms[:j][_rates_below(j, d, shifts) > np.arange(j)] = 0.0
     return float(terms.sum())
 
 

@@ -12,9 +12,11 @@ and a list of component counts indexed by size keeps the largest size.
 The first-passage samplers share one driver, `_component_passage`, which
 bounds the largest component by a union-find that ignores deletions, fed
 the added edges one at a time, and rebuilds it only when the bound reaches
-the threshold.  Where the component comes first, one draw from two
-killed spectra (`analytic.sample_passage`) settles the edge passage, for
-emergence runs and domination flags alike.
+the threshold.  Emergence runs and domination flags share one driver,
+`_emergence`: where the component comes first, one draw from two killed
+spectra (`analytic.sample_passage`) settles the edge passage.  A flag
+thins the draw's terms only when their sum all kept could end past the
+cap, since that sum bounds the draw.
 """
 
 import math
@@ -25,7 +27,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .analytic import c_epsilon, sample_passage
+from .analytic import _passage_terms, _thinned_sum, c_epsilon
 from .model import DerivedParams, closest_integer
 from .simulate import HittingSample, default_hitting_cap, replica_rng, run_replicas
 
@@ -365,6 +367,39 @@ class EmergenceSample:
     dominated: bool | None
 
 
+def _emergence(
+    d: DerivedParams, eps: float, delta: float, seed: int, cap: float | None,
+    replica: int, flag_only: bool = False,
+) -> tuple:
+    """The run behind emergence_run and domination_run: (cap, tau_component,
+    tau_edges, dominated), a time None when censored.
+
+    The passage draw sums terms E_k/lambda_k with some of the first m set to
+    0, so U, their sum all kept, bounds it.  With `flag_only`, a passage with
+    tau_component + U <= cap is not thinned, and tau_edges is then that
+    bound, which gives the same flag.
+    """
+    cap, threshold = _passage_bounds(d, eps, cap)
+    if not (delta > 0.0 and eps + delta < 1.0):
+        raise ValueError(f"need delta > 0 with eps + delta < 1, got delta={delta!r}")
+    edge_target = closest_integer(c_epsilon(eps + delta) * d.n)
+    if edge_target > d.N:
+        raise ValueError(f"edge target {edge_target} exceeds the pair count {d.N}")
+    uniform, edges = _uniforms(seed, replica), []
+    flips = _edge_flips(d, uniform, cap, edges)
+    tau_component, tau_edges = _component_passage(flips, edges, d.n, threshold, edge_target)
+    if tau_component is not None and tau_edges is None:
+        m = len(edges)
+        terms, shifts = _passage_terms(m, edge_target, d, uniform)
+        t = tau_component + float(terms.sum())  # every term kept: + U
+        if not (flag_only and t <= cap):
+            t = tau_component + _thinned_sum(m, d, terms, shifts)
+        tau_edges = t if t <= cap else None
+    dominated = None if tau_edges is None else (
+        tau_component is not None and tau_component <= tau_edges)
+    return cap, tau_component, tau_edges, dominated
+
+
 def emergence_run(
     d: DerivedParams,
     eps: float,
@@ -380,20 +415,7 @@ def emergence_run(
     its own, ends its passage after one draw of tau_m(target) from the
     replica's uniforms (`analytic.sample_passage`), censored past the cap.
     """
-    cap, threshold = _passage_bounds(d, eps, cap)
-    if not (delta > 0.0 and eps + delta < 1.0):
-        raise ValueError(f"need delta > 0 with eps + delta < 1, got delta={delta!r}")
-    edge_target = closest_integer(c_epsilon(eps + delta) * d.n)
-    if edge_target > d.N:
-        raise ValueError(f"edge target {edge_target} exceeds the pair count {d.N}")
-    uniform, edges = _uniforms(seed, replica), []
-    flips = _edge_flips(d, uniform, cap, edges)
-    tau_component, tau_edges = _component_passage(flips, edges, d.n, threshold, edge_target)
-    if tau_component is not None and tau_edges is None:
-        t = tau_component + sample_passage(len(edges), edge_target, d, uniform)
-        tau_edges = t if t <= cap else None
-    dominated = None if tau_edges is None else (
-        tau_component is not None and tau_component <= tau_edges)
+    cap, tau_component, tau_edges, dominated = _emergence(d, eps, delta, seed, cap, replica)
     return EmergenceSample(
         cap if tau_component is None else tau_component, tau_component is None,
         cap if tau_edges is None else tau_edges, tau_edges is None, dominated)
@@ -416,8 +438,11 @@ def domination_run(
 ) -> bool | None:
     """Pathwise domination flag: has the largest component reached ceil(eps n)
     by the first time the edge count hits [c_{eps+delta} n]?  None when the cap
-    intervenes first.  The `dominated` field of the replica's emergence_run."""
-    return emergence_run(d, eps, delta, seed, cap, replica).dominated
+    intervenes first.  The `dominated` field of the replica's emergence_run,
+    from the same uniforms; the passage's thinning, which costs a pass over
+    the generator killed at m per draw, is taken only when its all-kept sum
+    could end past the cap."""
+    return _emergence(d, eps, delta, seed, cap, replica, flag_only=True)[3]
 
 
 def domination_samples(

@@ -213,8 +213,8 @@ def _run_chain(d, k, rng, lower=-1, upper=-1, horizon=math.inf, level=None, path
             x = rng.standard_exponential(len(ups) - pending)
         if reads:
             xs.append(x)
-        if horizon < math.inf:
-            due += float(x.sum()) / min(tot[0], tot[-1])
+        if horizon < math.inf and not stopped:  # a stopped walk is summed anyway
+            due += float(np.add.reduce(x)) / min(tot.item(0), tot.item(-1))
         size = min(2 * size, _LAST_BLOCK)
         if not (stopped or len(ups) >= _LAST_BLOCK or due > horizon):
             continue

@@ -353,6 +353,40 @@ def test_sample_passage_reads_i_plus_j_uniforms():
             an.sample_passage(j, i, d, _uniform(0, 100))
 
 
+@given(i=st.integers(1, 120), data=st.data())
+@settings(max_examples=80, deadline=None)
+def test_all_kept_sum_bounds_the_draw(i, data):
+    # the draw sums the same array with some terms set to 0, so the sum
+    # before thinning is at least the draw, in floating point too
+    d = _d(40)
+    j = data.draw(st.integers(0, i - 1))
+    seed = data.draw(st.integers(0, 2**32 - 1))
+    terms, shifts = an._passage_terms(j, i, d, _uniform(seed, i + j))
+    bound = float(terms.sum())
+    draw = an._thinned_sum(j, d, terms, shifts)
+    assert bound >= draw == an.sample_passage(j, i, d, _uniform(seed, i + j))
+
+
+def test_thinning_selects_so_an_infinite_term_can_be_dropped():
+    d = _d(40)  # one rate killed at 1, the birth rate 780/39 = 20
+    assert an._thinned_sum(1, d, np.array([math.inf, 2.0]), np.array([21.0])) == 2.0
+    assert an._thinned_sum(1, d, np.array([math.inf, 2.0]), np.array([19.0])) == math.inf
+
+
+def test_sample_passage_past_double_range_is_inf():
+    # at n=500 the mean passage from 0 to 1163 is e^877.7: the smallest rate,
+    # fixed in logs, underflows to 0, and every draw is inf
+    d = _d(500)
+    assert an._hitting_logs(d, 1163)[0] > 877.0
+    assert an._killed_rates(1163, d)[0] == 0.0
+    for j in (0, 25):
+        assert an.sample_passage(j, 1163, d, _uniform(j, 1163 + j)) == math.inf
+    # short of underflow it is the reciprocal of the mean, e^-723.2
+    log_mean = an._hitting_logs(d, 1060)[0]
+    assert log_mean > math.log(np.finfo(float).max)
+    assert an._killed_rates(1060, d)[0] == pytest.approx(math.exp(-log_mean), rel=1e-9)
+
+
 # ------------------------------------------------------------ fluid limit
 
 

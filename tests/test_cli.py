@@ -159,6 +159,17 @@ def test_all_censored_exits_3(capsys):
     assert "true" in out  # censored flags present, samples not dropped
 
 
+def test_emergence_past_double_range_is_censored():
+    # the edge target 1163 lies e^877.7 away in mean time at n=500: the
+    # passage draw is inf, censored at the cap, with no traceback or warning
+    proc = run_proc("components", "emergence", "--n", "500", "--eps", "0.05",
+                    "--delta", "0.94", "--replicas", "1", "--seed", "1",
+                    env_extra={"PYTHONWARNINGS": "error::RuntimeWarning"}, timeout=120)
+    assert proc.returncode == 3
+    assert proc.stderr == b""
+    assert proc.stdout.decode().splitlines()[-1].endswith(",true,,,")
+
+
 @pytest.mark.parametrize("cap", ["inf", "1e400"])
 def test_infinite_cap_reports_every_time(cap, capsys):
     # argparse reads 1e400 as inf; an infinite cap censors nothing

@@ -534,24 +534,49 @@ def test_domination_censoring_agrees_with_tracked_emergence():
 
 
 @pytest.mark.parametrize("n,eps,delta,cap,seed,reps,seen", [
-    # the component comes first and one uniform settles the edge passage
-    pytest.param(200, 0.3, 0.1, None, 1, 30, True, id="settled"),
-    pytest.param(100, 0.2, 0.25, 25.0, 87, 60, None, id="censored-at-cap"),
-    # the law's gate refuses most starts; the draw needs no gate
-    pytest.param(200, 0.02, 0.3, None, 3, 10, True, id="refused-follow-flips"),
-    pytest.param(10, 0.75, 0.05, None, 98, 200, True, id="same-addition"),
-    pytest.param(100, 0.3, 0.1, 15.0, 11, 150, False, id="many-false"),
+    # the component comes first, and the passage's all-kept sum settles it
+    pytest.param(200, 0.3, 0.1, None, 1, 30, {(False, True)}, id="settled"),
+    # some passages settle on that sum; the rest take the count, which
+    # keeps them under the cap or censors them
+    pytest.param(100, 0.2, 0.25, 25.0, 87, 200, {(False, True), (True, True), (True, None)},
+                 id="censored-at-cap"),
+    # the law's gate refuses most starts; the draw needs no gate (the id
+    # names the walk of the flips that the draw replaced)
+    pytest.param(200, 0.02, 0.3, None, 3, 10, {(False, True)}, id="refused-follow-flips"),
+    pytest.param(10, 0.75, 0.05, None, 98, 200, {(False, True)}, id="same-addition"),
+    pytest.param(100, 0.3, 0.1, 15.0, 11, 150, {(False, False)}, id="many-false"),
 ])
-def test_domination_flag_is_emergence_flag(n, eps, delta, cap, seed, reps, seen):
+def test_domination_flag_is_emergence_flag(n, eps, delta, cap, seed, reps, seen, monkeypatch):
     # domination_run gives the flag of the replica's emergence_run, replica
-    # for replica
+    # for replica, from the same i + j uniforms of the passage draw, though
+    # it takes the count (`_rates_below`) only when the all-kept sum of the
+    # draw's terms could end past the cap; `seen` lists (count taken, flag)
+    # pairs that must occur
     d = _d(n)
-    flags = []
+    counted = []
+    rates_below = an._rates_below
+    monkeypatch.setattr(an, "_rates_below", lambda *a: counted.append(a) or rates_below(*a))
+    outcomes = set()
     for r in range(reps):
+        del counted[:]
         flag = comp.domination_run(d, eps, delta, seed, cap=cap, replica=r)
+        outcomes.add((bool(counted), flag))
         assert flag is comp.emergence_run(d, eps, delta, seed, cap=cap, replica=r).dominated
-        flags.append(flag)
-    assert seen in flags
+    assert seen <= outcomes
+
+
+def test_default_cap_flags_never_take_the_count(monkeypatch):
+    # at n=200 under the default cap every all-kept sum fits, so a flag
+    # never counts rates below its shifts, while emergence_run still does
+    d = _d(200)
+
+    def refuse(*args):
+        raise AssertionError("the count was taken")
+
+    monkeypatch.setattr(an, "_rates_below", refuse)
+    assert [comp.domination_run(d, 0.3, 0.1, 1, replica=r) for r in range(30)] == [True] * 30
+    with pytest.raises(AssertionError, match="the count was taken"):
+        comp.emergence_run(d, 0.3, 0.1, 1, replica=0)
 
 
 def test_domination_worker_independence():
