@@ -2,7 +2,7 @@ import signal
 
 import pytest
 
-TIME_LIMIT_S = 120  # far above the slowest test, about 5 s
+TIME_LIMIT_S = 120  # far above the slowest test, perfbench's traced smoke test at about 6 s
 
 
 @pytest.fixture(autouse=True)

@@ -17,7 +17,7 @@ from functools import lru_cache
 import numpy as np
 
 from .logspace import LogNonNegative, log_add
-from .model import DerivedParams, birth_rate, closest_integer, death_rate
+from .model import DerivedParams, _kernel_rates, birth_rate, closest_integer, death_rate
 
 __all__ = [
     "transition_probability",
@@ -306,33 +306,21 @@ def hitting_time_law(i: int, d: DerivedParams) -> HittingTimeLaw:
     return _hitting_time_law(i, d)
 
 
-def _killed_chain(i: int, d: DerivedParams) -> tuple:
-    """The birth and death rates at the counts 0..i-1, which the generator killed at i keeps."""
-    k = np.arange(i)
-    return (d.N - k) * (d.beta / (d.n - 1)), k * d.alpha
-
-
 def _symmetrised(birth, death) -> np.ndarray:
     """The killed generator symmetrised by pi^{1/2}, pi_{k+1}/pi_k = birth_k/death_{k+1}."""
     off = -np.sqrt(birth[:-1] * death[1:])
     return np.diag(birth + death) + np.diag(off, 1) + np.diag(off, -1)
 
 
-_LOG_MAX = math.log(np.finfo(float).max)
-
-
 @lru_cache(maxsize=8)
 def _killed_rates(i: int, d: DerivedParams) -> np.ndarray:
     """The rates of the generator killed at i, ascending and read-only; the
     smallest, which can sit below the solver's absolute precision, comes
-    from the exact mean, sum_k 1/rate_k = E(tau_0(i)), in logs where the mean
-    overflows."""
-    rates = np.linalg.eigvalsh(_symmetrised(*_killed_chain(i, d)))
+    from the exact mean, sum_k 1/rate_k = E(tau_0(i)), in logs, so a mean
+    past double range gives a rate that underflows, even to 0."""
+    rates = np.linalg.eigvalsh(_symmetrised(*_kernel_rates(0, i, d)))
     log_mean, rest = float(_hitting_logs(d, i)[0]), float(np.sum(1.0 / rates[1:]))
-    if log_mean < _LOG_MAX:
-        rates[0] = 1.0 / (math.exp(log_mean) - rest)
-    else:  # the mean leaves double range; the rate may underflow to 0
-        rates[0] = math.exp(-log_mean - math.log1p(-rest * math.exp(-log_mean)))
+    rates[0] = math.exp(-log_mean - math.log1p(-rest * math.exp(-log_mean)))
     rates.setflags(write=False)  # the cache hands this array to every caller
     return rates
 
@@ -344,7 +332,7 @@ def _rates_below(j: int, d: DerivedParams, x: np.ndarray) -> np.ndarray:
     cancel, so even rates below the solver's precision are resolved."""
     r, p, pivots = np.zeros(len(x)), 1.0, np.empty((j, len(x)))
     with np.errstate(divide="ignore", invalid="ignore"):  # a zero pivot
-        for birth, death, row in zip(*(a.tolist() for a in _killed_chain(j, d)), pivots):
+        for birth, death, row in zip(*(a.tolist() for a in _kernel_rates(0, j, d)), pivots):
             r *= death
             r /= p
             r -= x
@@ -354,14 +342,15 @@ def _rates_below(j: int, d: DerivedParams, x: np.ndarray) -> np.ndarray:
 
 @lru_cache(maxsize=8)
 def _hitting_time_law(i: int, d: DerivedParams) -> HittingTimeLaw:
-    birth, death = _killed_chain(i, d)
+    birth, death = _kernel_rates(0, i, d)
     _, vec = np.linalg.eigh(_symmetrised(birth, death))
     log_pi = np.concatenate(([0.0], np.cumsum(np.log(birth[:-1]) - np.log(death[1:]))))
     half = 0.5 * (log_pi - log_pi.max())
-    means = np.exp(_hitting_logs(d, i))
     rates = _killed_rates(i, d)
-    # deep starts overflow or cancel here; the gate refuses them
+    # deep starts and means past double range overflow or cancel here; the
+    # gate refuses them
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        means = np.exp(_hitting_logs(d, i))
         # a_k(j) = V_jk sum_l V_lk (pi_l/pi_j)^{1/2}
         weights = vec * (vec.T @ np.exp(half)) * np.exp(-half)[:, None]
         accepted = (np.abs(weights.sum(axis=1) - 1.0) <= LAW_TOLERANCE) & (
@@ -414,7 +403,10 @@ def fluid_time(c_start: float, c_end: float, d: DerivedParams) -> float:
 
     Valid when both densities sit strictly on the same side of the fixed
     point beta/(2 alpha) with c_end closer to it; the value is
-    -log((beta - 2 alpha c_end)/(beta - 2 alpha c_start)) / alpha.
+    -log((beta - 2 alpha c_end)/(beta - 2 alpha c_start)) / alpha.  With
+    q = 2 (c_start - c_end)/(beta - 2 alpha c_start) it is taken as
+    -q log1p(alpha q)/(alpha q), which keeps its digits when the ratio is
+    near 1, even when alpha q is subnormal or underflows.
     """
     for name, c in (("c_start", c_start), ("c_end", c_end)):
         if not (math.isfinite(c) and c >= 0):
@@ -433,8 +425,9 @@ def fluid_time(c_start: float, c_end: float, d: DerivedParams) -> float:
             f"beta/(2 alpha) < c_end < c_start; got c_start={c_start}, "
             f"c_end={c_end} with beta/(2 alpha)={fixed_point}"
         )
-    ratio = (d.beta - 2.0 * d.alpha * c_end) / (d.beta - 2.0 * d.alpha * c_start)
-    return -math.log(ratio) / d.alpha
+    q = 2.0 * (c_start - c_end) / (d.beta - 2.0 * d.alpha * c_start)
+    x = d.alpha * q
+    return -q * (math.log1p(x) / x if x else 1.0)
 
 
 def fluid_trajectory(t: float, c_start: float, d: DerivedParams) -> float:

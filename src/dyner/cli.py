@@ -254,10 +254,9 @@ def _trajectory(o, d):
 
 def _hitting_samples(o, d):
     j, i = _as_count(o, "from"), _as_count(o, "to")
-    if o["cap"] is None:
-        o["cap"] = sim.default_hitting_cap(d)
     samples = sim.sample_hitting_times(d, j, i, o["replicas"], o["seed"], cap=o["cap"],
                                        workers=o["workers"])
+    o["cap"] = sim._resolve_cap(d, o["cap"])  # after the samplers' own checks
     uncensored = [s.time for s in samples if not s.censored]
     rows = [{"replica": r, "time": s.time, "censored": s.censored} for r, s in enumerate(samples)]
     return _samples(rows, uncensored)
@@ -301,10 +300,9 @@ def _static(o, _):
 
 
 def _emergence(o, d):
-    if o["cap"] is None:
-        o["cap"] = sim.default_hitting_cap(d)
     samples = comp.emergence_samples(d, o["eps"], o["delta"], o["replicas"], o["seed"],
                                      cap=o["cap"], workers=o["workers"])
+    o["cap"] = sim._resolve_cap(d, o["cap"])  # after the samplers' own checks
     rows = [{"replica": r, "tau_component": s.tau_component,
              "component_censored": s.component_censored, "tau_edges": s.tau_edges,
              "edges_censored": s.edges_censored, "dominated": s.dominated}

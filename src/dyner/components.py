@@ -29,7 +29,7 @@ import numpy as np
 
 from .analytic import _passage_terms, _thinned_sum, c_epsilon
 from .model import DerivedParams, closest_integer
-from .simulate import HittingSample, default_hitting_cap, replica_rng, run_replicas
+from .simulate import HittingSample, _resolve_cap, replica_rng, run_replicas
 
 __all__ = [
     "GraphEvent",
@@ -292,16 +292,12 @@ def simulate_graph(
 
 
 def _passage_bounds(d: DerivedParams, eps: float, cap: float | None) -> tuple:
-    """(cap, threshold) of a component passage: the cap, the default one when
-    None, and the threshold ceil(eps n); checks eps and the cap."""
+    """(cap, threshold) of a component passage: the resolved cap and the
+    threshold ceil(eps n); checks eps, then the cap."""
     if not (0.0 < eps < 1.0):
         raise ValueError(f"eps must be in (0, 1), got {eps!r}")
-    if cap is None:
-        cap = default_hitting_cap(d)
-    if not (cap > 0):
-        raise ValueError(f"cap must be positive, got {cap!r}")
     # ceil(eps n) with a guard against float crumbs just above an integer
-    return cap, math.ceil(eps * d.n - 1e-9)
+    return _resolve_cap(d, cap), math.ceil(eps * d.n - 1e-9)
 
 
 def _component_passage(flips, edges: list, n: int, threshold: int, edge_target=math.inf):
@@ -370,9 +366,8 @@ class EmergenceSample:
 def _emergence(
     d: DerivedParams, eps: float, delta: float, seed: int, cap: float | None,
     replica: int, flag_only: bool = False,
-) -> tuple:
-    """The run behind emergence_run and domination_run: (cap, tau_component,
-    tau_edges, dominated), a time None when censored.
+) -> EmergenceSample:
+    """The run behind emergence_run and domination_run.
 
     The passage draw sums terms E_k/lambda_k with some of the first m set to
     0, so U, their sum all kept, bounds it.  With `flag_only`, a passage with
@@ -397,7 +392,9 @@ def _emergence(
         tau_edges = t if t <= cap else None
     dominated = None if tau_edges is None else (
         tau_component is not None and tau_component <= tau_edges)
-    return cap, tau_component, tau_edges, dominated
+    return EmergenceSample(
+        cap if tau_component is None else tau_component, tau_component is None,
+        cap if tau_edges is None else tau_edges, tau_edges is None, dominated)
 
 
 def emergence_run(
@@ -415,10 +412,7 @@ def emergence_run(
     its own, ends its passage after one draw of tau_m(target) from the
     replica's uniforms (`analytic.sample_passage`), censored past the cap.
     """
-    cap, tau_component, tau_edges, dominated = _emergence(d, eps, delta, seed, cap, replica)
-    return EmergenceSample(
-        cap if tau_component is None else tau_component, tau_component is None,
-        cap if tau_edges is None else tau_edges, tau_edges is None, dominated)
+    return _emergence(d, eps, delta, seed, cap, replica)
 
 
 def emergence_samples(
@@ -442,7 +436,7 @@ def domination_run(
     from the same uniforms; the passage's thinning, which costs a pass over
     the generator killed at m per draw, is taken only when its all-kept sum
     could end past the cap."""
-    return _emergence(d, eps, delta, seed, cap, replica, flag_only=True)[3]
+    return _emergence(d, eps, delta, seed, cap, replica, flag_only=True).dominated
 
 
 def domination_samples(

@@ -4,10 +4,10 @@ Each of the N = n(n-1)/2 vertex pairs carries an independent on-off process:
 a present edge is deleted at rate alpha, an absent edge appears at rate
 beta/(n-1).  The edge count's birth rate is rounded in two orders:
 `birth_rate` and the recursion `analytic._hitting_step_logs` compute
-(N-k) beta/(n-1); the event kernels (`simulate._rate_lists`, whose
-windows give the count chain both its jump thresholds and the total rates
-of its holding times, and `components._edge_flips`) and the spectral
-law's and its sampler's `analytic._killed_chain` compute (N-k) (beta/(n-1)).
+(N-k) beta/(n-1); the kernels and the killed generators compute
+(N-k) (beta/(n-1)), spelled out twice: in `_kernel_rates`, which gives the
+count chain's rate windows and the spectral law's killed chains, and per
+event in `components._edge_flips`.
 They can differ in the last bit, and output pins both: every random stream
 pins the kernels' order, and the exact means pin the recursion's.  Emergence
 runs read those means, so the recursion in the kernels' order changes the
@@ -16,6 +16,8 @@ runs read those means, so the recursion in the kernels' order changes the
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 __all__ = [
     "ModelParams",
@@ -86,6 +88,12 @@ def derive(params: ModelParams) -> DerivedParams:
 def _check_count(k: int, d: DerivedParams) -> None:
     if not (0 <= k <= d.N):
         raise ValueError(f"edge count must be in [0, {d.N}], got {k}")
+
+
+def _kernel_rates(lo: int, hi: int, d: DerivedParams) -> tuple:
+    """The birth and death rates at the counts lo..hi-1, in the kernels' order."""
+    k = np.arange(lo, hi)
+    return (d.N - k) * (d.beta / (d.n - 1)), k * d.alpha
 
 
 def birth_rate(k: int, d: DerivedParams) -> float:

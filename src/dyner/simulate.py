@@ -30,7 +30,7 @@ from .analytic import (
     expected_stationarity_time,
 )
 from .logspace import LogNonNegative, ZERO
-from .model import DerivedParams, closest_integer
+from .model import DerivedParams, _kernel_rates, closest_integer
 from .stats import EstimateCI, mean_ci
 
 __all__ = [
@@ -255,16 +255,15 @@ def _run_chain(d, k, rng, lower=-1, upper=-1, horizon=math.inf, level=None, path
 def _rate_lists(lo, hi, d, lower, upper):
     """The window of counts lo..hi-1: (jump thresholds, total rates).
 
-    The thresholds lam/tot, with the birth rate lam = (N - k) (beta/(n - 1))
-    and the total rate tot = lam + k alpha, are a tuple of Python floats
+    The thresholds lam/tot, with the birth rate lam and the total rate
+    tot = lam + mu of `model._kernel_rates`, are a tuple of Python floats
     with None at `lower` and `upper` where they fall in the window; the
     total rates are a read-only array.  Cached: `_run_chain` asks for
     aligned windows, so the replicas of one sampler, which start from one
     count and share its stops, mostly ask for the same windows.
     """
-    counts = np.arange(lo, hi)
-    lam = (d.N - counts) * (d.beta / (d.n - 1))
-    tot = lam + counts * d.alpha
+    lam, mu = _kernel_rates(lo, hi, d)
+    tot = lam + mu
     th = (lam / tot).tolist()
     for stop in (lower, upper):
         if lo <= stop < hi:
@@ -321,6 +320,15 @@ def default_hitting_cap(d: DerivedParams) -> float:
     return 1e4 * expected_stationarity_time(d)
 
 
+def _resolve_cap(d: DerivedParams, cap: float | None) -> float:
+    """The censoring cap of a passage: `cap`, or the default one when None;
+    checked positive."""
+    cap = default_hitting_cap(d) if cap is None else cap
+    if not (cap > 0):
+        raise ValueError(f"cap must be positive, got {cap!r}")
+    return cap
+
+
 def simulate_trajectory(
     d: DerivedParams, start: int, horizon: float, seed: int, replica: int = 0
 ) -> Trajectory:
@@ -349,10 +357,7 @@ def sample_hitting_time(
     """
     if not (0 <= start < target <= d.N):
         raise ValueError(f"need 0 <= start < target <= {d.N}, got {start}, {target}")
-    if cap is None:
-        cap = default_hitting_cap(d)
-    if not (cap > 0):
-        raise ValueError(f"cap must be positive, got {cap!r}")
+    cap = _resolve_cap(d, cap)
     k, t, _ = _run_chain(d, start, replica_rng(seed, replica), upper=target, horizon=cap)
     return HittingSample(t, k != target)
 
@@ -428,8 +433,8 @@ def sample_hitting_times(
     workers: int = 1,
 ) -> list:
     """Replicated first-passage samples (censoring flagged per sample)."""
-    if cap is None:
-        cap = default_hitting_cap(d)
+    if cap is None:  # once per call; a given cap is checked per replica, after its counts
+        cap = _resolve_cap(d, cap)
     return run_replicas(sample_hitting_time, (d, start, target, seed, cap), replicas, workers)
 
 

@@ -451,7 +451,8 @@ def test_c11b_escape_probability_exact():
 
 
 def _run_cli(*argv, workers=None):
-    env = dict(os.environ)
+    # a RuntimeWarning fails the command, as it fails a test in-process
+    env = dict(os.environ, PYTHONWARNINGS="error::RuntimeWarning")
     env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
     cmd = [sys.executable, "-m", "dyner", *argv]
     if workers is not None:

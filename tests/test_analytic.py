@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from dyner import analytic as an
 from dyner.logspace import LogNonNegative
-from dyner.model import ModelParams, derive
+from dyner.model import ModelParams, _kernel_rates, derive
 
 
 def _d(n, alpha=1.0, beta=1.0):
@@ -324,7 +324,7 @@ def test_rates_below_counts_the_spectrum_to_relative_precision():
     # j=400, around a smallest rate near 6e-17, far below its precision
     d = _d(200)
     for j in (1, 60, 127):
-        rates = np.linalg.eigvalsh(an._symmetrised(*an._killed_chain(j, d)))
+        rates = np.linalg.eigvalsh(an._symmetrised(*_kernel_rates(0, j, d)))
         x = np.sort(np.random.default_rng(j).uniform(0.0, 1.2 * rates[-1], 500))
         assert an._rates_below(j, d, x).tolist() == np.searchsorted(rates, x).tolist()
     d = _d(500)
@@ -373,6 +373,15 @@ def test_thinning_selects_so_an_infinite_term_can_be_dropped():
     assert an._thinned_sum(1, d, np.array([math.inf, 2.0]), np.array([19.0])) == math.inf
 
 
+def test_hitting_time_law_past_double_range_builds_without_warning():
+    # every mean passage up to 1163 at n=500 is past double range, the
+    # smallest rate 0: the law builds (RuntimeWarning is an error here) and
+    # its gate refuses every start
+    law = an.hitting_time_law(1163, _d(500))
+    assert law.rates[0] == 0.0
+    assert not law.accepted.any()
+
+
 def test_sample_passage_past_double_range_is_inf():
     # at n=500 the mean passage from 0 to 1163 is e^877.7: the smallest rate,
     # fixed in logs, underflows to 0, and every draw is inf
@@ -393,6 +402,30 @@ def test_sample_passage_past_double_range_is_inf():
 def test_fluid_time_examples(d40):
     assert an.fluid_time(0.0, 0.25, d40) == pytest.approx(math.log(2.0), rel=1e-12)
     assert an.fluid_time(0.0, 0.3, d40) == pytest.approx(0.916290731874155, rel=1e-12)
+
+
+def _exact_fluid_time(c_start, c_end, d):
+    # the doubles' exact values through 800 digits: even a subnormal alpha
+    # leaves the ratio distinct from 1
+    with localcontext() as ctx:
+        ctx.prec = 800
+        c_start, c_end, alpha, beta = map(Decimal, (c_start, c_end, d.alpha, d.beta))
+        ratio = (beta - 2 * alpha * c_end) / (beta - 2 * alpha * c_start)
+        return float(-ratio.ln() / alpha)
+
+
+@pytest.mark.parametrize("c_start,c_end,n,alpha", [
+    (0.3 - 1e-9, 0.3, 40, 1.0),  # the ratio is 1 - 5e-9
+    (0.0, 0.3, 10, 1e-12),  # the ratio is 1 - 6e-13
+    (0.0, 0.3, 10, 1e-320),  # a subnormal step alpha q
+    (0.0, 0.3, 10, 5e-324),  # a step alpha q that underflows to 0
+    (0.6, 0.55, 10, 1.0),  # above the fixed point; the doubles' value is not log 2
+    (0.0, 0.3, 100, 1.0),  # the README command, 0.916290731874155
+])
+def test_fluid_time_is_exact_when_the_ratio_is_near_one(c_start, c_end, n, alpha):
+    d = _d(n, alpha)
+    assert an.fluid_time(c_start, c_end, d) == pytest.approx(
+        _exact_fluid_time(c_start, c_end, d), rel=1e-12, abs=0.0)
 
 
 def test_fluid_time_continuity_at_coincidence(d40):
@@ -555,6 +588,7 @@ def test_cycle_expectation_examples():
     assert an.cycle_expectation(0.37, tail(1.0)).value == pytest.approx(0.37, rel=1e-12)
     got = an.cycle_expectation(0.05, tail(math.exp(-3.04))).value
     assert got == pytest.approx(0.05 * math.exp(3.04), rel=1e-12)
+    assert an.cycle_expectation(0.0, tail(0.05)).log_value == -math.inf
     with pytest.raises(ValueError):
         an.cycle_expectation(0.05, tail(0.0))
 
@@ -617,3 +651,24 @@ def test_rate_functions_domain():
         an.rate_functions(0.85)  # c_eps >= 1, edge-route exponent undefined
     with pytest.raises(ValueError):
         an.rate_functions(1.2)
+
+
+# ------------------------------------------------------------ input checks
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda d: an.stationary_probability(2, d), "edge states must be 0 or 1"),
+    (lambda d: an.expected_hitting_step_series(d.N, d), r"step start must be in \[0, 2\]"),
+    (lambda d: an.expected_hitting_oracle(2, 2, d), "need 0 <= j < i <= 3"),
+    (lambda d: an.fluid_trajectory(1.0, -0.1, d), "c_start must be a finite nonnegative"),
+    (lambda d: an.relative_entropy(1.5, 0.3), r"a must be in \[0, 1\]"),
+    (lambda d: an.relative_entropy(0.5, 1.0), r"p must be in \(0, 1\)"),
+    (lambda d: an.binomial_tail(d.N + 1, d), r"count must be in \[0, 3\]"),
+    (lambda d: an.cycle_expectation(-1.0, LogNonNegative(-1.0)), "time_above must be nonneg"),
+    (lambda d: an.cycle_expectation(1.0, LogNonNegative(0.1)), "tail must be a probability"),
+    (lambda d: an.rate_functions_small_eps(0.0), r"eps must be in \(0, 1\)"),
+], ids=["stationary-state", "series-start", "oracle-range", "trajectory-start",
+        "entropy-a", "entropy-p", "tail-count", "cycle-time", "cycle-tail", "small-eps"])
+def test_input_checks_raise(call, message, d3):
+    with pytest.raises(ValueError, match=message):
+        call(d3)

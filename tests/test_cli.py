@@ -20,7 +20,8 @@ def run_cli(*argv, check_exit=0, capsys=None):
 
 
 def run_proc(*argv, env_extra=None, timeout=None):
-    env = dict(os.environ)
+    # a RuntimeWarning fails the command here, as it fails a test in-process
+    env = dict(os.environ, PYTHONWARNINGS="error::RuntimeWarning")
     env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
     if env_extra:
         env.update(env_extra)
@@ -163,8 +164,7 @@ def test_emergence_past_double_range_is_censored():
     # the edge target 1163 lies e^877.7 away in mean time at n=500: the
     # passage draw is inf, censored at the cap, with no traceback or warning
     proc = run_proc("components", "emergence", "--n", "500", "--eps", "0.05",
-                    "--delta", "0.94", "--replicas", "1", "--seed", "1",
-                    env_extra={"PYTHONWARNINGS": "error::RuntimeWarning"}, timeout=120)
+                    "--delta", "0.94", "--replicas", "1", "--seed", "1", timeout=120)
     assert proc.returncode == 3
     assert proc.stderr == b""
     assert proc.stdout.decode().splitlines()[-1].endswith(",true,,,")
@@ -210,6 +210,54 @@ def test_rates_grid_stops_at_eps_max(eps_max, step, last, count, capsys):
     grid = [float(row.split(",")[0]) for row in rows]
     assert len(grid) == count
     assert grid[0] == 0.01 and grid[-1] == last
+
+
+@pytest.mark.parametrize("config,argv,code,message", [
+    pytest.param("# a comment\n\n  \nn=4\nt=0.5\n", ["analytic", "stationarity"], 0, "",
+                 id="config-skips-blank-and-comment-lines"),
+    pytest.param("n 4\n", ["analytic", "stationarity", "--t", "0.5"], 2,
+                 "config line 1 is not key=value", id="config-line-without-equals"),
+    pytest.param(None, ["components", "emergence", "--n", "2", "--eps", "0.4", "--delta", "0.5",
+                        "--replicas", "1", "--seed", "1"], 2,
+                 "edge target 3 exceeds the pair count 1", id="emergence-target-above-N"),
+    pytest.param(None, ["analytic", "rates", "--eps-min", "0.3", "--eps-max", "0.3",
+                        "--svg", "{tmp}/one.svg"], 0, "", id="rates-one-point-svg"),
+])
+def test_rarely_taken_paths(config, argv, code, message, tmp_path, capsys):
+    argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
+    if config is not None:
+        path = tmp_path / "run.cfg"
+        path.write_text(config)
+        argv += ["--config", str(path)]
+    assert main(argv) == code
+    captured = capsys.readouterr()
+    assert message in captured.err
+    if config is not None and code == 0:
+        assert "# n=4\n" in captured.out  # read past the skipped lines
+    if "--svg" in argv:
+        assert (tmp_path / "one.svg").read_text().count("<polyline") == 2
+
+
+_HITTING = ["simulate", "hitting", "--n", "10", "--seed", "1"]
+_EMERGENCE = ["components", "emergence", "--n", "20", "--delta", "0.1", "--seed", "1"]
+
+
+@pytest.mark.parametrize("argv,message", [
+    (_HITTING + ["--from", "0", "--to", "3", "--replicas", "0", "--cap", "-1"],
+     "replicas must be positive"),
+    (_HITTING + ["--from", "5", "--to", "3", "--replicas", "2", "--cap", "-1"],
+     "need 0 <= start < target"),
+    (_HITTING + ["--from", "0", "--to", "3", "--replicas", "2", "--cap", "-1"],
+     "cap must be positive"),
+    (_EMERGENCE + ["--eps", "1.5", "--replicas", "0", "--cap", "-1"],
+     "replicas must be positive"),
+    (_EMERGENCE + ["--eps", "1.5", "--replicas", "2", "--cap", "-1"], "eps must be in"),
+    (_EMERGENCE + ["--eps", "0.3", "--replicas", "2", "--cap", "nan"], "cap must be positive"),
+], ids=["hitting-replicas", "hitting-range", "hitting-cap", "emergence-replicas",
+        "emergence-eps", "emergence-cap"])
+def test_cap_is_checked_after_the_other_inputs(argv, message, capsys):
+    assert main(argv) == 2
+    assert message in capsys.readouterr().err
 
 
 def test_config_file_round_trip_and_override(tmp_path, capsys):

@@ -588,6 +588,15 @@ def test_domination_worker_independence():
     assert None in serial and True in serial
 
 
+@pytest.mark.parametrize("call,message", [
+    (lambda: comp.GraphState(1), "need at least 2 vertices"),
+    (lambda: comp.emergence_run(_d(2), 0.4, 0.5, 1), "edge target 3 exceeds the pair count 1"),
+], ids=["one-vertex-graph", "edge-target-above-N"])
+def test_input_checks_raise(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 def test_domination_rejects_nonpositive_cap():
     d = _d(40)
     for cap in (-1.0, 0.0, math.nan):

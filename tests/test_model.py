@@ -97,3 +97,9 @@ def test_closest_integer_ties_to_even():
     assert closest_integer(2.5) == 2
     assert closest_integer(2.4) == 2
     assert closest_integer(2.6) == 3
+
+
+@pytest.mark.parametrize("alpha", ["1", None, True, 1j])
+def test_non_real_rate_rejected(alpha):
+    with pytest.raises(ValueError, match="alpha must be a positive real"):
+        ModelParams(4, alpha, 1.0)

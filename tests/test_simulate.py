@@ -347,6 +347,19 @@ def test_escape_validation():
         sim.sample_escape_probability(d, 2, 5, 2, 100, seed=1)
 
 
+@pytest.mark.parametrize("call,message", [
+    (lambda d: sim.simulate_trajectory(d, d.N + 1, 1.0, seed=1), r"must be in \[0, 45\]"),
+    (lambda d: sim.sample_time_above(d, 3, 3, seed=1), "need 0 <= s < i"),
+    (lambda d: sim.renewal_targets(d, 5.0), r"\[c n\] = 50 exceeds the pair count 45"),
+    (lambda d: sim.renewal_targets(d, 0.52), r"\[c n\] = 5 must exceed s"),
+    (lambda d: sim.sample_escape_probability(d, 4, 6, 2, 1, seed=1), "at least 2 replicas"),
+], ids=["trajectory-start", "time-above-floor", "renewal-above-N", "renewal-at-s",
+        "escape-one-replica"])
+def test_input_checks_raise(call, message):
+    with pytest.raises(ValueError, match=message):
+        call(_d(10))
+
+
 # ------------------------------------------------------------ replica plumbing
 
 

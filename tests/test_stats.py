@@ -45,6 +45,12 @@ def test_half_width_scales_like_inverse_sqrt_count():
     assert full * math.sqrt(2) == pytest.approx(half, rel=0.15)
 
 
+@pytest.mark.parametrize("samples", [[], ()])
+def test_ks_needs_a_sample(samples):
+    with pytest.raises(ValueError, match="need at least one sample"):
+        ks_distance(samples, lambda x: 0.5)
+
+
 def test_ks_single_sample_at_median():
     assert ks_distance([0.0], lambda x: 0.5) == pytest.approx(0.5)
 
