@@ -5,8 +5,10 @@ exponentials per step), which by superposition has exactly the same law as
 tracking all N per-edge clocks but costs O(1) per event.  One event loop,
 `_run_chain`, serves every sampler here; each sampler only picks its stop
 rule (absorbing counts, a time horizon, a level to time above).  The loop
-walks the jump directions in Python and leaves the holding times to numpy
-in batches, drawing them only where read.
+walks the jump directions in a C function, compiled with the platform's C
+compiler on first use and loaded through ctypes, or in Python where it
+cannot be built (`_walk`, the reference, which gives the same bytes); it
+leaves the holding times to numpy in batches, drawing them only where read.
 Every replica owns an independent, reproducible random stream derived from
 (seed, replica), so results are bit-identical regardless of how replicas
 are spread over workers.
@@ -137,6 +139,101 @@ def replica_rng(seed: int, replica: int = 0) -> np.random.Generator:
 _FIRST_BLOCK = 128  # events read by a run's first block
 _LAST_BLOCK = 2048  # blocks double up to this size
 
+# The compiled form of `_walk`, built on a run's first use by `_compiled_walk`.
+# It takes a window as `_rate_lists` gives it (thresholds, their count and
+# the stop indices, clipped to [-1, len]), walks up to `size` uniforms from
+# index j, writing each step (+1 or -1) to `out` from index `at`, and returns
+# (at + steps) * len + j for the index j it ended on.  j stays in [0, len)
+# before every read, so no read leaves the window.
+_WALK_SOURCE = """\
+int walk(const double *th, int len, int lower, int upper,
+         const double *u, int size, int j, signed char *out, int at)
+{
+    int i = 0;
+    out += at;
+    while (i < size && 0 <= j && j < len) {
+        int step = u[i] < th[j] ? 1 : -1;
+        out[i++] = (signed char)step;
+        j += step;
+        if (j == lower || j == upper)
+            break;
+    }
+    return (at + i) * len + j;
+}
+"""
+
+
+@lru_cache(maxsize=1)
+def _compiled_walk():
+    """The compiled walk and the writable view of a run's direction buffer
+    it writes through, or None when the walk cannot be built or loaded.
+
+    The shared library is compiled by the platform C compiler, `cc`, on first
+    use and kept in the package's `__pycache__`, named by a hash of the
+    source and the platform tag; it is written to a temporary file there and
+    moved into place, so processes that build it at once do not collide.
+    Any failure (no compiler, a read-only package directory, a failed load)
+    leaves `_run_chain` on the Python walk, which gives the same bytes.
+    """
+    # imported here, so that importing dyner starts and loads nothing more
+    import hashlib
+    import subprocess
+    import sysconfig
+    import tempfile
+
+    cache = os.path.join(os.path.dirname(os.path.abspath(__file__)), "__pycache__")
+    tag = hashlib.sha256(f"{sysconfig.get_platform()}\n{_WALK_SOURCE}".encode()).hexdigest()
+    path = os.path.join(cache, f"_walk-{tag[:16]}.so")
+    try:
+        import ctypes
+
+        if not os.path.exists(path):
+            os.makedirs(cache, exist_ok=True)
+            fd, tmp = tempfile.mkstemp(".so", "_walk-", cache)
+            os.close(fd)
+            try:
+                subprocess.run(["cc", "-O2", "-shared", "-fPIC", "-o", tmp, "-x", "c", "-"],
+                               input=_WALK_SOURCE.encode(), capture_output=True, check=True,
+                               timeout=60)
+                os.replace(tmp, path)
+            finally:
+                if os.path.exists(tmp):
+                    os.remove(tmp)
+        walk = ctypes.CDLL(path).walk
+    except (ImportError, OSError, subprocess.SubprocessError):
+        return None
+    # no argtypes: converting each argument through them costs more than a
+    # short walk; every argument is a bytes object, a ctypes array or an int
+    # in [-1, 2^31)
+    walk.restype = ctypes.c_int
+    return walk, (ctypes.c_char * (2 * _LAST_BLOCK)).from_buffer
+
+
+def _walk(u, th, j, ups, at):
+    """Walk one block's jump directions in Python: the compiled walk's reference.
+
+    From index j of the thresholds `th`, each uniform of `u` takes the count
+    up when below the threshold, else down; the steps go to the bytearray
+    `ups` from index `at` as signed bytes (255 is -1).  A None threshold, at
+    a stop, ends the walk (v < None raises TypeError).  Returns (index after
+    the last step, end index j).
+    """
+    steps = bytearray()
+    up = steps.append
+    try:
+        for v in memoryview(u):
+            if v < th[j]:
+                j += 1
+                up(1)
+            else:
+                j -= 1
+                up(255)
+    except TypeError:  # v < None: the walk stepped onto lower or upper
+        pass
+    end = at + len(steps)
+    ups[at:end] = steps
+    return end, j
+
 
 def _run_chain(d, k, rng, lower=-1, upper=-1, horizon=math.inf, level=None, path=None,
                timed=True):
@@ -152,27 +249,29 @@ def _run_chain(d, k, rng, lower=-1, upper=-1, horizon=math.inf, level=None, path
 
     The Generator `rng` is read in blocks of B = 128 events doubling up to
     2048: `rng.random(B)`, the jump directions in event order, and then
-    `rng.standard_exponential(B)`, their Exp(1) holding-time variates.  A
-    Python loop walks each block's directions through a memoryview, taking
-    each jump up when the uniform is below the count's jump threshold,
-    birth rate / total rate.  A block moves the count by at most B, so from
-    count k it reads one aligned `_rate_lists` window, counts (c - 1)B to
-    (c + 2)B with c = k // B, clipped to [0, N]; the walk never leaves
-    [0, N], since the threshold is exactly 1 at count 0 and 0 at count N,
-    and the window's None at a stop ends it (v < None raises TypeError).
-    The variates are drawn after the walk: all B when the walk goes on, as
-    the next block's directions follow them in the stream, and in the
-    final block only those of its events, none when no time is read.
+    `rng.standard_exponential(B)`, their Exp(1) holding-time variates.  The
+    walk of each block's directions takes each jump up when the uniform is
+    below the count's jump threshold, birth rate / total rate.  It runs in
+    C when `_compiled_walk` can build it, else in Python (`_walk`), with the
+    same comparisons and the same bytes.  A block moves the count by at most
+    B, so from count k it reads one aligned `_rate_lists` window, counts
+    (c - 1)B to (c + 2)B with c = k // B, clipped to [0, N]; the walk never
+    leaves [0, N], since the threshold is exactly 1 at count 0 and 0 at
+    count N, and a stop ends it.  The variates are drawn after the walk: all
+    B when the walk goes on, as the next block's directions follow them in
+    the stream, and in the final block only those of its events, none when
+    no time is read.
 
-    The directions of all blocks go to one byte string, and numpy reads
-    them only when the walk stops, at least 2048 events are pending, or a
-    bound on their time (each block's variates over the smaller end of its
-    window's total rates, which are linear in the count) passes the horizon.
-    So the blocks pending before the last one, of size B, hold at most
-    128 + ... + B/2 = B - 128 events, and the last block's window, which
-    reaches B counts beyond its start either way, holds every count they
-    visit.  Numpy divides the variates of the events whose times are read
-    by that window's total rates and sums them in event order by
+    The directions of all blocks go to one byte buffer of the run, and numpy
+    reads them only when the walk stops, at least 2048 events are pending,
+    or a bound on their time (each block's variates over the smaller end of
+    its window's total rates, which are linear in the count) passes the
+    horizon.  So the blocks pending before the last one, of size B, hold at
+    most 128 + ... + B/2 = B - 128 events, and the last block's window,
+    which reaches B counts beyond its start either way, holds every count
+    they visit; fewer than 2048 events are pending before a block, so the
+    buffer holds 4096.  Numpy divides the variates of the events whose times
+    are read by that window's total rates and sums them in event order by
     `np.cumsum`, so every result equals that of adding one event at a time.
     """
     N = d.N
@@ -186,45 +285,44 @@ def _run_chain(d, k, rng, lower=-1, upper=-1, horizon=math.inf, level=None, path
     t = above = due = 0.0  # due bounds the time after the pending events
     size = _FIRST_BLOCK
     base = k  # the count before the pending events
-    ups = bytearray()  # the pending jump directions, as signed bytes (255 is -1)
+    # the pending jump directions, as signed bytes (255 is -1), in the run's
+    # own buffer, since the compiled walk runs without the interpreter lock
+    ups = bytearray(2 * _LAST_BLOCK)
+    pending = 0
     xs = []  # their Exp(1) variates, one array per block
+    compiled = _compiled_walk()
+    if compiled:
+        walk, view = compiled
+        out = view(ups)
     while True:
         u = rng.random(size)
         lo = max(0, (k // size - 1) * size)
-        th, tot = _rate_lists(lo, min(N + 1, lo + 3 * size), d, lower, upper)
-        j = k - lo
-        pending = len(ups)
-        up = ups.append
-        try:
-            for v in memoryview(u):
-                if v < th[j]:
-                    j += 1
-                    up(1)
-                else:
-                    j -= 1
-                    up(255)
-        except TypeError:  # v < None: the walk stepped onto lower or upper
-            pass
+        th, tot, window = _rate_lists(lo, min(N + 1, lo + 3 * size), d, lower, upper)
+        start = pending
+        if compiled:
+            pending, j = divmod(walk(*window, u.tobytes(), size, k - lo, out, pending), len(th))
+        else:
+            pending, j = _walk(u, th, k - lo, ups, pending)
         k = lo + j
         stopped = k == lower or k == upper
         if not stopped:
             x = rng.standard_exponential(size)
         elif reads:
-            x = rng.standard_exponential(len(ups) - pending)
+            x = rng.standard_exponential(pending - start)
         if reads:
             xs.append(x)
         if horizon < math.inf and not stopped:  # a stopped walk is summed anyway
             due += float(np.add.reduce(x)) / min(tot.item(0), tot.item(-1))
         size = min(2 * size, _LAST_BLOCK)
-        if not (stopped or len(ups) >= _LAST_BLOCK or due > horizon):
+        if not (stopped or pending >= _LAST_BLOCK or due > horizon):
             continue
         # event times and time above `level` where read, by index in the
         # last block's window, which holds every pending count
-        cut = events = len(ups)
+        cut = events = pending
         if reads:
             if len(xs) > 1:
                 x = np.concatenate(xs)
-            steps = np.frombuffer(ups, np.int8)
+            steps = np.frombuffer(ups, np.int8, events)
             after = np.cumsum(steps) + (base - lo)
             before = after - steps
         if timed:
@@ -247,29 +345,34 @@ def _run_chain(d, k, rng, lower=-1, upper=-1, horizon=math.inf, level=None, path
         if stopped:
             return k, (t if timed else None), float(above)
         base, due = k, t
-        ups = bytearray()  # a new one: numpy may still hold the old one's buffer
+        pending = 0
         xs = []
 
 
 @lru_cache(maxsize=32)
 def _rate_lists(lo, hi, d, lower, upper):
-    """The window of counts lo..hi-1: (jump thresholds, total rates).
+    """The window of counts lo..hi-1: (jump thresholds, total rates, C window).
 
     The thresholds lam/tot, with the birth rate lam and the total rate
     tot = lam + mu of `model._kernel_rates`, are a tuple of Python floats
     with None at `lower` and `upper` where they fall in the window; the
-    total rates are a read-only array.  Cached: `_run_chain` asks for
-    aligned windows, so the replicas of one sampler, which start from one
-    count and share its stops, mostly ask for the same windows.
+    total rates are a read-only array.  The C window is the compiled walk's
+    view of the same thresholds: (their bytes, their count, lower - lo,
+    upper - lo), the stops clipped to [-1, hi - lo].  Cached: `_run_chain`
+    asks for aligned windows, so the replicas of one sampler, which start
+    from one count and share its stops, mostly ask for the same windows.
     """
     lam, mu = _kernel_rates(lo, hi, d)
     tot = lam + mu
-    th = (lam / tot).tolist()
+    ratio = lam / tot
+    th = ratio.tolist()
     for stop in (lower, upper):
         if lo <= stop < hi:
             th[stop - lo] = None
     tot.setflags(write=False)  # the cache hands this array to every caller
-    return tuple(th), tot
+    size = hi - lo
+    window = (ratio.tobytes(), size, *(min(max(stop - lo, -1), size) for stop in (lower, upper)))
+    return tuple(th), tot, window
 
 
 @dataclass(frozen=True, slots=True)

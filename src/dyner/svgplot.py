@@ -1,4 +1,7 @@
-"""Minimal SVG 1.1 line charts: polylines plus axes, no plotting dependency."""
+"""Minimal SVG 1.1 line charts: polylines plus axes, no plotting dependency.
+
+A curve of one point is drawn as a dot.
+"""
 
 __all__ = ["write_line_svg"]
 
@@ -12,7 +15,8 @@ def _ticks(lo: float, hi: float, count: int = 5):
 
 
 def write_line_svg(path, xs, curves: dict, title="", x_label="", y_label="") -> None:
-    """Write an SVG document with one polyline per named curve over shared x values."""
+    """Write an SVG document with one polyline per named curve over shared x values
+    (one dot per curve when there is one x value)."""
     xs = [float(x) for x in xs]
     if not xs or not curves:
         raise ValueError("need x values and at least one curve")
@@ -87,11 +91,17 @@ def write_line_svg(path, xs, curves: dict, title="", x_label="", y_label="") -> 
         )
     for idx, (name, ys) in enumerate(curves.items()):
         color = _PALETTE[idx % len(_PALETTE)]
-        points = " ".join(f"{sx(x):.2f},{sy(float(y)):.2f}" for x, y in zip(xs, ys))
-        parts.append(
-            f'<polyline fill="none" stroke="{color}" stroke-width="1.5" '
-            f'points="{points}"/>'
-        )
+        if len(xs) == 1:  # a polyline of one point renders nothing
+            parts.append(
+                f'<circle cx="{sx(xs[0]):.2f}" cy="{sy(float(ys[0])):.2f}" r="3" '
+                f'fill="{color}"/>'
+            )
+        else:
+            points = " ".join(f"{sx(x):.2f},{sy(float(y)):.2f}" for x, y in zip(xs, ys))
+            parts.append(
+                f'<polyline fill="none" stroke="{color}" stroke-width="1.5" '
+                f'points="{points}"/>'
+            )
         ly = top + 16 + 16 * idx
         lx = left + plot_w - 120
         parts.append(

@@ -4,6 +4,7 @@ import math
 import os
 import pathlib
 import re
+import shutil
 import subprocess
 import sys
 
@@ -234,8 +235,9 @@ def test_rarely_taken_paths(config, argv, code, message, tmp_path, capsys):
     assert message in captured.err
     if config is not None and code == 0:
         assert "# n=4\n" in captured.out  # read past the skipped lines
-    if "--svg" in argv:
-        assert (tmp_path / "one.svg").read_text().count("<polyline") == 2
+    if "--svg" in argv:  # one visible mark per curve: a dot, not a one-point polyline
+        svg = (tmp_path / "one.svg").read_text()
+        assert svg.count("<circle") == 2 and "<polyline" not in svg
 
 
 _HITTING = ["simulate", "hitting", "--n", "10", "--seed", "1"]
@@ -567,6 +569,32 @@ def test_readme_command_stdout_digest(argv, digest, capsys):
     assert main(argv) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_without_a_c_compiler_the_python_walk_gives_the_same_bytes(tmp_path):
+    # a fresh copy of the package holds no built walk; with no C compiler on
+    # PATH, or a library that fails to load, the count chain falls back to
+    # its Python walk, silently
+    shutil.copytree(pathlib.Path(SRC) / "dyner", tmp_path / "dyner",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    built = tmp_path / "dyner" / "__pycache__"
+    argv = [sys.executable, "-m", "dyner", "simulate", "hitting", "--n", "20", "--from", "0",
+            "--to", "6", "--replicas", "10000", "--seed", "42"]
+    env = dict(os.environ, PYTHONPATH=str(tmp_path), PYTHONWARNINGS="error::RuntimeWarning")
+    empty = tmp_path / "bin"
+    empty.mkdir()
+    python = subprocess.run(argv, capture_output=True, env=dict(env, PATH=str(empty)))
+    assert (python.returncode, python.stderr) == (0, b"")
+    assert list(built.glob("_walk-*")) == []
+    if shutil.which("cc") is None:
+        pytest.skip("no C compiler on PATH to build the compiled walk")
+    compiled = subprocess.run(argv, capture_output=True, env=env)
+    assert (compiled.returncode, compiled.stderr) == (0, b"")
+    [library] = built.glob("_walk-*")  # the built library, no temporary left
+    assert compiled.stdout == python.stdout
+    library.write_bytes(b"not a shared library")
+    unloaded = subprocess.run(argv, capture_output=True, env=env)
+    assert (unloaded.returncode, unloaded.stderr, unloaded.stdout) == (0, b"", python.stdout)
 
 
 def test_readme_commands_parse():

@@ -1,7 +1,10 @@
 import itertools
 import math
 import random
-from concurrent.futures import Future
+import shutil
+import sys
+from concurrent.futures import Future, ThreadPoolExecutor
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -587,8 +590,36 @@ _KERNEL_CASES = {
 }
 
 
+# The kernel walks in C where `_compiled_walk` builds it, and the tests
+# below without "python_walk" in their names run that walk; the others force
+# the Python walk, its reference.
+_WALKS = ["compiled", "python"]
+
+
+def _python_walk():
+    return mock.patch.object(sim, "_compiled_walk", lambda: None)
+
+
+def _walks():
+    # both walks, or the Python walk alone where no C compiler is on PATH
+    if sim._compiled_walk() is None:
+        assert shutil.which("cc") is None, "cc is on PATH but the compiled walk did not load"
+        return ["python"]
+    return _WALKS
+
+
 @pytest.mark.parametrize("case", sorted(_KERNEL_CASES))
 def test_kernel_matches_scalar_loop(case):
+    _check_kernel_case(case)
+
+
+@pytest.mark.parametrize("case", sorted(_KERNEL_CASES))
+def test_kernel_matches_scalar_loop_with_python_walk(case):
+    with _python_walk():
+        _check_kernel_case(case)
+
+
+def _check_kernel_case(case):
     n, beta, start, rule = _KERNEL_CASES[case]
     rule = dict(rule)
     d = _d(n, alpha=rule.pop("alpha", 1.0), beta=beta)
@@ -649,9 +680,7 @@ def _chain_calls(draw):
     return d, k, rule, timed, timed and draw(st.booleans())
 
 
-@given(call=_chain_calls(), seed=st.integers(0, 2**32 - 1))
-@settings(max_examples=200, deadline=None)
-def test_kernel_matches_scalar_loop_on_random_inputs(call, seed):
+def _check_random_chain_call(call, seed):
     d, k, rule, timed, with_path = call
     want_path, got_path = ([], []) if with_path else (None, None)
     draws = itertools.islice(_exponential_draws(seed, 0), _REFERENCE_EVENTS)
@@ -662,14 +691,97 @@ def test_kernel_matches_scalar_loop_on_random_inputs(call, seed):
     assert got_path == want_path
 
 
+@given(call=_chain_calls(), seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=200, deadline=None)
+def test_kernel_matches_scalar_loop_on_random_inputs(call, seed):
+    _check_random_chain_call(call, seed)
+
+
+@given(call=_chain_calls(), seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=100, deadline=None)
+def test_kernel_matches_scalar_loop_on_random_inputs_with_python_walk(call, seed):
+    with _python_walk():
+        _check_random_chain_call(call, seed)
+
+
+def _walk_block(walk, u, lo, hi, d, lower, upper, j, ups, at):
+    # one block of the kernel's walk, as _run_chain takes it
+    th, _, window = sim._rate_lists(lo, hi, d, lower, upper)
+    if walk == "python":
+        return sim._walk(u, th, j, ups, at)
+    compiled, view = sim._compiled_walk()
+    return divmod(compiled(*window, u.tobytes(), len(u), j, view(ups), at), len(th))
+
+
+@st.composite
+def _walk_blocks(draw):
+    # a block of the kernel at a random count, in its aligned window, with
+    # no stop, stops a few counts away, or a stop on the block's first or
+    # last event
+    n = draw(st.integers(2, 200))
+    rate = st.floats(-3.0, 3.0).map(lambda e: 10.0 ** e)
+    d = _d(n, alpha=draw(rate), beta=draw(rate))
+    size = draw(st.sampled_from([128, 256, 512, 1024, 2048]))
+    k = draw(st.integers(0, d.N))
+    lo = max(0, (k // size - 1) * size)
+    hi = min(d.N + 1, lo + 3 * size)
+    u = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).random(size)
+    lower, upper = -1, d.N + 1
+    placement = draw(st.sampled_from(["none", "near", "first", "last"]))
+    if placement == "near":
+        gap = st.sampled_from(range(9)).map(lambda e: 2 ** e)
+        lower, upper = k - draw(gap), k + draw(gap)
+    elif placement == "first":
+        if u[0] < sim._rate_lists(lo, hi, d, -1, d.N + 1)[0][k - lo]:
+            upper = k + 1
+        else:
+            lower = k - 1
+    elif placement == "last" and k + size <= d.N:
+        u[:] = 0.0  # every step up: the count first reaches k + size on the last
+        upper = k + size
+    assume(lower < k < upper)
+    return d, size, k, lo, hi, u, max(lower, -1), min(upper, d.N + 1), placement
+
+
+@given(block=_walk_blocks(), at=st.integers(0, 2047))
+@settings(max_examples=300, deadline=None)
+def test_compiled_walk_matches_python_walk(block, at):
+    d, size, k, lo, hi, u, lower, upper, placement = block
+    if _walks() != _WALKS:
+        pytest.skip("no C compiler on PATH")
+    fill = bytes(range(256)) * 16  # a run's direction buffer, 4096 bytes
+    got = {}
+    for walk in _WALKS:
+        ups = bytearray(fill)
+        got[walk] = _walk_block(walk, u, lo, hi, d, lower, upper, k - lo, ups, at), ups
+    assert got["compiled"] == got["python"]
+    (end, j), ups = got["python"]
+    stopped = lo + j in (lower, upper)
+    assert end == at + size or stopped
+    assert ups[:at] + ups[end:] == fill[:at] + fill[end:]  # only the block's bytes change
+    assert lo + j == k + sum(1 if b == 1 else -1 for b in ups[at:end])
+    if placement == "first":
+        assert (end, stopped) == (at + 1, True)
+    elif placement == "last" and upper == k + size:
+        assert (end, stopped) == (at + size, True)
+
+
 def test_jump_thresholds_keep_the_walk_in_range():
     # uniforms lie in [0, 1): a threshold of exactly 1 always jumps up from
-    # the empty graph, one of exactly 0 always jumps down from the full one
-    for n in (2, 40, 2000):
-        for alpha, beta in ((1.0, 1.0), (1.0, 200.0), (1e-3, 1.0), (1e3, 1.0)):
-            d = _d(n, alpha=alpha, beta=beta)
-            assert sim._rate_lists(0, 2, d, -1, d.N + 1)[0][0] == 1.0
-            assert sim._rate_lists(d.N - 1, d.N + 1, d, -1, d.N + 1)[0][-1] == 0.0
+    # the empty graph, one of exactly 0 always jumps down from the full one,
+    # in either walk
+    top = np.array([1.0 - 2.0 ** -53])
+    for walk in _walks():
+        for n in (2, 40, 2000):
+            for alpha, beta in ((1.0, 1.0), (1.0, 200.0), (1e-3, 1.0), (1e3, 1.0)):
+                d = _d(n, alpha=alpha, beta=beta)
+                assert sim._rate_lists(0, 2, d, -1, d.N + 1)[0][0] == 1.0
+                assert sim._rate_lists(d.N - 1, d.N + 1, d, -1, d.N + 1)[0][-1] == 0.0
+                ups = bytearray(4096)  # a run's direction buffer
+                assert _walk_block(walk, top, 0, 2, d, -1, d.N + 1, 0, ups, 0) == (1, 1)
+                assert _walk_block(walk, np.zeros(1), d.N - 1, d.N + 1, d, -1, d.N + 1, 1,
+                                   ups, 1) == (2, 0)
+                assert ups[:2] == bytes([1, 255])
 
 
 def test_rate_windows_hold_none_at_the_stops_and_read_only_total_rates():
@@ -678,15 +790,26 @@ def test_rate_windows_hold_none_at_the_stops_and_read_only_total_rates():
     counts = np.arange(lo, hi)
     lam = (d.N - counts) * (d.beta / (d.n - 1))
     tot = lam + counts * d.alpha
-    plain, _ = sim._rate_lists(lo, hi, d, -1, d.N + 1)
+    plain, _, _ = sim._rate_lists(lo, hi, d, -1, d.N + 1)
     assert plain == tuple((lam / tot).tolist())
     # stops inside, on both edges of, and just outside the window
     for lower, upper in ((200, 300), (-1, 300), (lo, hi - 1), (lo - 1, hi), (0, d.N)):
-        th, rates = sim._rate_lists(lo, hi, d, lower, upper)
+        th, rates, window = sim._rate_lists(lo, hi, d, lower, upper)
         assert th == tuple(None if c in (lower, upper) else v for c, v in zip(counts, plain))
         assert rates.tobytes() == tot.tobytes()
         with pytest.raises(ValueError):
             rates[0] = 1.0
+        # the compiled walk's view: every threshold, the stops clipped to [-1, hi - lo]
+        clip = [min(max(c - lo, -1), hi - lo) for c in (lower, upper)]
+        assert window == ((lam / tot).tobytes(), hi - lo, *clip)
+        # both walks stop on a stop inside the window, from the count next to it
+        for stop, walk in itertools.product((lower, upper), _walks()):
+            if lo < stop < hi - 1:
+                side = 1 if stop == upper else -1
+                u = np.array([0.0 if side == 1 else 1.0 - 2.0 ** -53])
+                end, j = _walk_block(walk, u, lo, hi, d, lower, upper, stop - side - lo,
+                                     bytearray(4096), 0)
+                assert (end, lo + j) == (1, stop)
     # each stop pair on one window is its own cache entry
     misses = sim._rate_lists.cache_info().misses
     one = sim._rate_lists(lo, hi, d, 201, 299)
@@ -719,6 +842,25 @@ def test_kernel_refuses_non_integer_counts(call):
     sim.sample_hitting_time(d, 0, 5, seed=1)
     with pytest.raises(TypeError):
         call(d)
+
+
+def test_concurrent_runs_keep_their_own_direction_buffers():
+    # the compiled walk runs without the interpreter lock, so runs on
+    # threads (more than the cores) must each write their own buffer
+    d = _d(40)
+
+    def passages(seed):
+        return [sim._run_chain(d, 0, sim.replica_rng(seed, r), upper=32) for r in range(20)]
+
+    want = [passages(seed) for seed in range(8)]
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            got = [f.result(timeout=60) for f in [pool.submit(passages, s) for s in range(8)]]
+    finally:
+        sys.setswitchinterval(old)
+    assert got == want
 
 
 def test_kernel_paths_span_many_blocks():
