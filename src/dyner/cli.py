@@ -143,10 +143,15 @@ def _fmt_value(v, summary=False):
     return str(v)
 
 
+def _json_value(v):
+    return repr(v) if isinstance(v, float) and not math.isfinite(v) else v  # JSON has no inf/nan
+
+
 def _deliver(o, meta, header, records) -> None:
     if o["format"] == "json":
-        rows = [{col: rec.get(col) for col in header if col in rec} for rec in records]
-        text = json.dumps({"meta": meta, "rows": rows}, indent=2) + "\n"
+        rows = [{col: _json_value(rec[col]) for col in header if col in rec} for rec in records]
+        meta = {k: _json_value(v) for k, v in meta.items()}
+        text = json.dumps({"meta": meta, "rows": rows}, indent=2, allow_nan=False) + "\n"
     else:
         lines = [f"# {k}={_fmt_value(v)}" for k, v in meta.items()]
         lines.append(",".join(header))

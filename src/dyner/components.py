@@ -419,6 +419,7 @@ def emergence_samples(
     d: DerivedParams, eps: float, delta: float, replicas: int, seed: int,
     cap: float | None = None, workers: int = 1,
 ) -> list:
+    """emergence_run for replicas 0..replicas-1, in replica order."""
     return run_replicas(emergence_run, (d, eps, delta, seed, cap), replicas, workers)
 
 
@@ -443,6 +444,7 @@ def domination_samples(
     d: DerivedParams, eps: float, delta: float, replicas: int, seed: int,
     cap: float | None = None, workers: int = 1,
 ) -> list:
+    """domination_run's flags for replicas 0..replicas-1, in replica order."""
     return run_replicas(domination_run, (d, eps, delta, seed, cap), replicas, workers)
 
 
@@ -501,4 +503,5 @@ def static_er_largest_component(n: int, m: int, seed: int, replica: int = 0) -> 
 def static_largest_samples(
     n: int, m: int, replicas: int, seed: int, workers: int = 1
 ) -> list:
+    """static_er_largest_component for replicas 0..replicas-1, in replica order."""
     return run_replicas(static_er_largest_component, (n, m, seed), replicas, workers)

@@ -18,7 +18,7 @@ import bisect
 import math
 import operator
 import os
-from concurrent.futures import ProcessPoolExecutor
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -506,21 +506,28 @@ def run_replicas(fn, args, replicas: int, workers: int = 1) -> list:
     Each sampler taking a `replica` keyword is thus its own replica function.
     Results come back in replica order, so any worker count yields the same
     list; per-replica streams make the values themselves worker-independent.
-    At most os.cpu_count() processes are started.
+    Replica 0 runs in the caller first, so a bad input is reported before
+    any process starts, and the caches every replica reads (killed spectra,
+    the compiled walk, key blocks, rate windows) are filled once.  Replicas
+    1.. then go to at most os.cpu_count() processes, forked on Linux so that
+    they inherit those caches; a lone replica left runs in the caller too.
     """
     if replicas < 1:
         raise ValueError(f"replicas must be positive, got {replicas}")
     if workers < 1:
         raise ValueError(f"workers must be positive, got {workers}")
+    out = _chunk(fn, args, 0, 1)
     workers = min(workers, os.cpu_count() or 1)
-    if workers == 1 or replicas == 1:
-        return _chunk(fn, args, 0, replicas)
-    chunk_size = -(-replicas // workers)
-    bounds = [(lo, min(lo + chunk_size, replicas)) for lo in range(0, replicas, chunk_size)]
+    if workers == 1 or replicas <= 2:
+        return out + _chunk(fn, args, 1, replicas)
+    import multiprocessing  # only a fan-out pays for these imports
+    from concurrent.futures import ProcessPoolExecutor
+    chunk_size = -(-(replicas - 1) // workers)
+    bounds = [(lo, min(lo + chunk_size, replicas)) for lo in range(1, replicas, chunk_size)]
+    context = multiprocessing.get_context("fork" if sys.platform == "linux" else None)
     # one process per chunk: a fork pool starts all max_workers processes at once
-    with ProcessPoolExecutor(max_workers=len(bounds)) as pool:
+    with ProcessPoolExecutor(max_workers=len(bounds), mp_context=context) as pool:
         futures = [pool.submit(_chunk, fn, args, lo, hi) for lo, hi in bounds]
-        out = []
         for fut in futures:
             out.extend(fut.result())
     return out

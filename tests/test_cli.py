@@ -7,6 +7,7 @@ import re
 import shutil
 import subprocess
 import sys
+from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
@@ -262,6 +263,27 @@ def test_cap_is_checked_after_the_other_inputs(argv, message, capsys):
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["simulate", "hitting", "--from", "0", "--to", "3", "--cap", "-1"],
+     "cap must be positive, got -1.0"),
+    (["components", "static", "--m", "999"], "edge count must be in [0, 45], got 999"),
+    (["simulate", "trajectory", "--start", "999", "--horizon", "1"],
+     "start count must be in [0, 45], got 999"),
+    (["components", "emergence", "--eps", "0.3", "--delta", "0.9"],
+     "need delta > 0 with eps + delta < 1, got delta=0.9"),
+], ids=["hitting-cap", "static-m", "trajectory-start", "emergence-delta"])
+def test_bad_input_is_reported_before_any_process_starts(argv, message, monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a process pool was started")
+
+    monkeypatch.setattr(ProcessPoolExecutor, "__init__", refuse)
+    monkeypatch.setattr(os, "cpu_count", lambda: 16)
+    assert main(argv + ["--n", "10", "--replicas", "4", "--workers", "2", "--seed", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 def test_config_file_round_trip_and_override(tmp_path, capsys):
     path = tmp_path / "run.cfg"
     path.write_text("n=6\nalpha=1.0\nbeta=1.0\nseed=4\nreplicas=5\nfrom=0.0\nto=3.0\n")
@@ -400,6 +422,28 @@ def test_workers_must_be_positive(command, monkeypatch, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: workers must be positive, got 0\n"
+
+
+def _strict_json(text):
+    def refuse(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+@pytest.mark.parametrize("argv,meta,row", [
+    (["simulate", "hitting", "--from", "0", "--to", "3", "--replicas", "2", "--seed", "1",
+      "--cap", "inf"], {"cap": "inf"}, {}),
+    (["analytic", "stationarity", "--t", "inf"], {"t": "inf"}, {"t": "inf", "cdf": 1.0}),
+], ids=["hitting-cap", "stationarity-t"])
+def test_json_writes_infinity_as_the_csv_does(argv, meta, row, capsys):
+    assert main(argv + ["--n", "6", "--format", "json"]) == 0
+    doc = _strict_json(capsys.readouterr().out)
+    assert meta.items() <= doc["meta"].items()
+    assert row.items() <= doc["rows"][0].items()
+    assert main(argv + ["--n", "6"]) == 0
+    csv = capsys.readouterr().out
+    assert all(f"# {k}=inf\n" in csv for k in meta)
 
 
 @pytest.mark.parametrize("command", [

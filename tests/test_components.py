@@ -1,4 +1,5 @@
 import math
+import os
 
 import numpy as np
 import pytest
@@ -586,6 +587,25 @@ def test_domination_worker_independence():
     parallel = comp.domination_samples(d, 0.2, 0.25, 40, seed=89, cap=25.0, workers=2)
     assert serial == parallel
     assert None in serial and True in serial
+
+
+def test_forked_workers_inherit_the_killed_spectrum(monkeypatch):
+    # replica 0 runs in the caller and builds the spectrum every replica
+    # shares, so no worker runs LAPACK (slow under two threaded OpenBLAS)
+    pid, eigvalsh = os.getpid(), np.linalg.eigvalsh
+
+    def parent_only(a):
+        if os.getpid() != pid:
+            raise AssertionError("eigvalsh called in a worker")
+        return eigvalsh(a)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", parent_only)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    an._killed_rates.cache_clear()
+    d = _d(200)
+    flags = comp.domination_samples(d, 0.3, 0.1, 8, seed=23, workers=2)
+    assert an._killed_rates.cache_info().currsize == 1  # built by replica 0, in this process
+    assert flags == comp.domination_samples(d, 0.3, 0.1, 8, seed=23)
 
 
 @pytest.mark.parametrize("call,message", [

@@ -1,5 +1,7 @@
+import concurrent.futures
 import itertools
 import math
+import multiprocessing
 import random
 import shutil
 import sys
@@ -380,12 +382,15 @@ def test_run_replicas_rejects_non_positive_workers():
 
 
 class _RecordingPool:
-    """Stands in for ProcessPoolExecutor: runs each task at submit, records max_workers."""
+    """Stands in for ProcessPoolExecutor: runs each task at submit, records
+    max_workers and the start method."""
 
     sizes = []
+    methods = []
 
-    def __init__(self, max_workers):
+    def __init__(self, max_workers, mp_context):
         self.sizes.append(max_workers)
+        self.methods.append(mp_context.get_start_method())
 
     def __enter__(self):
         return self
@@ -399,14 +404,16 @@ class _RecordingPool:
         return future
 
 
-@pytest.mark.parametrize("replicas,workers,processes", [(2, 16, 2), (5, 4, 3)])
+# replica 0 runs in the caller, so the chunks cover replicas 1..replicas-1,
+# and a lone replica left runs there too
+@pytest.mark.parametrize("replicas,workers,processes", [(2, 16, 0), (5, 4, 4), (6, 4, 3)])
 def test_run_replicas_starts_one_process_per_chunk(monkeypatch, replicas, workers, processes):
-    monkeypatch.setattr(sim, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
     monkeypatch.setattr(_RecordingPool, "sizes", [])
     monkeypatch.setattr(sim.os, "cpu_count", lambda: 16)
     args = (_d(6), 5)
     got = sim.run_replicas(sim.sample_stationarity_time, args, replicas, workers)
-    assert _RecordingPool.sizes == [processes]
+    assert _RecordingPool.sizes == ([processes] if processes else [])
     assert got == [sim.sample_stationarity_time(*args, replica=r) for r in range(replicas)]
 
 
@@ -416,11 +423,21 @@ def _replica_index(replica):
 
 def test_run_replicas_caps_processes_at_cpu_count(monkeypatch):
     # no process is started: the recording pool runs each chunk in place
-    monkeypatch.setattr(sim, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
     monkeypatch.setattr(_RecordingPool, "sizes", [])
     monkeypatch.setattr(sim.os, "cpu_count", lambda: 4)
     assert sim.run_replicas(_replica_index, (), 10_000, 10_000) == list(range(10_000))
     assert _RecordingPool.sizes == [4]
+
+
+def test_run_replicas_forks_on_linux(monkeypatch):
+    # the workers inherit the caches replica 0 filled only from a forked parent
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(_RecordingPool, "methods", [])
+    monkeypatch.setattr(sim.os, "cpu_count", lambda: 2)
+    assert sim.run_replicas(_replica_index, (), 5, 2) == list(range(5))
+    expected = "fork" if sys.platform == "linux" else multiprocessing.get_start_method()
+    assert _RecordingPool.methods == [expected]
 
 
 def test_replica_rng_rejects_seeds_outside_64_bits():
