@@ -3,20 +3,23 @@
 Unlike the aggregate edge-count chain, this module keeps per-edge identity:
 deletions remove a uniform present edge, insertions add a uniform absent
 pair, which reproduces the per-pair on-off dynamics exactly.  One event
-loop, the `_edge_flips` generator, drives every labeled sampler.
+loop, the `_edge_flips` generator, drives every labeled sampler in Python.
 `simulate_graph` applies each flip to a `GraphState`, which maintains
 components incrementally, each as one vertex set shared by its vertices:
 insertions merge the smaller set into the larger, deletions repair
 connectivity with a bidirectional search over the affected component only,
 and a list of component counts indexed by size keeps the largest size.
-The first-passage samplers share one driver, `_component_passage`, which
-bounds the largest component by a union-find that ignores deletions, fed
-the added edges one at a time, and rebuilds it only when the bound reaches
-the threshold.  Emergence runs and domination flags share one driver,
-`_emergence`: where the component comes first, one draw from two killed
-spectra (`analytic.sample_passage`) settles the edge passage.  A flag
-thins the draw's terms only when their sum all kept could end past the
-cap, since that sum bounds the draw.
+The first-passage samplers share one driver, `_passage`: the component
+passage bounds the largest component by a union-find that ignores
+deletions, fed the added edges one at a time, and rebuilds it only when the
+bound reaches the threshold.  It runs in C, flips and bound in one function
+compiled on first use (`_PASSAGE_SOURCE`), or where that cannot be built in
+Python, as `_edge_flips` feeding `_component_passage`, its reference, which
+gives the same results and reads the same uniforms.  Emergence runs and
+domination flags share one driver, `_emergence`: where the component comes
+first, one draw from two killed spectra (`analytic.sample_passage`) settles
+the edge passage.  A flag thins the draw's terms only when their sum all
+kept could end past the cap, since that sum bounds the draw.
 """
 
 import math
@@ -27,6 +30,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import simulate
 from .analytic import _passage_terms, _thinned_sum, c_epsilon
 from .model import DerivedParams, closest_integer
 from .simulate import HittingSample, _resolve_cap, replica_rng, run_replicas
@@ -207,16 +211,25 @@ class GraphState:
         assert self._largest == max(sizes), (self._largest, max(sizes))
 
 
-def _uniforms(seed: int, replica: int):
-    """Callable returning the replica's uniforms one Python float at a time.
+_BLOCK = 4096  # doubles drawn from a replica's Generator at a time
 
-    The Generator is read in blocks of 4096 doubles.  PCG64 double draws do
-    not depend on the draw size (`random(4096)` equals 16 draws of
+
+def _uniforms(seed: int, replica: int):
+    """Callable returning the replica's uniforms one Python float at a time."""
+    return _stream(replica_rng(seed, replica))
+
+
+def _stream(rng, head=()):
+    """Callable returning the floats of `head`, then the uniforms of the
+    Generator `rng`, one at a time.
+
+    The Generator is read in blocks of `_BLOCK` doubles.  PCG64 double draws
+    do not depend on the draw size (`random(4096)` equals 16 draws of
     `random(256)`), so the block size only sets how far ahead the stream is
     read, not the values.
     """
-    rng = replica_rng(seed, replica)
-    return chain.from_iterable(iter(lambda: rng.random(4096).tolist(), None)).__next__
+    blocks = iter(lambda: rng.random(_BLOCK).tolist(), None)
+    return chain(head, chain.from_iterable(blocks)).__next__
 
 
 def _edge_flips(d: DerivedParams, uniform, horizon: float, edges: list):
@@ -333,14 +346,200 @@ def _component_passage(flips, edges: list, n: int, threshold: int, edge_target=m
     return None, tau_edges
 
 
+# The compiled form of `_edge_flips` feeding `_component_passage`, loaded on
+# a run's first use by `simulate._compiled_walk`.  `passage` runs the flips
+# from the state its last call left, reading the uniforms u[i] for i from
+# count[2] below len, and returns FOUND when the largest component reaches
+# the threshold (tau_component is time[0]), CAPPED when the next event would
+# pass the horizon, REFILL when the uniforms run out inside an event and
+# GROW when the edge array is full at an event's start; in the last two
+# nothing of the event is kept, so the caller extends the uniforms or the
+# array and calls again.  rate holds alpha, beta/(n-1), the horizon and the
+# edge target; time holds t and tau_edges (NaN until set); count holds the
+# edge count m, the bound's largest set (0 before the first call) and the
+# index of the first unread uniform.  present has a bit per key a*n+b;
+# parent and size are the union-find bound, rebuilt from the m edges when it
+# reaches the threshold.
+_PASSAGE_SOURCE = """\
+#include <math.h>
+
+enum { FOUND, CAPPED, REFILL, GROW };
+
+static int find(int *parent, int a)
+{
+    while (parent[a] != a) {
+        parent[a] = parent[parent[a]];
+        a = parent[a];
+    }
+    return a;
+}
+
+/* joins the sets of a and b by size; returns the new set's size, or 0 when
+   one set held both */
+static int join(int *parent, int *size, int a, int b)
+{
+    a = find(parent, a);
+    b = find(parent, b);
+    if (a == b)
+        return 0;
+    if (size[a] < size[b]) {
+        int c = a;
+        a = b;
+        b = c;
+    }
+    parent[b] = a;
+    return size[a] += size[b];
+}
+
+static int rebuild(int n, const int *edges, int m, int *parent, int *size)
+{
+    int largest = 1;
+    for (int v = 0; v < n; v++) {
+        parent[v] = v;
+        size[v] = 1;
+    }
+    for (int e = 0; e < m; e++) {
+        int joined = join(parent, size, edges[e] / n, edges[e] % n);
+        if (joined > largest)
+            largest = joined;
+    }
+    return largest;
+}
+
+int passage(int n, int N, int threshold, const double *rate, double *time, int *count,
+            const double *u, int len, int *edges, int capacity,
+            unsigned char *present, int *parent, int *size)
+{
+    double alpha = rate[0], birth_scale = rate[1], horizon = rate[2], edge_target = rate[3];
+    double t = time[0], tau_edges = time[1];
+    int m = count[0], largest = count[1], i = count[2];
+    int status;
+
+    if (!largest)
+        largest = rebuild(n, edges, 0, parent, size);
+    for (;;) {
+        int j = i, key;
+        double del_rate, tot, next;
+        if (largest >= threshold) {
+            status = FOUND;
+            break;
+        }
+        if (m == capacity) {
+            status = GROW;
+            break;
+        }
+        if (len - j < 2)
+            goto refill;
+        del_rate = m * alpha;
+        tot = del_rate + (N - m) * birth_scale;
+        next = t + -log(1.0 - u[j++]) / tot;
+        if (next > horizon) {
+            i = j;
+            status = CAPPED;
+            break;
+        }
+        if (u[j++] * tot < del_rate) {
+            int at;
+            if (len - j < 1)
+                goto refill;
+            at = (int)(u[j++] * m);
+            key = edges[at];
+            edges[at] = edges[--m];
+            present[key >> 3] &= ~(1 << (key & 7));
+        } else {
+            do {
+                int a, b;
+                if (len - j < 2)
+                    goto refill;
+                a = (int)(u[j++] * n);
+                b = (int)(u[j++] * (n - 1));
+                if (b >= a)
+                    b++;
+                key = a < b ? a * n + b : b * n + a;
+            } while (present[key >> 3] >> (key & 7) & 1);
+            present[key >> 3] |= 1 << (key & 7);
+            edges[m++] = key;
+            if (isnan(tau_edges) && m >= edge_target)
+                tau_edges = next;
+            int joined = join(parent, size, key / n, key % n);
+            if (joined > largest && (largest = joined) >= threshold)
+                largest = rebuild(n, edges, m, parent, size);
+        }
+        t = next;
+        i = j;
+        continue;
+    refill:
+        status = REFILL;
+        break;
+    }
+    time[0] = t;
+    time[1] = tau_edges;
+    count[0] = m;
+    count[1] = largest;
+    count[2] = i;
+    return status;
+}
+"""
+_FOUND, _CAPPED, _REFILL, _GROW = range(4)
+_FIRST_EDGES = 1024  # the edge array's first capacity; it doubles when full
+_PASSAGE_MAX_N = 8192  # above it, the n^2 bits of present pairs pass 8 MiB
+
+
+def _passage(d: DerivedParams, seed: int, replica: int, cap: float, threshold: int,
+             edge_target=math.inf) -> tuple:
+    """The component passage of a replica from the empty graph, to the cap:
+    (tau_component, tau_edges, m, uniform), as `_component_passage` gives the
+    first two, with m the edge count at its end and `uniform` the replica's
+    stream from its first unread double.
+
+    Runs the compiled passage where `simulate._compiled_walk` can build it
+    and n <= 8192, else `_edge_flips` and `_component_passage`, its
+    reference, with the same arithmetic, reads and results.  Every buffer
+    belongs to the run, since the compiled passage runs without the
+    interpreter lock; the Generator's blocks of `_BLOCK` doubles are passed
+    on as they are read, a partial event's uniforms carried into the next.
+    """
+    n = d.n
+    compiled = simulate._compiled_walk(_PASSAGE_SOURCE) if n <= _PASSAGE_MAX_N else None
+    if compiled is None:
+        uniform, edges = _uniforms(seed, replica), []
+        flips = _edge_flips(d, uniform, cap, edges)
+        return (*_component_passage(flips, edges, n, threshold, edge_target), len(edges),
+                uniform)
+    import ctypes
+
+    rng = replica_rng(seed, replica)
+    rate = (ctypes.c_double * 4)(d.alpha, d.beta / (n - 1), cap, edge_target)
+    time = (ctypes.c_double * 2)(0.0, math.nan)
+    count = (ctypes.c_int * 3)()
+    edges = (ctypes.c_int * _FIRST_EDGES)()
+    present = (ctypes.c_ubyte * -(-n * n // 8))()
+    parent, size = (ctypes.c_int * n)(), (ctypes.c_int * n)()
+    u = rng.random(_BLOCK).tobytes()
+    while True:
+        status = compiled.passage(n, d.N, threshold, rate, time, count, u, len(u) // 8,
+                                  edges, len(edges), present, parent, size)
+        if status == _REFILL:
+            u = u[8 * count[2]:] + rng.random(_BLOCK).tobytes()
+            count[2] = 0
+        elif status == _GROW:
+            grown = (ctypes.c_int * (2 * len(edges)))()
+            ctypes.memmove(grown, edges, ctypes.sizeof(edges))
+            edges = grown
+        else:
+            break
+    t, tau_edges = time
+    head = np.frombuffer(u, offset=8 * count[2]).tolist()
+    return (t if status == _FOUND else None, None if math.isnan(tau_edges) else tau_edges,
+            count[0], _stream(rng, head))
+
+
 def sample_component_hitting(
     d: DerivedParams, eps: float, seed: int, cap: float | None = None, replica: int = 0
 ) -> HittingSample:
     """First time the largest component reaches ceil(eps n), from the empty graph."""
     cap, threshold = _passage_bounds(d, eps, cap)
-    edges = []
-    flips = _edge_flips(d, _uniforms(seed, replica), cap, edges)
-    t, _ = _component_passage(flips, edges, d.n, threshold)
+    t = _passage(d, seed, replica, cap, threshold)[0]
     return HittingSample(cap if t is None else t, t is None)
 
 
@@ -380,11 +579,9 @@ def _emergence(
     edge_target = closest_integer(c_epsilon(eps + delta) * d.n)
     if edge_target > d.N:
         raise ValueError(f"edge target {edge_target} exceeds the pair count {d.N}")
-    uniform, edges = _uniforms(seed, replica), []
-    flips = _edge_flips(d, uniform, cap, edges)
-    tau_component, tau_edges = _component_passage(flips, edges, d.n, threshold, edge_target)
+    tau_component, tau_edges, m, uniform = _passage(d, seed, replica, cap, threshold,
+                                                    edge_target)
     if tau_component is not None and tau_edges is None:
-        m = len(edges)
         terms, shifts = _passage_terms(m, edge_target, d, uniform)
         t = tau_component + float(terms.sum())  # every term kept: + U
         if not (flag_only and t <= cap):

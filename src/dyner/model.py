@@ -5,9 +5,10 @@ a present edge is deleted at rate alpha, an absent edge appears at rate
 beta/(n-1).  The edge count's birth rate is rounded in two orders:
 `birth_rate` and the recursion `analytic._hitting_step_logs` compute
 (N-k) beta/(n-1); the kernels and the killed generators compute
-(N-k) (beta/(n-1)), spelled out twice: in `_kernel_rates`, which gives the
-count chain's rate windows and the spectral law's killed chains, and per
-event in `components._edge_flips`.
+(N-k) (beta/(n-1)), spelled out three times: in `_kernel_rates`, which
+gives the count chain's rate windows and the spectral law's killed chains,
+and per event in `components._edge_flips` and in its compiled form,
+`components._PASSAGE_SOURCE`, which is built without fused multiply-adds.
 They can differ in the last bit, and output pins both: every random stream
 pins the kernels' order, and the exact means pin the recursion's.  Emergence
 runs read those means, so the recursion in the kernels' order changes the
@@ -15,7 +16,7 @@ runs read those means, so the recursion in the kernels' order changes the
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -58,6 +59,10 @@ class DerivedParams:
     p            stationary edge probability beta / (beta + (n-1) alpha)
     q            1 - p
     update_rate  per-pair refresh rate alpha + beta/(n-1)
+
+    Its hash, the hash of the tuple of those fields, is computed once: the
+    caches of rate windows and killed spectra take the params as a key on
+    every lookup.
     """
 
     n: int
@@ -67,6 +72,14 @@ class DerivedParams:
     p: float
     q: float
     update_rate: float
+    _hash: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        fields = (self.n, self.alpha, self.beta, self.N, self.p, self.q, self.update_rate)
+        object.__setattr__(self, "_hash", hash(fields))
+
+    def __hash__(self):
+        return self._hash
 
 
 def derive(params: ModelParams) -> DerivedParams:

@@ -139,7 +139,7 @@ def replica_rng(seed: int, replica: int = 0) -> np.random.Generator:
 _FIRST_BLOCK = 128  # events read by a run's first block
 _LAST_BLOCK = 2048  # blocks double up to this size
 
-# The compiled form of `_walk`, built on a run's first use by `_compiled_walk`.
+# The compiled form of `_walk`, loaded on a run's first use by `_compiled_walk`.
 # It takes a window as `_rate_lists` gives it (thresholds, their count and
 # the stop indices, clipped to [-1, len]), walks up to `size` uniforms from
 # index j, writing each step (+1 or -1) to `out` from index `at`, and returns
@@ -163,17 +163,24 @@ int walk(const double *th, int len, int lower, int upper,
 """
 
 
-@lru_cache(maxsize=1)
-def _compiled_walk():
-    """The compiled walk and the writable view of a run's direction buffer
-    it writes through, or None when the walk cannot be built or loaded.
+_CFLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")  # no fused multiply-add
 
-    The shared library is compiled by the platform C compiler, `cc`, on first
-    use and kept in the package's `__pycache__`, named by a hash of the
-    source and the platform tag; it is written to a temporary file there and
-    moved into place, so processes that build it at once do not collide.
-    Any failure (no compiler, a read-only package directory, a failed load)
-    leaves `_run_chain` on the Python walk, which gives the same bytes.
+
+@lru_cache(maxsize=4)
+def _compiled_walk(source):
+    """The shared library compiled from the C `source`, loaded through
+    ctypes, or None when it cannot be built or loaded.
+
+    The one loader of the compiled kernels: the count chain's walk
+    (`_WALK_SOURCE`) and the labeled chain's component passage
+    (`components._PASSAGE_SOURCE`), each beside its Python reference.  The
+    library is compiled by the platform C compiler, `cc`, on first use and
+    kept in the package's `__pycache__`, named by a hash of the source, the
+    compiler flags and the platform tag; it is written to a temporary file
+    there and moved into place, so processes that build it at once do not
+    collide.  Any failure (no compiler, a read-only package directory, a
+    failed load) leaves the caller on its Python reference, which gives the
+    same bytes.
     """
     # imported here, so that importing dyner starts and loads nothing more
     import hashlib
@@ -182,31 +189,35 @@ def _compiled_walk():
     import tempfile
 
     cache = os.path.join(os.path.dirname(os.path.abspath(__file__)), "__pycache__")
-    tag = hashlib.sha256(f"{sysconfig.get_platform()}\n{_WALK_SOURCE}".encode()).hexdigest()
-    path = os.path.join(cache, f"_walk-{tag[:16]}.so")
+    key = "\n".join((sysconfig.get_platform(), *_CFLAGS, source))
+    path = os.path.join(cache, f"_kernel-{hashlib.sha256(key.encode()).hexdigest()[:16]}.so")
     try:
         import ctypes
 
         if not os.path.exists(path):
             os.makedirs(cache, exist_ok=True)
-            fd, tmp = tempfile.mkstemp(".so", "_walk-", cache)
+            fd, tmp = tempfile.mkstemp(".so", "_kernel-", cache)
             os.close(fd)
             try:
-                subprocess.run(["cc", "-O2", "-shared", "-fPIC", "-o", tmp, "-x", "c", "-"],
-                               input=_WALK_SOURCE.encode(), capture_output=True, check=True,
+                subprocess.run(["cc", *_CFLAGS, "-o", tmp, "-x", "c", "-"],
+                               input=source.encode(), capture_output=True, check=True,
                                timeout=60)
                 os.replace(tmp, path)
             finally:
                 if os.path.exists(tmp):
                     os.remove(tmp)
-        walk = ctypes.CDLL(path).walk
+        return ctypes.CDLL(path)
     except (ImportError, OSError, subprocess.SubprocessError):
         return None
-    # no argtypes: converting each argument through them costs more than a
-    # short walk; every argument is a bytes object, a ctypes array or an int
-    # in [-1, 2^31)
-    walk.restype = ctypes.c_int
-    return walk, (ctypes.c_char * (2 * _LAST_BLOCK)).from_buffer
+
+
+@lru_cache(maxsize=1)
+def _direction_view():
+    """The ctypes view of a run's direction buffer that the compiled walk
+    writes through."""
+    import ctypes
+
+    return (ctypes.c_char * (2 * _LAST_BLOCK)).from_buffer
 
 
 def _walk(u, th, j, ups, at):
@@ -290,16 +301,18 @@ def _run_chain(d, k, rng, lower=-1, upper=-1, horizon=math.inf, level=None, path
     ups = bytearray(2 * _LAST_BLOCK)
     pending = 0
     xs = []  # their Exp(1) variates, one array per block
-    compiled = _compiled_walk()
-    if compiled:
-        walk, view = compiled
-        out = view(ups)
+    # no argtypes: converting each argument through them costs more than a
+    # short walk; every argument is a bytes object, a ctypes array or an int
+    # in [-1, 2^31), and the result an int, ctypes' default
+    compiled = _compiled_walk(_WALK_SOURCE)
+    if compiled is not None:
+        walk, out = compiled.walk, _direction_view()(ups)
     while True:
         u = rng.random(size)
         lo = max(0, (k // size - 1) * size)
         th, tot, window = _rate_lists(lo, min(N + 1, lo + 3 * size), d, lower, upper)
         start = pending
-        if compiled:
+        if compiled is not None:
             pending, j = divmod(walk(*window, u.tobytes(), size, k - lo, out, pending), len(th))
         else:
             pending, j = _walk(u, th, k - lo, ups, pending)
@@ -508,7 +521,7 @@ def run_replicas(fn, args, replicas: int, workers: int = 1) -> list:
     list; per-replica streams make the values themselves worker-independent.
     Replica 0 runs in the caller first, so a bad input is reported before
     any process starts, and the caches every replica reads (killed spectra,
-    the compiled walk, key blocks, rate windows) are filled once.  Replicas
+    the compiled kernels, key blocks, rate windows) are filled once.  Replicas
     1.. then go to at most os.cpu_count() processes, forked on Linux so that
     they inherit those caches; a lone replica left runs in the caller too.
     """

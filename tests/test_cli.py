@@ -616,29 +616,36 @@ def test_readme_command_stdout_digest(argv, digest, capsys):
 
 
 def test_without_a_c_compiler_the_python_walk_gives_the_same_bytes(tmp_path):
-    # a fresh copy of the package holds no built walk; with no C compiler on
-    # PATH, or a library that fails to load, the count chain falls back to
-    # its Python walk, silently
+    # a fresh copy of the package holds no built kernel; with no C compiler
+    # on PATH, or libraries that fail to load, the count chain's walk and the
+    # component passage fall back to Python, silently
     shutil.copytree(pathlib.Path(SRC) / "dyner", tmp_path / "dyner",
                     ignore=shutil.ignore_patterns("__pycache__"))
     built = tmp_path / "dyner" / "__pycache__"
-    argv = [sys.executable, "-m", "dyner", "simulate", "hitting", "--n", "20", "--from", "0",
-            "--to", "6", "--replicas", "10000", "--seed", "42"]
+    commands = [["simulate", "hitting", "--n", "20", "--from", "0", "--to", "6",
+                 "--replicas", "10000", "--seed", "42"],
+                ["components", "emergence", "--n", "100", "--eps", "0.3", "--delta", "0.1",
+                 "--replicas", "20", "--seed", "9"]]
     env = dict(os.environ, PYTHONPATH=str(tmp_path), PYTHONWARNINGS="error::RuntimeWarning")
     empty = tmp_path / "bin"
     empty.mkdir()
-    python = subprocess.run(argv, capture_output=True, env=dict(env, PATH=str(empty)))
-    assert (python.returncode, python.stderr) == (0, b"")
-    assert list(built.glob("_walk-*")) == []
+
+    def run(env):
+        runs = [subprocess.run([sys.executable, "-m", "dyner", *argv], capture_output=True,
+                               env=env) for argv in commands]
+        assert [(r.returncode, r.stderr) for r in runs] == [(0, b"")] * len(commands)
+        return [r.stdout for r in runs]
+
+    python = run(dict(env, PATH=str(empty)))
+    assert list(built.glob("_kernel-*")) == []
     if shutil.which("cc") is None:
-        pytest.skip("no C compiler on PATH to build the compiled walk")
-    compiled = subprocess.run(argv, capture_output=True, env=env)
-    assert (compiled.returncode, compiled.stderr) == (0, b"")
-    [library] = built.glob("_walk-*")  # the built library, no temporary left
-    assert compiled.stdout == python.stdout
-    library.write_bytes(b"not a shared library")
-    unloaded = subprocess.run(argv, capture_output=True, env=env)
-    assert (unloaded.returncode, unloaded.stderr, unloaded.stdout) == (0, b"", python.stdout)
+        pytest.skip("no C compiler on PATH to build the compiled kernels")
+    assert run(env) == python
+    libraries = list(built.glob("_kernel-*"))  # the built libraries, no temporary left
+    assert len(libraries) == 2
+    for library in libraries:
+        library.write_bytes(b"not a shared library")
+    assert run(env) == python
 
 
 def test_readme_commands_parse():

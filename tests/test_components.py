@@ -1,5 +1,9 @@
+import contextlib
 import math
 import os
+import sys
+from concurrent.futures import ThreadPoolExecutor
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -416,6 +420,19 @@ def _reference_emergence(d, eps, delta, seed, cap=None, replica=0):
     pytest.param(200, 10, None, 0.02, 0.3, 3, id="200-10-None-refused"),
 ])
 def test_emergence_matches_reference(n, reps, cap, eps, delta, seed):
+    _check_emergence_matches_reference(n, reps, cap, eps, delta, seed)
+
+
+@pytest.mark.parametrize("n,reps,cap,eps,delta,seed", [
+    pytest.param(60, 100, None, 0.3, 0.1, 80, id="60-100-None"),
+    pytest.param(300, 5, 20.0, 0.3, 0.1, 80, id="300-5-20.0"),
+])
+def test_emergence_matches_reference_with_python_passage(n, reps, cap, eps, delta, seed):
+    with _python_passage():
+        _check_emergence_matches_reference(n, reps, cap, eps, delta, seed)
+
+
+def _check_emergence_matches_reference(n, reps, cap, eps, delta, seed):
     # tau_component is read off the same flips, so it is equal bit for bit;
     # so is tau_edges wherever the edge target came first
     d = _d(n)
@@ -509,6 +526,15 @@ def test_emergence_infinite_cap_draws_finite_edge_time():
 
 
 def test_domination_agrees_with_tracked_emergence():
+    _check_domination_agrees_with_tracked_emergence()
+
+
+def test_domination_agrees_with_tracked_emergence_with_python_passage():
+    with _python_passage():
+        _check_domination_agrees_with_tracked_emergence()
+
+
+def _check_domination_agrees_with_tracked_emergence():
     # the same streams give the same False flags, replica for replica; here
     # many components reach the threshold and shrink back within a few events
     d = _d(100)
@@ -548,6 +574,17 @@ def test_domination_censoring_agrees_with_tracked_emergence():
     pytest.param(100, 0.3, 0.1, 15.0, 11, 150, {(False, False)}, id="many-false"),
 ])
 def test_domination_flag_is_emergence_flag(n, eps, delta, cap, seed, reps, seen, monkeypatch):
+    _check_domination_flag_is_emergence_flag(n, eps, delta, cap, seed, reps, seen, monkeypatch)
+
+
+def test_domination_flag_is_emergence_flag_with_python_passage(monkeypatch):
+    with _python_passage():
+        _check_domination_flag_is_emergence_flag(100, 0.2, 0.25, 25.0, 87, 100,
+                                                 {(False, True), (True, True), (True, None)},
+                                                 monkeypatch)
+
+
+def _check_domination_flag_is_emergence_flag(n, eps, delta, cap, seed, reps, seen, monkeypatch):
     # domination_run gives the flag of the replica's emergence_run, replica
     # for replica, from the same i + j uniforms of the passage draw, though
     # it takes the count (`_rates_below`) only when the all-kept sum of the
@@ -622,6 +659,118 @@ def test_domination_rejects_nonpositive_cap():
     for cap in (-1.0, 0.0, math.nan):
         with pytest.raises(ValueError):
             comp.domination_run(d, 0.3, 0.1, 1, cap=cap)
+
+
+# ------------------------------------------------------------ compiled passage
+
+# The component passage runs in C where `simulate._compiled_walk` builds it;
+# the tests with "python_passage" in their names force its reference,
+# `_edge_flips` feeding `_component_passage`, through that one loader.
+
+
+def _python_passage():
+    return mock.patch.object(sim, "_compiled_walk", lambda source: None)
+
+
+def _compiled_passage_or_skip():
+    if sim._compiled_walk(comp._PASSAGE_SOURCE) is None:
+        pytest.skip("no C compiler on PATH to build the compiled passage")
+
+
+class _Scripted:
+    """A Generator's uniforms with the doubles at the stream indices `zeros`
+    set to 0.0, which a direction test reads at its bound."""
+
+    def __init__(self, seed, zeros):
+        self.rng, self.zeros, self.read = np.random.default_rng(seed), zeros, 0
+
+    def random(self, size):
+        u = self.rng.random(size)
+        for i in self.zeros:
+            if self.read <= i < self.read + size:
+                u[i - self.read] = 0.0
+        self.read += size
+        return u
+
+
+@st.composite
+def _passage_calls(draw):
+    # an infinite cap ends only at the threshold, so it comes with dense
+    # graphs; a finite one stops within a few hundred events
+    n = draw(st.integers(2, 60))
+    cap = draw(st.sampled_from([1e-300, "events", math.inf]))
+    beta = 4.0 * n if cap == math.inf else draw(st.sampled_from([0.5, 1.0, 4.0, 4.0 * n]))
+    d = _d(n, beta=beta)
+    if cap == "events":
+        rate = d.N * d.beta / (n - 1) + d.N * d.p * d.alpha  # about the stationary total
+        cap = draw(st.integers(1, 400)) / rate
+    threshold = draw(st.integers(1, n))
+    edge_target = draw(st.one_of(st.just(math.inf), st.integers(1, d.N)))
+    zeros = draw(st.sets(st.integers(0, 12) | st.integers(0, 400), max_size=6))
+    return (d, cap, threshold, edge_target, draw(st.integers(1, 8)), draw(st.integers(1, 4)),
+            draw(st.integers(0, 2**32 - 1)), zeros)
+
+
+@given(call=_passage_calls())
+@settings(max_examples=300, deadline=None)
+def test_compiled_passage_matches_python_passage(call):
+    # uniform blocks and a first edge capacity of a few entries, so events
+    # straddle refills and the edge array grows
+    _compiled_passage_or_skip()
+    d, cap, threshold, edge_target, block, first_edges, seed, zeros = call
+    got = []
+    for python in (False, True):
+        with mock.patch.object(comp, "_BLOCK", block), \
+                mock.patch.object(comp, "_FIRST_EDGES", first_edges), \
+                mock.patch.object(comp, "replica_rng", lambda s, r: _Scripted(s, zeros)), \
+                (_python_passage() if python else contextlib.nullcontext()):
+            tau_component, tau_edges, m, uniform = comp._passage(d, seed, 0, cap, threshold,
+                                                                 edge_target)
+            got.append((tau_component, tau_edges, m, [uniform() for _ in range(50)]))
+    assert got[0] == got[1]
+
+
+def test_zero_direction_uniform_on_the_empty_graph_adds_an_edge():
+    # u * tot < m alpha is false at m = 0 for u = 0, so the first event adds
+    _compiled_passage_or_skip()
+    d = _d(8)
+    for python in (False, True):
+        with mock.patch.object(comp, "replica_rng", lambda s, r: _Scripted(s, {1})), \
+                (_python_passage() if python else contextlib.nullcontext()):
+            tau_component, tau_edges, m, _ = comp._passage(d, 5, 0, math.inf, 2, 1)
+            assert (m, tau_edges) == (1, tau_component)
+
+
+def test_large_graphs_keep_the_python_passage(monkeypatch):
+    # above 8192 vertices the present-pair bits would pass 8 MiB
+    monkeypatch.setattr(comp, "_PASSAGE_MAX_N", 39)
+    d = _d(40)
+    asked = []
+    monkeypatch.setattr(sim, "_compiled_walk", lambda source: asked.append(source))
+    sample = comp.emergence_run(d, 0.3, 0.1, seed=84)
+    assert asked == []
+    monkeypatch.undo()
+    assert comp.emergence_run(d, 0.3, 0.1, seed=84) == sample
+
+
+def test_concurrent_passages_keep_their_own_buffers():
+    # the compiled passage runs without the interpreter lock, so runs on
+    # threads (more than the cores) must each keep their own buffers
+    d = _d(100)
+
+    def flags(seed):
+        return comp.domination_samples(d, 0.3, 0.1, 20, seed=seed, cap=15.0)
+
+    want = [flags(seed) for seed in range(8)]
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            got = [f.result(timeout=60) for f in [pool.submit(flags, s) for s in range(8)]]
+    finally:
+        sys.setswitchinterval(old)
+    assert got == want
+    assert {True, False} <= {flag for seed in want for flag in seed}
 
 
 # ------------------------------------------------------------ static graphs

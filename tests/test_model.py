@@ -1,4 +1,5 @@
 import math
+import pickle
 
 import pytest
 from hypothesis import given, settings
@@ -20,6 +21,19 @@ def test_derive_n3():
     assert d.p == pytest.approx(1 / 3, rel=1e-15)
     assert d.q == pytest.approx(2 / 3, rel=1e-15)
     assert d.update_rate == pytest.approx(1.5, rel=1e-15)
+
+
+def test_equal_params_hash_equal_also_after_a_pickle_round_trip():
+    # the hash is computed once, as the hash of the fields' tuple (the
+    # dataclass default), and travels with a pickled copy to a worker
+    d = derive(ModelParams(40, 1.0, 2.0))
+    copies = [derive(ModelParams(40, 1, 2)), pickle.loads(pickle.dumps(d))]
+    fields = (d.n, d.alpha, d.beta, d.N, d.p, d.q, d.update_rate)
+    for copy in copies:
+        assert copy == d
+        assert hash(copy) == hash(d) == hash(fields)
+    assert derive(ModelParams(40, 1.0, 2.5)) != d
+    assert repr(d).count("=") == 7  # the cached hash is no field of the record
 
 
 @pytest.mark.parametrize(

@@ -614,12 +614,12 @@ _WALKS = ["compiled", "python"]
 
 
 def _python_walk():
-    return mock.patch.object(sim, "_compiled_walk", lambda: None)
+    return mock.patch.object(sim, "_compiled_walk", lambda source: None)
 
 
 def _walks():
     # both walks, or the Python walk alone where no C compiler is on PATH
-    if sim._compiled_walk() is None:
+    if sim._compiled_walk(sim._WALK_SOURCE) is None:
         assert shutil.which("cc") is None, "cc is on PATH but the compiled walk did not load"
         return ["python"]
     return _WALKS
@@ -726,8 +726,9 @@ def _walk_block(walk, u, lo, hi, d, lower, upper, j, ups, at):
     th, _, window = sim._rate_lists(lo, hi, d, lower, upper)
     if walk == "python":
         return sim._walk(u, th, j, ups, at)
-    compiled, view = sim._compiled_walk()
-    return divmod(compiled(*window, u.tobytes(), len(u), j, view(ups), at), len(th))
+    walk = sim._compiled_walk(sim._WALK_SOURCE).walk
+    return divmod(walk(*window, u.tobytes(), len(u), j, sim._direction_view()(ups), at),
+                  len(th))
 
 
 @st.composite
