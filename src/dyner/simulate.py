@@ -5,13 +5,13 @@ exponentials per step), which by superposition has exactly the same law as
 tracking all N per-edge clocks but costs O(1) per event.  One event loop,
 `_run_chain`, serves every sampler here; each sampler only picks its stop
 rule (absorbing counts, a time horizon, a level to time above).  The loop
-walks the jump directions in a C function, compiled with the platform's C
-compiler on first use and loaded through ctypes, or in Python where it
-cannot be built (`_walk`, the reference, which gives the same bytes); it
-leaves the holding times to numpy in batches, drawing them only where read.
-Every replica owns an independent, reproducible random stream derived from
-(seed, replica), so results are bit-identical regardless of how replicas
-are spread over workers.
+walks each block's jump directions and then times its events, drawing the
+holding times only where read, in two C functions compiled with the
+platform's C compiler on first use and loaded through ctypes, or in Python
+where they cannot be built (`_walk` and `_clock`, the references, which
+give the same bytes).  Every replica owns an independent, reproducible
+random stream derived from (seed, replica), so results are bit-identical
+regardless of how replicas are spread over workers.
 """
 
 import bisect
@@ -139,12 +139,19 @@ def replica_rng(seed: int, replica: int = 0) -> np.random.Generator:
 _FIRST_BLOCK = 128  # events read by a run's first block
 _LAST_BLOCK = 2048  # blocks double up to this size
 
-# The compiled form of `_walk`, loaded on a run's first use by `_compiled_walk`.
-# It takes a window as `_rate_lists` gives it (thresholds, their count and
-# the stop indices, clipped to [-1, len]), walks up to `size` uniforms from
-# index j, writing each step (+1 or -1) to `out` from index `at`, and returns
-# (at + steps) * len + j for the index j it ended on.  j stays in [0, len)
-# before every read, so no read leaves the window.
+# The compiled forms of `_walk` and `_clock`, loaded on a run's first use by
+# `_compiled_walk`.  `walk` takes a window as `_rate_lists` gives it
+# (thresholds, their count and the stop indices, clipped to [-1, len]),
+# walks up to `size` uniforms from index j, writing each step (+1 or -1) to
+# `out` from index `at`, and returns (at + steps) * len + j for the index j
+# it ended on.  j stays in [0, len) before every read, so no read leaves the
+# window.  `clock` times the `size` steps of one block from index j, each
+# event taking its Exp(1) variate over the total rate before its step: acc
+# holds (t, horizon, time above), the time above taking the events from
+# indices >= level (clipped to [-1, len] as the stops are).  It stops at the
+# first event past the horizon, writes the times and count indices of the
+# events before it to `times` and `counts` where they are not NULL, and
+# returns events * len + j for the index j before the first untimed event.
 _WALK_SOURCE = """\
 int walk(const double *th, int len, int lower, int upper,
          const double *u, int size, int j, signed char *out, int at)
@@ -160,6 +167,29 @@ int walk(const double *th, int len, int lower, int upper,
     }
     return (at + i) * len + j;
 }
+
+int clock(const double *tot, int len, int level, const signed char *step,
+          const double *x, int size, int j, double *acc, double *times, long long *counts)
+{
+    double t = acc[0], horizon = acc[1], above = acc[2];
+    int i;
+    for (i = 0; i < size; i++) {
+        double dt = x[i] / tot[j], next = t + dt;
+        if (next > horizon)
+            break;
+        if (j >= level)
+            above += dt;
+        t = next;
+        j += step[i];
+        if (times) {
+            times[i] = t;
+            counts[i] = j;
+        }
+    }
+    acc[0] = t;
+    acc[2] = above;
+    return i * len + j;
+}
 """
 
 
@@ -171,8 +201,8 @@ def _compiled_walk(source):
     """The shared library compiled from the C `source`, loaded through
     ctypes, or None when it cannot be built or loaded.
 
-    The one loader of the compiled kernels: the count chain's walk
-    (`_WALK_SOURCE`) and the labeled chain's component passage
+    The one loader of the compiled kernels: the count chain's walk and
+    clock (`_WALK_SOURCE`) and the labeled chain's component passage
     (`components._PASSAGE_SOURCE`), each beside its Python reference.  The
     library is compiled by the platform C compiler, `cc`, on first use and
     kept in the package's `__pycache__`, named by a hash of the source, the
@@ -212,12 +242,14 @@ def _compiled_walk(source):
 
 
 @lru_cache(maxsize=1)
-def _direction_view():
-    """The ctypes view of a run's direction buffer that the compiled walk
-    writes through."""
+def _run_buffers():
+    """The ctypes types of the buffers a run owns, which the compiled kernel
+    writes through: the view of its direction buffer, its accumulators
+    (t, horizon, time above), and a block's event times and count indices."""
     import ctypes
 
-    return (ctypes.c_char * (2 * _LAST_BLOCK)).from_buffer
+    return ((ctypes.c_char * _LAST_BLOCK).from_buffer, ctypes.c_double * 3,
+            ctypes.c_double * _LAST_BLOCK, ctypes.c_longlong * _LAST_BLOCK)
 
 
 def _walk(u, th, j, ups, at):
@@ -246,6 +278,40 @@ def _walk(u, th, j, ups, at):
     return end, j
 
 
+def _clock(tot, ups, x, j, level, acc, times, counts):
+    """Time one block's events in numpy: the compiled clock's reference.
+
+    The block's len(x) steps, signed bytes in `ups` from index 0, leave
+    index j of a window whose total rates are `tot`; each event's holding
+    time is its Exp(1) variate in `x` over the total rate before its step.
+    `acc` holds (t, horizon, time above).  The holding times are added to t
+    in event order by `np.cumsum`, so every time equals that of adding one
+    event at a time, up to the first event past the horizon, which ends the
+    block's timing; those of the events before it from indices >= level go
+    to the time above likewise.  Where `times` is not None, the times and
+    count indices of those events go to `times` and `counts`.  Returns
+    (events timed, index before the first untimed event or after the last).
+    """
+    steps = np.frombuffer(ups, np.int8, len(x))
+    after = np.cumsum(steps) + j
+    before = after - steps
+    terms = x / tot[before]
+    terms[0] += acc[0]
+    at = np.cumsum(terms)
+    cut = int(np.searchsorted(at, acc[1], side="right"))
+    hit = np.flatnonzero(before[:cut] >= level)
+    if hit.size:
+        terms = x[hit] / tot[before[hit]]
+        terms[0] += acc[2]
+        acc[2] = float(np.cumsum(terms)[-1])
+    if cut:
+        acc[0] = float(at[cut - 1])
+        if times is not None:
+            times[:cut] = at[:cut]
+            counts[:cut] = after[:cut]
+    return cut, int(before[cut] if cut < len(x) else after[-1])
+
+
 def _run_chain(d, k, rng, lower=-1, upper=-1, horizon=math.inf, level=None, path=None,
                timed=True):
     """The event loop of the edge-count chain, from count k at time 0.
@@ -262,28 +328,21 @@ def _run_chain(d, k, rng, lower=-1, upper=-1, horizon=math.inf, level=None, path
     2048: `rng.random(B)`, the jump directions in event order, and then
     `rng.standard_exponential(B)`, their Exp(1) holding-time variates.  The
     walk of each block's directions takes each jump up when the uniform is
-    below the count's jump threshold, birth rate / total rate.  It runs in
-    C when `_compiled_walk` can build it, else in Python (`_walk`), with the
-    same comparisons and the same bytes.  A block moves the count by at most
-    B, so from count k it reads one aligned `_rate_lists` window, counts
-    (c - 1)B to (c + 2)B with c = k // B, clipped to [0, N]; the walk never
-    leaves [0, N], since the threshold is exactly 1 at count 0 and 0 at
-    count N, and a stop ends it.  The variates are drawn after the walk: all
-    B when the walk goes on, as the next block's directions follow them in
-    the stream, and in the final block only those of its events, none when
-    no time is read.
-
-    The directions of all blocks go to one byte buffer of the run, and numpy
-    reads them only when the walk stops, at least 2048 events are pending,
-    or a bound on their time (each block's variates over the smaller end of
-    its window's total rates, which are linear in the count) passes the
-    horizon.  So the blocks pending before the last one, of size B, hold at
-    most 128 + ... + B/2 = B - 128 events, and the last block's window,
-    which reaches B counts beyond its start either way, holds every count
-    they visit; fewer than 2048 events are pending before a block, so the
-    buffer holds 4096.  Numpy divides the variates of the events whose times
-    are read by that window's total rates and sums them in event order by
-    `np.cumsum`, so every result equals that of adding one event at a time.
+    below the count's jump threshold, birth rate / total rate.  A block
+    moves the count by at most B, so from count k it reads one aligned
+    `_rate_lists` window, counts (c - 1)B to (c + 2)B with c = k // B,
+    clipped to [0, N]; the walk never leaves [0, N], since the threshold is
+    exactly 1 at count 0 and 0 at count N, and a stop ends it.  The
+    variates are drawn after the walk: all B when the walk goes on, as the
+    next block's directions follow them in the stream, and in the final
+    block only those of its events, none when no time is read (escape
+    races, which skip the clock).  The clock then times the block's events,
+    adding each holding time, variate / total rate, to the run's time one
+    event at a time, so a horizon ends the run in the block that passes it.
+    The walk and the clock run in C when `_compiled_walk` can build them,
+    else in Python (`_walk`, `_clock`), with the same arithmetic and the
+    same bytes.  Each run owns its direction buffer, accumulators and path
+    buffers, since the compiled kernel runs without the interpreter lock.
     """
     N = d.N
     # integer counts only: a float stop would never be stepped onto
@@ -293,73 +352,57 @@ def _run_chain(d, k, rng, lower=-1, upper=-1, horizon=math.inf, level=None, path
     if not (lower < k < upper):
         raise ValueError(f"start {k} must lie strictly between {lower} and {upper}")
     reads = timed or level is not None
-    t = above = due = 0.0  # due bounds the time after the pending events
+    level = N + 1 if level is None else operator.index(level)
     size = _FIRST_BLOCK
-    base = k  # the count before the pending events
-    # the pending jump directions, as signed bytes (255 is -1), in the run's
-    # own buffer, since the compiled walk runs without the interpreter lock
-    ups = bytearray(2 * _LAST_BLOCK)
-    pending = 0
-    xs = []  # their Exp(1) variates, one array per block
+    ups = bytearray(_LAST_BLOCK)  # a block's jump directions, signed bytes (255 is -1)
     # no argtypes: converting each argument through them costs more than a
-    # short walk; every argument is a bytes object, a ctypes array or an int
-    # in [-1, 2^31), and the result an int, ctypes' default
+    # short walk; every argument is a bytes object, a ctypes array, None or
+    # an int in [-1, 2^31) (window indices only, as counts can pass 2^31),
+    # and the result an int, ctypes' default
     compiled = _compiled_walk(_WALK_SOURCE)
-    if compiled is not None:
-        walk, out = compiled.walk, _direction_view()(ups)
+    times = counts = None  # a block's event times and count indices, where a path is kept
+    if compiled is None:
+        acc = [0.0, horizon, 0.0]
+        if path is not None:
+            times, counts = np.empty(_LAST_BLOCK), np.empty(_LAST_BLOCK, np.int64)
+    else:
+        view, accumulators, event_times, event_counts = _run_buffers()
+        walk, clock, out = compiled.walk, compiled.clock, view(ups)
+        acc = accumulators(0.0, horizon, 0.0)
+        if path is not None:
+            times, counts = event_times(), event_counts()
     while True:
         u = rng.random(size)
         lo = max(0, (k // size - 1) * size)
         th, tot, window = _rate_lists(lo, min(N + 1, lo + 3 * size), d, lower, upper)
-        start = pending
-        if compiled is not None:
-            pending, j = divmod(walk(*window, u.tobytes(), size, k - lo, out, pending), len(th))
+        j = k - lo
+        if compiled is None:
+            events, end = _walk(u, th, j, ups, 0)
         else:
-            pending, j = _walk(u, th, k - lo, ups, pending)
-        k = lo + j
+            ratio, length, low, high, rates = window
+            events, end = divmod(walk(ratio, length, low, high, u.tobytes(), size, j, out, 0),
+                                 length)
+        k = lo + end
         stopped = k == lower or k == upper
         if not stopped:
             x = rng.standard_exponential(size)
         elif reads:
-            x = rng.standard_exponential(pending - start)
+            x = rng.standard_exponential(events)
         if reads:
-            xs.append(x)
-        if horizon < math.inf and not stopped:  # a stopped walk is summed anyway
-            due += float(np.add.reduce(x)) / min(tot.item(0), tot.item(-1))
-        size = min(2 * size, _LAST_BLOCK)
-        if not (stopped or pending >= _LAST_BLOCK or due > horizon):
-            continue
-        # event times and time above `level` where read, by index in the
-        # last block's window, which holds every pending count
-        cut = events = pending
-        if reads:
-            if len(xs) > 1:
-                x = np.concatenate(xs)
-            steps = np.frombuffer(ups, np.int8, events)
-            after = np.cumsum(steps) + (base - lo)
-            before = after - steps
-        if timed:
-            terms = x / tot[before]
-            terms[0] += t
-            times = np.cumsum(terms)
-            t = float(times[-1])
-            if t > horizon:
-                cut = int(np.searchsorted(times, horizon, side="right"))
+            at = min(max(level - lo, -1), len(th))  # the level's index, clipped as the stops are
+            if compiled is None:
+                cut, end = _clock(tot, ups, x, j, at, acc, times, counts)
+            else:
+                cut, end = divmod(clock(rates, length, at, out, x.tobytes(), events, j, acc,
+                                        times, counts), length)
             if path is not None:
-                path.extend(zip(times[:cut].tolist(), (after[:cut] + lo).tolist()))
-        if level is not None:
-            hit = np.flatnonzero(before[:cut] >= level - lo)
-            if hit.size:
-                terms = x[hit] / tot[before[hit]]
-                terms[0] += above
-                above = np.cumsum(terms)[-1]
-        if cut < events:
-            return lo + int(before[cut]), horizon, float(above)
+                path.extend(zip(np.frombuffer(times, count=cut).tolist(),
+                                (np.frombuffer(counts, np.int64, cut) + lo).tolist()))
+            if cut < events:
+                return lo + end, horizon, acc[2]
         if stopped:
-            return k, (t if timed else None), float(above)
-        base, due = k, t
-        pending = 0
-        xs = []
+            return k, (acc[0] if timed else None), acc[2]
+        size = min(2 * size, _LAST_BLOCK)
 
 
 @lru_cache(maxsize=32)
@@ -369,11 +412,12 @@ def _rate_lists(lo, hi, d, lower, upper):
     The thresholds lam/tot, with the birth rate lam and the total rate
     tot = lam + mu of `model._kernel_rates`, are a tuple of Python floats
     with None at `lower` and `upper` where they fall in the window; the
-    total rates are a read-only array.  The C window is the compiled walk's
-    view of the same thresholds: (their bytes, their count, lower - lo,
-    upper - lo), the stops clipped to [-1, hi - lo].  Cached: `_run_chain`
-    asks for aligned windows, so the replicas of one sampler, which start
-    from one count and share its stops, mostly ask for the same windows.
+    total rates are a read-only array.  The C window is the compiled
+    kernel's view of both: (the thresholds' bytes, their count, lower - lo,
+    upper - lo, the total rates' bytes), the stops clipped to [-1, hi - lo].
+    Cached: `_run_chain` asks for aligned windows, so the replicas of one
+    sampler, which start from one count and share its stops, mostly ask for
+    the same windows.
     """
     lam, mu = _kernel_rates(lo, hi, d)
     tot = lam + mu
@@ -384,7 +428,8 @@ def _rate_lists(lo, hi, d, lower, upper):
             th[stop - lo] = None
     tot.setflags(write=False)  # the cache hands this array to every caller
     size = hi - lo
-    window = (ratio.tobytes(), size, *(min(max(stop - lo, -1), size) for stop in (lower, upper)))
+    window = (ratio.tobytes(), size, *(min(max(stop - lo, -1), size) for stop in (lower, upper)),
+              tot.tobytes())
     return tuple(th), tot, window
 
 

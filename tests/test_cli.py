@@ -617,13 +617,17 @@ def test_readme_command_stdout_digest(argv, digest, capsys):
 
 def test_without_a_c_compiler_the_python_walk_gives_the_same_bytes(tmp_path):
     # a fresh copy of the package holds no built kernel; with no C compiler
-    # on PATH, or libraries that fail to load, the count chain's walk and the
-    # component passage fall back to Python, silently
+    # on PATH, or libraries that fail to load, the count chain's walk and
+    # clock and the component passage fall back to Python, silently; the
+    # trajectory and renewal commands read the event times and the level
     shutil.copytree(pathlib.Path(SRC) / "dyner", tmp_path / "dyner",
                     ignore=shutil.ignore_patterns("__pycache__"))
     built = tmp_path / "dyner" / "__pycache__"
-    commands = [["simulate", "hitting", "--n", "20", "--from", "0", "--to", "6",
+    commands = [["simulate", "trajectory", "--n", "100", "--horizon", "2.0", "--seed", "1"],
+                ["simulate", "hitting", "--n", "20", "--from", "0", "--to", "6",
                  "--replicas", "10000", "--seed", "42"],
+                ["simulate", "renewal", "--n", "40", "--c", "0.8", "--replicas", "1000",
+                 "--seed", "7"],
                 ["components", "emergence", "--n", "100", "--eps", "0.3", "--delta", "0.1",
                  "--replicas", "20", "--seed", "9"]]
     env = dict(os.environ, PYTHONPATH=str(tmp_path), PYTHONWARNINGS="error::RuntimeWarning")

@@ -593,23 +593,38 @@ _KERNEL_CASES = {
     "absorb_after_block_end": (40, 1.0, 21, dict(lower=10, upper=30, seed=905,
                                                  events={221: 129, 1527: 129, 1856: 385,
                                                          2853: 385})),
-    # the horizon is passed in one block and the stop reached in a later
-    # block before the pending events are timed: the horizon still ends the
-    # run; `events` maps replica to (run length, walk length to the stop)
+    # the horizon is passed in one block and the stop would be reached in a
+    # later block: the horizon ends the run in the block that passes it;
+    # `events` maps replica to (run length, walk length to the stop)
     "horizon_before_later_stop": (40, 1.0, 20, dict(upper=30, horizon=4.0, seed=905,
                                                     events={77: (123, 450), 0: (166, 446),
                                                             3: (136, 1520), 4: (138, 934)})),
-    # an untimed level run over several numpy passes: the first pass takes
-    # events 1-3968 and each later one at most 2048, so these runs take 2, 2,
-    # 3 and 4 passes, and the last one spends time above the level in each
+    # an untimed level run over several blocks, each timed for the level:
+    # blocks 1-5 hold events 1-3968 and each later one 2048, so these runs
+    # take 6, 6, 7 and 8 blocks, and each spends time above the level in
+    # every block
     "long_cycle": (40, 1.0, 32, dict(lower=9, level=22, seed=905,
                                      events={156: 4061, 19: 5283, 67: 6139, 245: 8145})),
+    # the horizon is passed on the last event of a block (events 128 and
+    # 384: runs of 127 and 383 events) and on the first event of the next
+    # (129 and 385); `events` maps replica to run length
+    "horizon_on_block_end_128": (40, 1.0, 20, dict(horizon=3.3, level=20, path=True,
+                                                   seed=905, events={80: 127, 182: 127})),
+    "horizon_on_block_start_129": (40, 1.0, 20, dict(horizon=3.3, level=20, path=True,
+                                                     seed=905, events={5: 128, 8: 128})),
+    "horizon_on_block_end_384": (40, 1.0, 20, dict(horizon=9.8, level=20, path=True,
+                                                   seed=905, events={19: 383, 72: 383})),
+    "horizon_on_block_start_385": (40, 1.0, 20, dict(horizon=9.8, level=20, path=True,
+                                                     seed=905, events={1: 384, 119: 384})),
+    # counts past 2^31 (N = 2,449,965,000) and a level far below the window:
+    # the kernel's C arguments are window indices, never counts
+    "counts_past_32_bits": (70000, 1.0, 2_200_000_000, dict(horizon=1e-6, level=0, path=True)),
 }
 
 
-# The kernel walks in C where `_compiled_walk` builds it, and the tests
-# below without "python_walk" in their names run that walk; the others force
-# the Python walk, its reference.
+# The kernel walks and times its blocks in C where `_compiled_walk` builds
+# it, and the tests below without "python_walk" in their names run that
+# kernel; the others force the Python walk and clock, its reference.
 _WALKS = ["compiled", "python"]
 
 
@@ -727,7 +742,7 @@ def _walk_block(walk, u, lo, hi, d, lower, upper, j, ups, at):
     if walk == "python":
         return sim._walk(u, th, j, ups, at)
     walk = sim._compiled_walk(sim._WALK_SOURCE).walk
-    return divmod(walk(*window, u.tobytes(), len(u), j, sim._direction_view()(ups), at),
+    return divmod(walk(*window[:4], u.tobytes(), len(u), j, sim._run_buffers()[0](ups), at),
                   len(th))
 
 
@@ -767,7 +782,7 @@ def test_compiled_walk_matches_python_walk(block, at):
     d, size, k, lo, hi, u, lower, upper, placement = block
     if _walks() != _WALKS:
         pytest.skip("no C compiler on PATH")
-    fill = bytes(range(256)) * 16  # a run's direction buffer, 4096 bytes
+    fill = bytes(range(256)) * 16  # room for a block of 2048 from any index below 2048
     got = {}
     for walk in _WALKS:
         ups = bytearray(fill)
@@ -782,6 +797,66 @@ def test_compiled_walk_matches_python_walk(block, at):
         assert (end, stopped) == (at + 1, True)
     elif placement == "last" and upper == k + size:
         assert (end, stopped) == (at + size, True)
+
+
+def _clock_block(clock, tot, rates, ups, x, j, level, acc, times, counts):
+    # one block of the kernel's clock, as _run_chain takes it
+    if clock == "python":
+        return sim._clock(tot, ups, x, j, level, acc, times, counts)
+    clock = sim._compiled_walk(sim._WALK_SOURCE).clock
+    return divmod(clock(rates, len(tot), level, sim._run_buffers()[0](ups), x.tobytes(), len(x),
+                        j, acc, times, counts), len(tot))
+
+
+@st.composite
+def _clock_blocks(draw):
+    # a walked block of the kernel with Exp(1) variates stood in for by
+    # values from 1e-300 to 1e3, timed from a random time; the horizon is
+    # passed on the block's first event, on its last event, or not at all
+    # (infinite, or exactly the last event's time), and the level index lies
+    # below, inside or above the window
+    d, size, k, lo, hi, u, lower, upper, _ = draw(_walk_blocks())
+    th, tot, window = sim._rate_lists(lo, hi, d, lower, upper)
+    ups = bytearray(2048)
+    events, _ = sim._walk(u, th, k - lo, ups, 0)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    low = draw(st.integers(-300, 3))
+    x = 10.0 ** rng.uniform(low, draw(st.integers(low, 3)), events)
+    t0 = draw(st.floats(0.0, 1e6))
+    times, t, j = [], t0, k - lo
+    for v, step in zip(x.tolist(), ups[:events]):
+        t += v / tot[j]
+        times.append(t)
+        j += 1 if step == 1 else -1
+    placement = draw(st.sampled_from(["first", "last", "infinite", "on_last"]))
+    horizon = {"first": math.nextafter(times[0], -math.inf),
+               "last": math.nextafter(times[-1], -math.inf),
+               "infinite": math.inf, "on_last": times[-1]}[placement]
+    level = draw(st.sampled_from([-1, len(th)]) | st.integers(0, len(th) - 1))
+    return tot, window[4], ups, x, k - lo, level, t0, horizon, placement
+
+
+@given(block=_clock_blocks(), above=st.floats(0.0, 1e6), with_path=st.booleans())
+@settings(max_examples=300, deadline=None)
+def test_compiled_clock_matches_python_clock(block, above, with_path):
+    tot, rates, ups, x, j, level, t0, horizon, placement = block
+    if _walks() != _WALKS:
+        pytest.skip("no C compiler on PATH")
+    _, accumulators, event_times, event_counts = sim._run_buffers()
+    got = {}
+    for clock in _WALKS:
+        acc = accumulators(t0, horizon, above)
+        times = counts = None
+        if with_path:  # filled, so that a write past the timed events shows
+            times, counts = event_times(*[-1.0] * 2048), event_counts(*[-7] * 2048)
+        cut, end = _clock_block(clock, tot, rates, ups, x, j, level, acc, times, counts)
+        got[clock] = cut, end, acc[:], with_path and (bytes(times), bytes(counts))
+    assert got["compiled"] == got["python"]
+    cut = got["python"][0]
+    if placement == "last":
+        assert cut < len(x)  # earlier events may share the last one's time
+    else:
+        assert cut == (0 if placement == "first" else len(x))
 
 
 def test_jump_thresholds_keep_the_walk_in_range():
@@ -817,9 +892,10 @@ def test_rate_windows_hold_none_at_the_stops_and_read_only_total_rates():
         assert rates.tobytes() == tot.tobytes()
         with pytest.raises(ValueError):
             rates[0] = 1.0
-        # the compiled walk's view: every threshold, the stops clipped to [-1, hi - lo]
+        # the compiled kernel's view: every threshold, the stops clipped to
+        # [-1, hi - lo], and the total rates
         clip = [min(max(c - lo, -1), hi - lo) for c in (lower, upper)]
-        assert window == ((lam / tot).tobytes(), hi - lo, *clip)
+        assert window == ((lam / tot).tobytes(), hi - lo, *clip, tot.tobytes())
         # both walks stop on a stop inside the window, from the count next to it
         for stop, walk in itertools.product((lower, upper), _walks()):
             if lo < stop < hi - 1:
@@ -863,12 +939,20 @@ def test_kernel_refuses_non_integer_counts(call):
 
 
 def test_concurrent_runs_keep_their_own_direction_buffers():
-    # the compiled walk runs without the interpreter lock, so runs on
-    # threads (more than the cores) must each write their own buffer
+    # the compiled walk and clock run without the interpreter lock, so runs
+    # on threads (more than the cores) must each write their own direction
+    # buffer, accumulators and path buffers
     d = _d(40)
 
+    def run(seed, r):
+        path = []
+        got = sim._run_chain(d, 0, sim.replica_rng(seed, r), upper=32, horizon=40.0, level=16,
+                             path=path)
+        return got, path
+
     def passages(seed):
-        return [sim._run_chain(d, 0, sim.replica_rng(seed, r), upper=32) for r in range(20)]
+        return ([sim._run_chain(d, 0, sim.replica_rng(seed, r), upper=32) for r in range(20)]
+                + [run(seed, r) for r in range(20)])
 
     want = [passages(seed) for seed in range(8)]
     old = sys.getswitchinterval()
@@ -908,15 +992,15 @@ class _CountingRng:
         return getattr(self.rng, name)
 
 
-def test_horizon_in_the_first_block_reads_at_most_two_blocks():
-    # the pending times are summed once a bound on them passes the horizon,
-    # so a short trajectory does not walk and draw blocks far past it
+def test_horizon_in_the_first_block_reads_one_block():
+    # each block is timed as soon as its variates are drawn, so a short
+    # trajectory walks and draws no block past the one that passes the horizon
     d = _d(6)
     for r in range(50):
         rng, path = _CountingRng(sim.replica_rng(101, r)), []
         sim._run_chain(d, 0, rng, horizon=3.0, path=path)
         assert len(path) < 128
-        assert rng.blocks <= 2
+        assert rng.blocks == 1
 
 
 def test_hitting_time_with_infinite_cap_is_exact():
