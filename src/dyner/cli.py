@@ -241,7 +241,8 @@ def _rates(o, _):
         an.rate_functions(eps)
     if count > 10**6:
         raise ValueError(f"need at most 10^6 eps grid points, got {count:.3g}")
-    grid = [round(eps_min + k * step, 12) for k in range(count)]
+    # point 0 is eps-min itself: 0 * step is nan for an infinite step
+    grid = [round(eps_min + k * step if k else eps_min, 12) for k in range(count)]
     rates = [an.rate_functions(eps) for eps in grid]
     if o["svg"]:
         write_line_svg(o["svg"], grid, {"K": [r.k for r in rates], "I1": [r.i1 for r in rates]},

@@ -7,11 +7,12 @@ tracking all N per-edge clocks but costs O(1) per event.  One event loop,
 rule (absorbing counts, a time horizon, a level to time above).  The loop
 walks each block's jump directions and then times its events, drawing the
 holding times only where read, in two C functions compiled with the
-platform's C compiler on first use and loaded through ctypes, or in Python
-where they cannot be built (`_walk` and `_clock`, the references, which
-give the same bytes).  Every replica owns an independent, reproducible
-random stream derived from (seed, replica), so results are bit-identical
-regardless of how replicas are spread over workers.
+platform's C compiler on first use and loaded through ctypes, or, where
+they cannot be built, in their Python references `_walk` and `_clock`,
+which take the same arguments and give the same bytes.  Every replica owns
+an independent, reproducible random stream derived from (seed, replica),
+so results are bit-identical regardless of how replicas are spread over
+workers.
 """
 
 import bisect
@@ -139,36 +140,37 @@ def replica_rng(seed: int, replica: int = 0) -> np.random.Generator:
 _FIRST_BLOCK = 128  # events read by a run's first block
 _LAST_BLOCK = 2048  # blocks double up to this size
 
-# The compiled forms of `_walk` and `_clock`, loaded on a run's first use by
-# `_compiled_walk`.  `walk` takes a window as `_rate_lists` gives it
-# (thresholds, their count and the stop indices, clipped to [-1, len]),
-# walks up to `size` uniforms from index j, writing each step (+1 or -1) to
-# `out` from index `at`, and returns (at + steps) * len + j for the index j
-# it ended on.  j stays in [0, len) before every read, so no read leaves the
-# window.  `clock` times the `size` steps of one block from index j, each
-# event taking its Exp(1) variate over the total rate before its step: acc
-# holds (t, horizon, time above), the time above taking the events from
-# indices >= level (clipped to [-1, len] as the stops are).  It stops at the
-# first event past the horizon, writes the times and count indices of the
-# events before it to `times` and `counts` where they are not NULL, and
-# returns events * len + j for the index j before the first untimed event.
+# The count chain's kernel: `walk` and `clock`, compiled from this source
+# by `_compiled_walk` on a run's first use, and `_walk` and `_clock`, their
+# Python references, which take the same arguments and return the same
+# values.  `walk` takes a window as `_rate_lists` gives it (thresholds, their
+# count and the stop indices, clipped to [-1, length]), walks up to `size`
+# uniforms from index j, writing each step (+1 or -1) to `out`, and returns
+# steps * length + j for the index j it ended on.  j stays in [0, length)
+# before every read, so no read leaves the window.  `clock` times the `size`
+# steps of one block from index j, each event taking its Exp(1) variate over
+# the total rate before its step: acc holds (t, horizon, time above), the
+# time above taking the events from indices >= level (clipped to
+# [-1, length] as the stops are).  It stops at the first event past the
+# horizon, writes the times and count indices of the events before it to
+# `times` and `counts` where they are not NULL, and returns
+# events * length + j for the index j before the first untimed event.
 _WALK_SOURCE = """\
-int walk(const double *th, int len, int lower, int upper,
-         const double *u, int size, int j, signed char *out, int at)
+int walk(const double *th, int length, int lower, int upper,
+         const double *u, int size, int j, signed char *out)
 {
     int i = 0;
-    out += at;
-    while (i < size && 0 <= j && j < len) {
+    while (i < size && 0 <= j && j < length) {
         int step = u[i] < th[j] ? 1 : -1;
         out[i++] = (signed char)step;
         j += step;
         if (j == lower || j == upper)
             break;
     }
-    return (at + i) * len + j;
+    return i * length + j;
 }
 
-int clock(const double *tot, int len, int level, const signed char *step,
+int clock(const double *tot, int length, int level, const signed char *step,
           const double *x, int size, int j, double *acc, double *times, long long *counts)
 {
     double t = acc[0], horizon = acc[1], above = acc[2];
@@ -188,7 +190,7 @@ int clock(const double *tot, int len, int level, const signed char *step,
     }
     acc[0] = t;
     acc[2] = above;
-    return i * len + j;
+    return i * length + j;
 }
 """
 
@@ -210,9 +212,11 @@ def _compiled_walk(source):
     there and moved into place, so processes that build it at once do not
     collide.  Any failure (no compiler, a read-only package directory, a
     failed load) leaves the caller on its Python reference, which gives the
-    same bytes.
+    same bytes.  ctypes itself is required: the count chain's runs own
+    ctypes buffers whichever kernel they call.
     """
     # imported here, so that importing dyner starts and loads nothing more
+    import ctypes
     import hashlib
     import subprocess
     import sysconfig
@@ -222,8 +226,6 @@ def _compiled_walk(source):
     key = "\n".join((sysconfig.get_platform(), *_CFLAGS, source))
     path = os.path.join(cache, f"_kernel-{hashlib.sha256(key.encode()).hexdigest()[:16]}.so")
     try:
-        import ctypes
-
         if not os.path.exists(path):
             os.makedirs(cache, exist_ok=True)
             fd, tmp = tempfile.mkstemp(".so", "_kernel-", cache)
@@ -237,62 +239,51 @@ def _compiled_walk(source):
                 if os.path.exists(tmp):
                     os.remove(tmp)
         return ctypes.CDLL(path)
-    except (ImportError, OSError, subprocess.SubprocessError):
+    except (OSError, subprocess.SubprocessError):
         return None
 
 
 @lru_cache(maxsize=1)
 def _run_buffers():
-    """The ctypes types of the buffers a run owns, which the compiled kernel
-    writes through: the view of its direction buffer, its accumulators
-    (t, horizon, time above), and a block's event times and count indices."""
+    """The ctypes types of the buffers a run owns, which both kernels write
+    through: its direction buffer, its accumulators (t, horizon, time
+    above), and a block's event times and count indices."""
     import ctypes
 
-    return ((ctypes.c_char * _LAST_BLOCK).from_buffer, ctypes.c_double * 3,
+    return (ctypes.c_char * _LAST_BLOCK, ctypes.c_double * 3,
             ctypes.c_double * _LAST_BLOCK, ctypes.c_longlong * _LAST_BLOCK)
 
 
-def _walk(u, th, j, ups, at):
-    """Walk one block's jump directions in Python: the compiled walk's reference.
-
-    From index j of the thresholds `th`, each uniform of `u` takes the count
-    up when below the threshold, else down; the steps go to the bytearray
-    `ups` from index `at` as signed bytes (255 is -1).  A None threshold, at
-    a stop, ends the walk (v < None raises TypeError).  Returns (index after
-    the last step, end index j).
-    """
+def _walk(th, length, lower, upper, u, size, j, out):
+    """The compiled `walk` in Python: its reference, with its arguments and
+    return value."""
+    th = memoryview(th).cast("d")
     steps = bytearray()
     up = steps.append
-    try:
-        for v in memoryview(u):
-            if v < th[j]:
-                j += 1
-                up(1)
-            else:
-                j -= 1
-                up(255)
-    except TypeError:  # v < None: the walk stepped onto lower or upper
-        pass
-    end = at + len(steps)
-    ups[at:end] = steps
-    return end, j
+    for v in memoryview(u).cast("d")[:size]:
+        if v < th[j]:
+            j += 1
+            up(1)
+        else:
+            j -= 1
+            up(255)  # -1 as a signed byte
+        if j == lower or j == upper:
+            break
+    out[:len(steps)] = bytes(steps)
+    return len(steps) * length + j
 
 
-def _clock(tot, ups, x, j, level, acc, times, counts):
-    """Time one block's events in numpy: the compiled clock's reference.
+def _clock(tot, length, level, step, x, size, j, acc, times, counts):
+    """The compiled `clock` in numpy: its reference, with its arguments and
+    return value.
 
-    The block's len(x) steps, signed bytes in `ups` from index 0, leave
-    index j of a window whose total rates are `tot`; each event's holding
-    time is its Exp(1) variate in `x` over the total rate before its step.
-    `acc` holds (t, horizon, time above).  The holding times are added to t
-    in event order by `np.cumsum`, so every time equals that of adding one
-    event at a time, up to the first event past the horizon, which ends the
-    block's timing; those of the events before it from indices >= level go
-    to the time above likewise.  Where `times` is not None, the times and
-    count indices of those events go to `times` and `counts`.  Returns
-    (events timed, index before the first untimed event or after the last).
+    The holding times are added to t in event order by `np.cumsum`, so
+    every time equals that of adding one event at a time, up to the first
+    event past the horizon; those of the events before it from indices
+    >= level go to the time above likewise.
     """
-    steps = np.frombuffer(ups, np.int8, len(x))
+    tot, x = np.frombuffer(tot), np.frombuffer(x, count=size)
+    steps = np.frombuffer(step, np.int8, size)
     after = np.cumsum(steps) + j
     before = after - steps
     terms = x / tot[before]
@@ -307,9 +298,9 @@ def _clock(tot, ups, x, j, level, acc, times, counts):
     if cut:
         acc[0] = float(at[cut - 1])
         if times is not None:
-            times[:cut] = at[:cut]
-            counts[:cut] = after[:cut]
-    return cut, int(before[cut] if cut < len(x) else after[-1])
+            np.frombuffer(times, count=cut)[:] = at[:cut]
+            np.frombuffer(counts, np.int64, cut)[:] = after[:cut]
+    return cut * length + int(before[cut] if cut < size else after[-1])
 
 
 def _run_chain(d, k, rng, lower=-1, upper=-1, horizon=math.inf, level=None, path=None,
@@ -339,10 +330,10 @@ def _run_chain(d, k, rng, lower=-1, upper=-1, horizon=math.inf, level=None, path
     races, which skip the clock).  The clock then times the block's events,
     adding each holding time, variate / total rate, to the run's time one
     event at a time, so a horizon ends the run in the block that passes it.
-    The walk and the clock run in C when `_compiled_walk` can build them,
-    else in Python (`_walk`, `_clock`), with the same arithmetic and the
-    same bytes.  Each run owns its direction buffer, accumulators and path
-    buffers, since the compiled kernel runs without the interpreter lock.
+    The walk and the clock are the compiled ones where `_compiled_walk` can
+    build them, else `_walk` and `_clock`, called alike and giving the same
+    bytes.  Each run owns its `_run_buffers`, since the compiled kernel runs
+    without the interpreter lock.
     """
     N = d.N
     # integer counts only: a float stop would never be stepped onto
@@ -354,34 +345,24 @@ def _run_chain(d, k, rng, lower=-1, upper=-1, horizon=math.inf, level=None, path
     reads = timed or level is not None
     level = N + 1 if level is None else operator.index(level)
     size = _FIRST_BLOCK
-    ups = bytearray(_LAST_BLOCK)  # a block's jump directions, signed bytes (255 is -1)
     # no argtypes: converting each argument through them costs more than a
     # short walk; every argument is a bytes object, a ctypes array, None or
     # an int in [-1, 2^31) (window indices only, as counts can pass 2^31),
     # and the result an int, ctypes' default
     compiled = _compiled_walk(_WALK_SOURCE)
+    walk, clock = (_walk, _clock) if compiled is None else (compiled.walk, compiled.clock)
+    directions, accumulators, event_times, event_counts = _run_buffers()
+    out, acc = directions(), accumulators(0.0, horizon, 0.0)
     times = counts = None  # a block's event times and count indices, where a path is kept
-    if compiled is None:
-        acc = [0.0, horizon, 0.0]
-        if path is not None:
-            times, counts = np.empty(_LAST_BLOCK), np.empty(_LAST_BLOCK, np.int64)
-    else:
-        view, accumulators, event_times, event_counts = _run_buffers()
-        walk, clock, out = compiled.walk, compiled.clock, view(ups)
-        acc = accumulators(0.0, horizon, 0.0)
-        if path is not None:
-            times, counts = event_times(), event_counts()
+    if path is not None:
+        times, counts = event_times(), event_counts()
     while True:
         u = rng.random(size)
         lo = max(0, (k // size - 1) * size)
-        th, tot, window = _rate_lists(lo, min(N + 1, lo + 3 * size), d, lower, upper)
+        ratio, length, low, high, rates = _rate_lists(lo, min(N + 1, lo + 3 * size), d, lower,
+                                                      upper)
         j = k - lo
-        if compiled is None:
-            events, end = _walk(u, th, j, ups, 0)
-        else:
-            ratio, length, low, high, rates = window
-            events, end = divmod(walk(ratio, length, low, high, u.tobytes(), size, j, out, 0),
-                                 length)
+        events, end = divmod(walk(ratio, length, low, high, u.tobytes(), size, j, out), length)
         k = lo + end
         stopped = k == lower or k == upper
         if not stopped:
@@ -389,12 +370,9 @@ def _run_chain(d, k, rng, lower=-1, upper=-1, horizon=math.inf, level=None, path
         elif reads:
             x = rng.standard_exponential(events)
         if reads:
-            at = min(max(level - lo, -1), len(th))  # the level's index, clipped as the stops are
-            if compiled is None:
-                cut, end = _clock(tot, ups, x, j, at, acc, times, counts)
-            else:
-                cut, end = divmod(clock(rates, length, at, out, x.tobytes(), events, j, acc,
-                                        times, counts), length)
+            at = min(max(level - lo, -1), length)  # the level's index, clipped as the stops are
+            cut, end = divmod(clock(rates, length, at, out, x.tobytes(), events, j, acc, times,
+                                    counts), length)
             if path is not None:
                 path.extend(zip(np.frombuffer(times, count=cut).tolist(),
                                 (np.frombuffer(counts, np.int64, cut) + lo).tolist()))
@@ -407,30 +385,20 @@ def _run_chain(d, k, rng, lower=-1, upper=-1, horizon=math.inf, level=None, path
 
 @lru_cache(maxsize=32)
 def _rate_lists(lo, hi, d, lower, upper):
-    """The window of counts lo..hi-1: (jump thresholds, total rates, C window).
+    """The window of counts lo..hi-1 as both kernels read it: (the jump
+    thresholds' bytes, their count, lower - lo, upper - lo, the total rates'
+    bytes), the stops clipped to [-1, hi - lo].
 
-    The thresholds lam/tot, with the birth rate lam and the total rate
-    tot = lam + mu of `model._kernel_rates`, are a tuple of Python floats
-    with None at `lower` and `upper` where they fall in the window; the
-    total rates are a read-only array.  The C window is the compiled
-    kernel's view of both: (the thresholds' bytes, their count, lower - lo,
-    upper - lo, the total rates' bytes), the stops clipped to [-1, hi - lo].
-    Cached: `_run_chain` asks for aligned windows, so the replicas of one
-    sampler, which start from one count and share its stops, mostly ask for
-    the same windows.
+    The thresholds are lam/tot, with the birth rate lam and the total rate
+    tot = lam + mu of `model._kernel_rates`.  Cached: `_run_chain` asks for
+    aligned windows, so the replicas of one sampler, which start from one
+    count and share its stops, mostly ask for the same windows.
     """
     lam, mu = _kernel_rates(lo, hi, d)
     tot = lam + mu
-    ratio = lam / tot
-    th = ratio.tolist()
-    for stop in (lower, upper):
-        if lo <= stop < hi:
-            th[stop - lo] = None
-    tot.setflags(write=False)  # the cache hands this array to every caller
     size = hi - lo
-    window = (ratio.tobytes(), size, *(min(max(stop - lo, -1), size) for stop in (lower, upper)),
-              tot.tobytes())
-    return tuple(th), tot, window
+    return ((lam / tot).tobytes(), size,
+            *(min(max(stop - lo, -1), size) for stop in (lower, upper)), tot.tobytes())
 
 
 @dataclass(frozen=True, slots=True)

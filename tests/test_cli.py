@@ -201,6 +201,16 @@ def test_rates_rows_and_svg(tmp_path, capsys):
         "918b355f14efc3285f04a1b52feca616268fc88b0a23e7983de46910a3a4e430")
 
 
+def test_rates_grid_of_one_infinite_step_is_eps_min(capsys):
+    # 0 * inf is nan: grid point 0 used to be nan, which exited 2
+    rows = []
+    for step in ("10", "inf"):
+        run_cli("analytic", "rates", "--eps-min", "0.1", "--eps-max", "0.2", "--step", step)
+        rows.append([l for l in capsys.readouterr().out.splitlines() if not l.startswith("#")])
+    assert rows[1] == rows[0]
+    assert len(rows[0]) == 2 and rows[0][1].startswith("0.1,")
+
+
 @pytest.mark.parametrize("eps_max,step,last,count", [
     ("0.5", "0.3", 0.31, 2),
     ("0.79", "0.05", 0.76, 16),

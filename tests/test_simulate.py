@@ -1,8 +1,10 @@
 import concurrent.futures
+import inspect
 import itertools
 import math
 import multiprocessing
 import random
+import re
 import shutil
 import sys
 from concurrent.futures import Future, ThreadPoolExecutor
@@ -736,14 +738,21 @@ def test_kernel_matches_scalar_loop_on_random_inputs_with_python_walk(call, seed
         _check_random_chain_call(call, seed)
 
 
-def _walk_block(walk, u, lo, hi, d, lower, upper, j, ups, at):
-    # one block of the kernel's walk, as _run_chain takes it
-    th, _, window = sim._rate_lists(lo, hi, d, lower, upper)
-    if walk == "python":
-        return sim._walk(u, th, j, ups, at)
-    walk = sim._compiled_walk(sim._WALK_SOURCE).walk
-    return divmod(walk(*window[:4], u.tobytes(), len(u), j, sim._run_buffers()[0](ups), at),
-                  len(th))
+def _kernel(name):
+    # the (walk, clock) of the compiled kernel or of its Python reference,
+    # which take the same arguments
+    if name == "python":
+        return sim._walk, sim._clock
+    compiled = sim._compiled_walk(sim._WALK_SOURCE)
+    return compiled.walk, compiled.clock
+
+
+def test_python_kernel_takes_the_compiled_kernels_arguments():
+    # `_run_chain` calls either kernel's functions at one site
+    for name, reference in (("walk", sim._walk), ("clock", sim._clock)):
+        params = re.search(rf"\bint {name}\(([^)]*)\)", sim._WALK_SOURCE).group(1)
+        assert list(inspect.signature(reference).parameters) == [
+            re.findall(r"\w+", param)[-1] for param in params.split(",")]
 
 
 @st.composite
@@ -765,7 +774,7 @@ def _walk_blocks(draw):
         gap = st.sampled_from(range(9)).map(lambda e: 2 ** e)
         lower, upper = k - draw(gap), k + draw(gap)
     elif placement == "first":
-        if u[0] < sim._rate_lists(lo, hi, d, -1, d.N + 1)[0][k - lo]:
+        if u[0] < np.frombuffer(sim._rate_lists(lo, hi, d, -1, d.N + 1)[0])[k - lo]:
             upper = k + 1
         else:
             lower = k - 1
@@ -776,36 +785,30 @@ def _walk_blocks(draw):
     return d, size, k, lo, hi, u, max(lower, -1), min(upper, d.N + 1), placement
 
 
-@given(block=_walk_blocks(), at=st.integers(0, 2047))
+@given(block=_walk_blocks())
 @settings(max_examples=300, deadline=None)
-def test_compiled_walk_matches_python_walk(block, at):
+def test_compiled_walk_matches_python_walk(block):
     d, size, k, lo, hi, u, lower, upper, placement = block
     if _walks() != _WALKS:
         pytest.skip("no C compiler on PATH")
-    fill = bytes(range(256)) * 16  # room for a block of 2048 from any index below 2048
+    args = (*sim._rate_lists(lo, hi, d, lower, upper)[:4], u.tobytes(), size, k - lo)
+    fill = bytes(range(256)) * 8  # a run's direction buffer, filled
     got = {}
-    for walk in _WALKS:
-        ups = bytearray(fill)
-        got[walk] = _walk_block(walk, u, lo, hi, d, lower, upper, k - lo, ups, at), ups
+    for name in _WALKS:
+        out = sim._run_buffers()[0]()
+        out.raw = fill
+        got[name] = _kernel(name)[0](*args, out), out.raw
     assert got["compiled"] == got["python"]
-    (end, j), ups = got["python"]
+    packed, ups = got["python"]
+    end, j = divmod(packed, hi - lo)
     stopped = lo + j in (lower, upper)
-    assert end == at + size or stopped
-    assert ups[:at] + ups[end:] == fill[:at] + fill[end:]  # only the block's bytes change
-    assert lo + j == k + sum(1 if b == 1 else -1 for b in ups[at:end])
+    assert end == size or stopped
+    assert ups[end:] == fill[end:]  # only the walked events' bytes change
+    assert lo + j == k + sum(1 if b == 1 else -1 for b in ups[:end])
     if placement == "first":
-        assert (end, stopped) == (at + 1, True)
+        assert (end, stopped) == (1, True)
     elif placement == "last" and upper == k + size:
-        assert (end, stopped) == (at + size, True)
-
-
-def _clock_block(clock, tot, rates, ups, x, j, level, acc, times, counts):
-    # one block of the kernel's clock, as _run_chain takes it
-    if clock == "python":
-        return sim._clock(tot, ups, x, j, level, acc, times, counts)
-    clock = sim._compiled_walk(sim._WALK_SOURCE).clock
-    return divmod(clock(rates, len(tot), level, sim._run_buffers()[0](ups), x.tobytes(), len(x),
-                        j, acc, times, counts), len(tot))
+        assert (end, stopped) == (size, True)
 
 
 @st.composite
@@ -816,15 +819,17 @@ def _clock_blocks(draw):
     # (infinite, or exactly the last event's time), and the level index lies
     # below, inside or above the window
     d, size, k, lo, hi, u, lower, upper, _ = draw(_walk_blocks())
-    th, tot, window = sim._rate_lists(lo, hi, d, lower, upper)
-    ups = bytearray(2048)
-    events, _ = sim._walk(u, th, k - lo, ups, 0)
+    window = sim._rate_lists(lo, hi, d, lower, upper)
+    length, rates = window[1], window[4]
+    out = sim._run_buffers()[0]()
+    events = sim._walk(*window[:4], u.tobytes(), size, k - lo, out) // length
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     low = draw(st.integers(-300, 3))
     x = 10.0 ** rng.uniform(low, draw(st.integers(low, 3)), events)
     t0 = draw(st.floats(0.0, 1e6))
+    tot = np.frombuffer(rates)
     times, t, j = [], t0, k - lo
-    for v, step in zip(x.tolist(), ups[:events]):
+    for v, step in zip(x.tolist(), out.raw[:events]):
         t += v / tot[j]
         times.append(t)
         j += 1 if step == 1 else -1
@@ -832,84 +837,88 @@ def _clock_blocks(draw):
     horizon = {"first": math.nextafter(times[0], -math.inf),
                "last": math.nextafter(times[-1], -math.inf),
                "infinite": math.inf, "on_last": times[-1]}[placement]
-    level = draw(st.sampled_from([-1, len(th)]) | st.integers(0, len(th) - 1))
-    return tot, window[4], ups, x, k - lo, level, t0, horizon, placement
+    level = draw(st.sampled_from([-1, length]) | st.integers(0, length - 1))
+    return (rates, length, level, out, x.tobytes(), events, k - lo), t0, horizon, placement
 
 
 @given(block=_clock_blocks(), above=st.floats(0.0, 1e6), with_path=st.booleans())
 @settings(max_examples=300, deadline=None)
 def test_compiled_clock_matches_python_clock(block, above, with_path):
-    tot, rates, ups, x, j, level, t0, horizon, placement = block
+    args, t0, horizon, placement = block
+    _, length, _, _, _, size, _ = args
     if _walks() != _WALKS:
         pytest.skip("no C compiler on PATH")
     _, accumulators, event_times, event_counts = sim._run_buffers()
+
+    def filled():  # path buffers, filled so that a write past the timed events shows
+        return event_times(*[-1.0] * 2048), event_counts(*[-7] * 2048)
+
+    fill = [bytes(b) for b in filled()]
     got = {}
-    for clock in _WALKS:
+    for name in _WALKS:
         acc = accumulators(t0, horizon, above)
-        times = counts = None
-        if with_path:  # filled, so that a write past the timed events shows
-            times, counts = event_times(*[-1.0] * 2048), event_counts(*[-7] * 2048)
-        cut, end = _clock_block(clock, tot, rates, ups, x, j, level, acc, times, counts)
-        got[clock] = cut, end, acc[:], with_path and (bytes(times), bytes(counts))
+        times, counts = filled() if with_path else (None, None)
+        packed = _kernel(name)[1](*args, acc, times, counts)
+        got[name] = packed, acc[:], with_path and [bytes(times), bytes(counts)]
     assert got["compiled"] == got["python"]
-    cut = got["python"][0]
+    packed, _, path = got["python"]
+    cut = packed // length
+    if with_path:
+        assert [b[8 * cut:] for b in path] == [b[8 * cut:] for b in fill]
     if placement == "last":
-        assert cut < len(x)  # earlier events may share the last one's time
+        assert cut < size  # earlier events may share the last one's time
     else:
-        assert cut == (0 if placement == "first" else len(x))
+        assert cut == (0 if placement == "first" else size)
 
 
 def test_jump_thresholds_keep_the_walk_in_range():
     # uniforms lie in [0, 1): a threshold of exactly 1 always jumps up from
     # the empty graph, one of exactly 0 always jumps down from the full one,
     # in either walk
-    top = np.array([1.0 - 2.0 ** -53])
-    for walk in _walks():
+    top = np.array([1.0 - 2.0 ** -53]).tobytes()
+    for name in _walks():
+        walk = _kernel(name)[0]
         for n in (2, 40, 2000):
             for alpha, beta in ((1.0, 1.0), (1.0, 200.0), (1e-3, 1.0), (1e3, 1.0)):
                 d = _d(n, alpha=alpha, beta=beta)
-                assert sim._rate_lists(0, 2, d, -1, d.N + 1)[0][0] == 1.0
-                assert sim._rate_lists(d.N - 1, d.N + 1, d, -1, d.N + 1)[0][-1] == 0.0
-                ups = bytearray(4096)  # a run's direction buffer
-                assert _walk_block(walk, top, 0, 2, d, -1, d.N + 1, 0, ups, 0) == (1, 1)
-                assert _walk_block(walk, np.zeros(1), d.N - 1, d.N + 1, d, -1, d.N + 1, 1,
-                                   ups, 1) == (2, 0)
-                assert ups[:2] == bytes([1, 255])
+                empty = sim._rate_lists(0, 2, d, -1, d.N + 1)
+                full = sim._rate_lists(d.N - 1, d.N + 1, d, -1, d.N + 1)
+                assert np.frombuffer(empty[0])[0] == 1.0
+                assert np.frombuffer(full[0])[-1] == 0.0
+                out = sim._run_buffers()[0]()  # a run's direction buffer
+                assert divmod(walk(*empty[:4], top, 1, 0, out), 2) == (1, 1)
+                assert out.raw[:1] == bytes([1])
+                assert divmod(walk(*full[:4], np.zeros(1).tobytes(), 1, 1, out), 2) == (1, 0)
+                assert out.raw[:1] == bytes([255])
 
 
-def test_rate_windows_hold_none_at_the_stops_and_read_only_total_rates():
+def test_rate_windows_hold_the_rates_and_the_clipped_stops():
     d = _d(40)
     lo, hi = 128, 512
     counts = np.arange(lo, hi)
     lam = (d.N - counts) * (d.beta / (d.n - 1))
     tot = lam + counts * d.alpha
-    plain, _, _ = sim._rate_lists(lo, hi, d, -1, d.N + 1)
-    assert plain == tuple((lam / tot).tolist())
     # stops inside, on both edges of, and just outside the window
     for lower, upper in ((200, 300), (-1, 300), (lo, hi - 1), (lo - 1, hi), (0, d.N)):
-        th, rates, window = sim._rate_lists(lo, hi, d, lower, upper)
-        assert th == tuple(None if c in (lower, upper) else v for c, v in zip(counts, plain))
-        assert rates.tobytes() == tot.tobytes()
-        with pytest.raises(ValueError):
-            rates[0] = 1.0
-        # the compiled kernel's view: every threshold, the stops clipped to
-        # [-1, hi - lo], and the total rates
+        window = sim._rate_lists(lo, hi, d, lower, upper)
+        # every threshold, the stops clipped to [-1, hi - lo], and the total rates
         clip = [min(max(c - lo, -1), hi - lo) for c in (lower, upper)]
         assert window == ((lam / tot).tobytes(), hi - lo, *clip, tot.tobytes())
-        # both walks stop on a stop inside the window, from the count next to it
-        for stop, walk in itertools.product((lower, upper), _walks()):
+        # both walks stop on a stop inside the window, from the count next
+        # to it, with a second step in the same direction left
+        for stop, name in itertools.product((lower, upper), _walks()):
             if lo < stop < hi - 1:
                 side = 1 if stop == upper else -1
-                u = np.array([0.0 if side == 1 else 1.0 - 2.0 ** -53])
-                end, j = _walk_block(walk, u, lo, hi, d, lower, upper, stop - side - lo,
-                                     bytearray(4096), 0)
-                assert (end, lo + j) == (1, stop)
+                u = np.full(2, 0.0 if side == 1 else 1.0 - 2.0 ** -53).tobytes()
+                packed = _kernel(name)[0](*window[:4], u, 2, stop - side - lo,
+                                          sim._run_buffers()[0]())
+                assert divmod(packed, hi - lo) == (1, stop - lo)
     # each stop pair on one window is its own cache entry
     misses = sim._rate_lists.cache_info().misses
     one = sim._rate_lists(lo, hi, d, 201, 299)
     other = sim._rate_lists(lo, hi, d, 202, 299)
     assert sim._rate_lists.cache_info().misses == misses + 2
-    assert one[0][201 - lo] is None and other[0][201 - lo] == plain[201 - lo]
+    assert one[2:4] == (201 - lo, 299 - lo) and other[2:4] == (202 - lo, 299 - lo)
     assert sim._rate_lists(lo, hi, d, 201, 299) is one
 
 
