@@ -6,13 +6,14 @@ tracking all N per-edge clocks but costs O(1) per event.  One event loop,
 `_run_chain`, serves every sampler here; each sampler only picks its stop
 rule (absorbing counts, a time horizon, a level to time above).  The loop
 walks each block's jump directions and then times its events, drawing the
-holding times only where read, in two C functions compiled with the
-platform's C compiler on first use and loaded through ctypes, or, where
-they cannot be built, in their Python references `_walk` and `_clock`,
-which take the same arguments and give the same bytes.  Every replica owns
-an independent, reproducible random stream derived from (seed, replica),
-so results are bit-identical regardless of how replicas are spread over
-workers.
+holding times only where read.  A whole run is one call of a C function,
+compiled with the platform's C compiler on first use, linked with numpy's
+own random library so that it draws from the replica's bit generator, and
+loaded through ctypes; where it cannot be built, the Python block loop
+`_run_blocks` with `_walk` and `_clock`, its reference, gives the same
+bytes.  Every replica owns an independent, reproducible random stream
+derived from (seed, replica), so results are bit-identical regardless of
+how replicas are spread over workers.
 """
 
 import bisect
@@ -140,57 +141,124 @@ def replica_rng(seed: int, replica: int = 0) -> np.random.Generator:
 _FIRST_BLOCK = 128  # events read by a run's first block
 _LAST_BLOCK = 2048  # blocks double up to this size
 
-# The count chain's kernel: `walk` and `clock`, compiled from this source
-# by `_compiled_walk` on a run's first use, and `_walk` and `_clock`, their
-# Python references, which take the same arguments and return the same
-# values.  `walk` takes a window as `_rate_lists` gives it (thresholds, their
-# count and the stop indices, clipped to [-1, length]), walks up to `size`
-# uniforms from index j, writing each step (+1 or -1) to `out`, and returns
-# steps * length + j for the index j it ended on.  j stays in [0, length)
-# before every read, so no read leaves the window.  `clock` times the `size`
-# steps of one block from index j, each event taking its Exp(1) variate over
-# the total rate before its step: acc holds (t, horizon, time above), the
-# time above taking the events from indices >= level (clipped to
-# [-1, length] as the stops are).  It stops at the first event past the
-# horizon, writes the times and count indices of the events before it to
-# `times` and `counts` where they are not NULL, and returns
-# events * length + j for the index j before the first untimed event.
-_WALK_SOURCE = """\
-int walk(const double *th, int length, int lower, int upper,
-         const double *u, int size, int j, signed char *out)
+# numpy's random library, whose fill functions Generator.random and
+# Generator.standard_exponential call; the compiled run links it
+_NPYRANDOM = os.path.join(os.path.dirname(np.__file__), "random", "lib", "libnpyrandom.a")
+
+# The count chain's compiled run, built by `_compiled_walk` on a run's first
+# use and linked with `_NPYRANDOM`; `_run_blocks` is its Python reference.
+# `run` runs `_run_chain`'s blocks from `state` (a struct run, which
+# `_run_types` lays out), drawing each block's uniforms and then its Exp(1)
+# variates from the bit generator through numpy's own fill functions, so it
+# reads the stream as `_run_blocks` does.  Each block computes, by `rates`,
+# the thresholds and total rates of the counts it can read, [k-B, k+B]
+# inside the stops, with the operations of `model._kernel_rates` and so the
+# bytes of `_rate_lists`' windows; it then walks as `_walk` does and times
+# as `_clock` does, on indices into that window, the stops and the level
+# clipped to [-1, length].  Where `times` is not NULL it returns after each
+# block, having written the times and counts of the block's timed events
+# there.  It returns the number of the last block's timed events and leaves
+# the run's state for the next call: its count, time and time above, and its
+# next block's size, 0 when a stop ended the run and -1 when the horizon did.
+_RUN_SOURCE = """\
+#include <stdint.h>
+
+/* numpy's bitgen_t, as numpy/random/bitgen.h declares it */
+typedef struct {
+    void *state;
+    uint64_t (*next_uint64)(void *);
+    uint32_t (*next_uint32)(void *);
+    double (*next_double)(void *);
+    uint64_t (*next_raw)(void *);
+} bitgen_t;
+
+void random_standard_uniform_fill(bitgen_t *bitgen, intptr_t count, double *out);
+void random_standard_exponential_fill(bitgen_t *bitgen, intptr_t count, double *out);
+
+/* the stops lie in [-1, N + 1]; reads is 0 where the run reads no time */
+struct run {
+    long long count, size, lower, upper, level, N, reads;
+    double t, horizon, above, alpha, birth_scale;
+};
+
+enum { LAST = 2048 };
+
+static int clip(long long index, int length)
 {
-    int i = 0;
-    while (i < size && 0 <= j && j < length) {
-        int step = u[i] < th[j] ? 1 : -1;
-        out[i++] = (signed char)step;
-        j += step;
-        if (j == lower || j == upper)
-            break;
-    }
-    return i * length + j;
+    return index < -1 ? -1 : index > length ? length : (int)index;
 }
 
-int clock(const double *tot, int length, int level, const signed char *step,
-          const double *x, int size, int j, double *acc, double *times, long long *counts)
+/* the jump thresholds and total rates of the counts base..base+length-1 */
+void rates(long long base, int length, long long N, double alpha, double birth_scale,
+           double *th, double *tot)
 {
-    double t = acc[0], horizon = acc[1], above = acc[2];
-    int i;
-    for (i = 0; i < size; i++) {
-        double dt = x[i] / tot[j], next = t + dt;
-        if (next > horizon)
-            break;
-        if (j >= level)
-            above += dt;
-        t = next;
-        j += step[i];
-        if (times) {
-            times[i] = t;
-            counts[i] = j;
-        }
+    for (int c = 0; c < length; c++) {
+        double lam = (double)(N - base - c) * birth_scale;
+        tot[c] = lam + (double)(base + c) * alpha;
+        th[c] = lam / tot[c];
     }
-    acc[0] = t;
-    acc[2] = above;
-    return i * length + j;
+}
+
+int run(bitgen_t *bitgen, struct run *state, double *times, long long *counts)
+{
+    long long k = state->count, N = state->N;
+    double t = state->t, horizon = state->horizon, above = state->above;
+    int size = (int)state->size, events;
+    double draws[LAST], th[2 * LAST + 1], tot[2 * LAST + 1];
+    signed char step[LAST];
+
+    for (;;) {
+        long long base = k - size > state->lower ? k - size : state->lower + 1;
+        int length = (int)((k + size < state->upper ? k + size : state->upper - 1) - base + 1);
+        int lower = clip(state->lower - base, length), upper = clip(state->upper - base, length);
+        int level = clip(state->level - base, length);
+        int start = (int)(k - base), i = 0, j = start, stopped = 0;
+        rates(base, length, N, state->alpha, state->birth_scale, th, tot);
+        random_standard_uniform_fill(bitgen, size, draws);
+        while (i < size && !stopped && 0 <= j && j < length) {
+            int s = draws[i] < th[j] ? 1 : -1;
+            step[i++] = (signed char)s;
+            j += s;
+            stopped = j == lower || j == upper;
+        }
+        events = i;
+        k = base + j;
+        if (!stopped || state->reads)
+            random_standard_exponential_fill(bitgen, stopped ? events : size, draws);
+        if (state->reads) {
+            for (i = 0, j = start; i < events; i++) {
+                double dt = draws[i] / tot[j], next = t + dt;
+                if (next > horizon)
+                    break;
+                if (j >= level)
+                    above += dt;
+                t = next;
+                j += step[i];
+                if (times) {
+                    times[i] = t;
+                    counts[i] = base + j;
+                }
+            }
+            if (i < events) {
+                k = base + j;
+                events = i;
+                size = -1;
+                break;
+            }
+        }
+        if (stopped) {
+            size = 0;
+            break;
+        }
+        size = size < LAST ? 2 * size : LAST;
+        if (times)
+            break;
+    }
+    state->count = k;
+    state->size = size;
+    state->t = t;
+    state->above = above;
+    return events;
 }
 """
 
@@ -198,40 +266,53 @@ int clock(const double *tot, int length, int level, const signed char *step,
 _CFLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")  # no fused multiply-add
 
 
-@lru_cache(maxsize=4)
-def _compiled_walk(source):
-    """The shared library compiled from the C `source`, loaded through
-    ctypes, or None when it cannot be built or loaded.
+def _library_path(source, link):
+    """Where `_compiled_walk` keeps the library built from the C `source`
+    and the archives `link`: the package's `__pycache__`, under a hash of the
+    platform tag, the compiler flags, the source and each archive's path,
+    size and modification time.  OSError when an archive is missing."""
+    import hashlib
+    import sysconfig
 
-    The one loader of the compiled kernels: the count chain's walk and
-    clock (`_WALK_SOURCE`) and the labeled chain's component passage
-    (`components._PASSAGE_SOURCE`), each beside its Python reference.  The
-    library is compiled by the platform C compiler, `cc`, on first use and
-    kept in the package's `__pycache__`, named by a hash of the source, the
-    compiler flags and the platform tag; it is written to a temporary file
-    there and moved into place, so processes that build it at once do not
-    collide.  Any failure (no compiler, a read-only package directory, a
-    failed load) leaves the caller on its Python reference, which gives the
-    same bytes.  ctypes itself is required: the count chain's runs own
-    ctypes buffers whichever kernel they call.
+    stats = [os.stat(archive) for archive in link]
+    key = "\n".join((sysconfig.get_platform(), *_CFLAGS, source,
+                     *(f"{a} {s.st_size} {s.st_mtime_ns}" for a, s in zip(link, stats))))
+    cache = os.path.join(os.path.dirname(os.path.abspath(__file__)), "__pycache__")
+    return os.path.join(cache, f"_kernel-{hashlib.sha256(key.encode()).hexdigest()[:16]}.so")
+
+
+@lru_cache(maxsize=4)
+def _compiled_walk(source, *link):
+    """The shared library compiled from the C `source` and linked with the
+    static archives `link`, loaded through ctypes, or None when it cannot be
+    built or loaded.
+
+    The one loader of the compiled kernels: the count chain's run
+    (`_RUN_SOURCE`, linked with numpy's random library `_NPYRANDOM`) and the
+    labeled chain's component passage (`components._PASSAGE_SOURCE`), each
+    beside its Python reference.  The library is compiled by the platform C
+    compiler, `cc`, on first use and kept at `_library_path`; it is written
+    to a temporary file there and moved into place, so processes that build
+    it at once do not collide.  Any failure (no compiler, a missing archive,
+    a read-only package directory, a failed load) leaves the caller on its
+    Python reference, which gives the same bytes.
     """
     # imported here, so that importing dyner starts and loads nothing more
     import ctypes
-    import hashlib
     import subprocess
-    import sysconfig
     import tempfile
 
-    cache = os.path.join(os.path.dirname(os.path.abspath(__file__)), "__pycache__")
-    key = "\n".join((sysconfig.get_platform(), *_CFLAGS, source))
-    path = os.path.join(cache, f"_kernel-{hashlib.sha256(key.encode()).hexdigest()[:16]}.so")
     try:
+        path = _library_path(source, link)
         if not os.path.exists(path):
+            cache = os.path.dirname(path)
             os.makedirs(cache, exist_ok=True)
             fd, tmp = tempfile.mkstemp(".so", "_kernel-", cache)
             os.close(fd)
             try:
-                subprocess.run(["cc", *_CFLAGS, "-o", tmp, "-x", "c", "-"],
+                # `-x none` reads the archives as linker input, not as C
+                subprocess.run(["cc", *_CFLAGS, "-o", tmp, "-x", "c", "-",
+                                *(("-x", "none", *link, "-lm") if link else ())],
                                input=source.encode(), capture_output=True, check=True,
                                timeout=60)
                 os.replace(tmp, path)
@@ -244,19 +325,33 @@ def _compiled_walk(source):
 
 
 @lru_cache(maxsize=1)
-def _run_buffers():
-    """The ctypes types of the buffers a run owns, which both kernels write
-    through: its direction buffer, its accumulators (t, horizon, time
-    above), and a block's event times and count indices."""
+def _run_types():
+    """What the compiled run is called with: a function giving the address
+    of a bit generator's bitgen_t from its capsule; the layout of struct run
+    and the ctypes type of its buffer; the layout of what a call leaves
+    there (count, block size, t, time above); and the ctypes types of a
+    block's event times and counts."""
     import ctypes
+    import struct
 
-    return (ctypes.c_char * _LAST_BLOCK, ctypes.c_double * 3,
+    class Address(ctypes.c_void_p):
+        """A restype that ctypes returns as it is, ready to pass on: a plain
+        int would pass as a 32-bit C int."""
+
+    # a private prototype: ctypes.pythonapi's own is shared with every caller
+    pointer = ctypes.PYFUNCTYPE(Address, ctypes.py_object, ctypes.c_char_p)(
+        ("PyCapsule_GetPointer", ctypes.pythonapi))
+    layout = struct.Struct("7q5d")
+    return (pointer, layout, ctypes.c_char * layout.size, struct.Struct("2q40xd8xd"),
             ctypes.c_double * _LAST_BLOCK, ctypes.c_longlong * _LAST_BLOCK)
 
 
 def _walk(th, length, lower, upper, u, size, j, out):
-    """The compiled `walk` in Python: its reference, with its arguments and
-    return value."""
+    """The walk of one block's directions, the reference of the compiled
+    run's: from window index j (`_rate_lists`' window), each uniform below
+    the threshold at j steps up (1 written to `out`), else down (-1), up to
+    `size` uniforms or a step onto a stop index.  Returns
+    steps * length + j for the index j it ended on."""
     th = memoryview(th).cast("d")
     steps = bytearray()
     up = steps.append
@@ -274,8 +369,14 @@ def _walk(th, length, lower, upper, u, size, j, out):
 
 
 def _clock(tot, length, level, step, x, size, j, acc, times, counts):
-    """The compiled `clock` in numpy: its reference, with its arguments and
-    return value.
+    """The clock of one block's `size` steps from window index j, the
+    reference of the compiled run's: each event takes its Exp(1) variate
+    over the total rate before its step.  acc holds (t, horizon, time
+    above), the time above taking the events from indices >= level.  It
+    stops at the first event past the horizon, writes the times and count
+    indices of the events before it to `times` and `counts` where they are
+    not None, and returns events * length + j for the index j before the
+    first untimed event.
 
     The holding times are added to t in event order by `np.cumsum`, so
     every time equals that of adding one event at a time, up to the first
@@ -298,8 +399,8 @@ def _clock(tot, length, level, step, x, size, j, acc, times, counts):
     if cut:
         acc[0] = float(at[cut - 1])
         if times is not None:
-            np.frombuffer(times, count=cut)[:] = at[:cut]
-            np.frombuffer(counts, np.int64, cut)[:] = after[:cut]
+            times[:cut] = at[:cut]
+            counts[:cut] = after[:cut]
     return cut * length + int(before[cut] if cut < size else after[-1])
 
 
@@ -319,21 +420,21 @@ def _run_chain(d, k, rng, lower=-1, upper=-1, horizon=math.inf, level=None, path
     2048: `rng.random(B)`, the jump directions in event order, and then
     `rng.standard_exponential(B)`, their Exp(1) holding-time variates.  The
     walk of each block's directions takes each jump up when the uniform is
-    below the count's jump threshold, birth rate / total rate.  A block
-    moves the count by at most B, so from count k it reads one aligned
-    `_rate_lists` window, counts (c - 1)B to (c + 2)B with c = k // B,
-    clipped to [0, N]; the walk never leaves [0, N], since the threshold is
-    exactly 1 at count 0 and 0 at count N, and a stop ends it.  The
-    variates are drawn after the walk: all B when the walk goes on, as the
-    next block's directions follow them in the stream, and in the final
-    block only those of its events, none when no time is read (escape
-    races, which skip the clock).  The clock then times the block's events,
-    adding each holding time, variate / total rate, to the run's time one
-    event at a time, so a horizon ends the run in the block that passes it.
-    The walk and the clock are the compiled ones where `_compiled_walk` can
-    build them, else `_walk` and `_clock`, called alike and giving the same
-    bytes.  Each run owns its `_run_buffers`, since the compiled kernel runs
-    without the interpreter lock.
+    below the count's jump threshold, birth rate / total rate; it never
+    leaves [0, N], since the threshold is exactly 1 at count 0 and 0 at
+    count N, and a stop ends it.  The variates are drawn after the walk:
+    all B when the walk goes on, as the next block's directions follow them
+    in the stream, and in the final block only those of its events, none
+    when no time is read (escape races, which skip the clock).  The clock
+    then times the block's events, adding each holding time, variate / total
+    rate, to the run's time one event at a time, so a horizon ends the run
+    in the block that passes it.
+
+    The run is one call of the compiled `run` where `_compiled_walk` can
+    build it, drawing from the Generator's own bit generator under its lock,
+    as numpy's fills do, since the call runs without the interpreter lock;
+    where a path is kept it returns after each block, whose events are
+    appended.  Elsewhere `_run_blocks`, its reference, gives the same bytes.
     """
     N = d.N
     # integer counts only: a float stop would never be stepped onto
@@ -344,25 +445,51 @@ def _run_chain(d, k, rng, lower=-1, upper=-1, horizon=math.inf, level=None, path
         raise ValueError(f"start {k} must lie strictly between {lower} and {upper}")
     reads = timed or level is not None
     level = N + 1 if level is None else operator.index(level)
-    size = _FIRST_BLOCK
-    # no argtypes: converting each argument through them costs more than a
-    # short walk; every argument is a bytes object, a ctypes array, None or
-    # an int in [-1, 2^31) (window indices only, as counts can pass 2^31),
-    # and the result an int, ctypes' default
-    compiled = _compiled_walk(_WALK_SOURCE)
-    walk, clock = (_walk, _clock) if compiled is None else (compiled.walk, compiled.clock)
-    directions, accumulators, event_times, event_counts = _run_buffers()
-    out, acc = directions(), accumulators(0.0, horizon, 0.0)
-    times = counts = None  # a block's event times and count indices, where a path is kept
+    compiled = _compiled_walk(_RUN_SOURCE, _NPYRANDOM)
+    if compiled is None:
+        return _run_blocks(d, k, rng, lower, upper, horizon, level, path, timed, reads)
+    pointer, layout, buffer, outcome, event_times, event_counts = _run_types()
+    # no argtypes: every argument is a ctypes array or address, or None, and
+    # the result an int, ctypes' default; counts, which can pass 2^31, go in
+    # the struct as long longs
+    state = buffer.from_buffer_copy(layout.pack(
+        k, _FIRST_BLOCK, max(lower, -1), min(upper, N + 1), min(max(level, -1), N + 1), N, reads,
+        0.0, horizon, 0.0, d.alpha, d.beta / (d.n - 1)))
+    bit_generator = rng.bit_generator
+    address = pointer(bit_generator.capsule, b"BitGenerator")
+    times = counts = None  # a block's event times and counts, where a path is kept
     if path is not None:
         times, counts = event_times(), event_counts()
+    while True:
+        with bit_generator.lock:
+            events = compiled.run(address, state, times, counts)
+        if path is not None:
+            path.extend(zip(np.frombuffer(times, count=events).tolist(),
+                            np.frombuffer(counts, np.int64, events).tolist()))
+        k, size, t, above = outcome.unpack_from(state)
+        if size <= 0:
+            return k, (horizon if size else t if timed else None), above
+
+
+def _run_blocks(d, k, rng, lower, upper, horizon, level, path, timed, reads):
+    """`_run_chain` in Python, block by block, with `_walk` and `_clock`
+    over `_rate_lists` windows: the compiled run's reference, with its
+    draws and bytes.  A block moves the count by at most B, so from count k
+    it reads one aligned window, counts (c - 1)B to (c + 2)B with
+    c = k // B, clipped to [0, N]."""
+    N = d.N
+    size = _FIRST_BLOCK
+    out, acc = bytearray(_LAST_BLOCK), [0.0, horizon, 0.0]
+    times = counts = None  # a block's event times and count indices, where a path is kept
+    if path is not None:
+        times, counts = np.empty(_LAST_BLOCK), np.empty(_LAST_BLOCK, np.int64)
     while True:
         u = rng.random(size)
         lo = max(0, (k // size - 1) * size)
         ratio, length, low, high, rates = _rate_lists(lo, min(N + 1, lo + 3 * size), d, lower,
                                                       upper)
         j = k - lo
-        events, end = divmod(walk(ratio, length, low, high, u.tobytes(), size, j, out), length)
+        events, end = divmod(_walk(ratio, length, low, high, u.tobytes(), size, j, out), length)
         k = lo + end
         stopped = k == lower or k == upper
         if not stopped:
@@ -371,11 +498,10 @@ def _run_chain(d, k, rng, lower=-1, upper=-1, horizon=math.inf, level=None, path
             x = rng.standard_exponential(events)
         if reads:
             at = min(max(level - lo, -1), length)  # the level's index, clipped as the stops are
-            cut, end = divmod(clock(rates, length, at, out, x.tobytes(), events, j, acc, times,
-                                    counts), length)
+            cut, end = divmod(_clock(rates, length, at, out, x.tobytes(), events, j, acc, times,
+                                     counts), length)
             if path is not None:
-                path.extend(zip(np.frombuffer(times, count=cut).tolist(),
-                                (np.frombuffer(counts, np.int64, cut) + lo).tolist()))
+                path.extend(zip(times[:cut].tolist(), (counts[:cut] + lo).tolist()))
             if cut < events:
                 return lo + end, horizon, acc[2]
         if stopped:
@@ -385,12 +511,12 @@ def _run_chain(d, k, rng, lower=-1, upper=-1, horizon=math.inf, level=None, path
 
 @lru_cache(maxsize=32)
 def _rate_lists(lo, hi, d, lower, upper):
-    """The window of counts lo..hi-1 as both kernels read it: (the jump
-    thresholds' bytes, their count, lower - lo, upper - lo, the total rates'
-    bytes), the stops clipped to [-1, hi - lo].
+    """The window of counts lo..hi-1 as `_walk` and `_clock` read it: (the
+    jump thresholds' bytes, their count, lower - lo, upper - lo, the total
+    rates' bytes), the stops clipped to [-1, hi - lo].
 
     The thresholds are lam/tot, with the birth rate lam and the total rate
-    tot = lam + mu of `model._kernel_rates`.  Cached: `_run_chain` asks for
+    tot = lam + mu of `model._kernel_rates`.  Cached: `_run_blocks` asks for
     aligned windows, so the replicas of one sampler, which start from one
     count and share its stops, mostly ask for the same windows.
     """

@@ -1,10 +1,11 @@
 import concurrent.futures
-import inspect
+import contextlib
+import ctypes
 import itertools
 import math
 import multiprocessing
+import os
 import random
-import re
 import shutil
 import sys
 from concurrent.futures import Future, ThreadPoolExecutor
@@ -17,6 +18,7 @@ from hypothesis import strategies as st
 from scipy.stats import chisquare, ks_2samp
 
 from dyner import analytic as an
+from dyner import components as comp
 from dyner import simulate as sim
 from dyner.model import ModelParams, derive
 from dyner.stats import ks_distance, mean_ci
@@ -513,16 +515,22 @@ def test_replica_streams_differ():
 # ------------------------------------------------------------ kernel against the scalar loop
 
 
+def _blocks():
+    # the sizes of a run's blocks of events: 128 doubling up to 2048
+    size = 128
+    while True:
+        yield size
+        size = min(2 * size, 2048)
+
+
 def _exponential_draws(seed, replica):
     # the kernel's stream layout: per block of B events (128 doubling up to
     # 2048), B direction uniforms and then B Exp(1) holding-time variates
     rng = sim.replica_rng(seed, replica)
-    size = 128
-    while True:
+    for size in _blocks():
         u = rng.random(size).tolist()
         x = rng.standard_exponential(size).tolist()
         yield from zip(u, x)
-        size = min(2 * size, 2048)
 
 
 def _inverted_draws(seed, replica):
@@ -624,22 +632,72 @@ _KERNEL_CASES = {
 }
 
 
-# The kernel walks and times its blocks in C where `_compiled_walk` builds
-# it, and the tests below without "python_walk" in their names run that
-# kernel; the others force the Python walk and clock, its reference.
+# The kernel runs in one C call where `_compiled_walk` builds it, and the
+# tests below without "python_walk" in their names run that kernel; the
+# others force the Python block loop, its reference.
 _WALKS = ["compiled", "python"]
 
 
 def _python_walk():
-    return mock.patch.object(sim, "_compiled_walk", lambda source: None)
+    return mock.patch.object(sim, "_compiled_walk", lambda source, *link: None)
 
 
 def _walks():
-    # both walks, or the Python walk alone where no C compiler is on PATH
-    if sim._compiled_walk(sim._WALK_SOURCE) is None:
-        assert shutil.which("cc") is None, "cc is on PATH but the compiled walk did not load"
+    # both kernels, or the Python loop alone where the run cannot be built:
+    # where no C compiler is on PATH, or where numpy's random archive is
+    # missing, when the component passage, which links nothing, still builds
+    if sim._compiled_walk(sim._RUN_SOURCE, sim._NPYRANDOM) is None:
+        if shutil.which("cc") is not None:
+            assert not os.path.exists(sim._NPYRANDOM), "the compiled run did not load"
+            assert sim._compiled_walk(comp._PASSAGE_SOURCE) is not None
         return ["python"]
     return _WALKS
+
+
+def _kernel(name):
+    # runs `_run_chain` on the named kernel
+    return _python_walk() if name == "python" else contextlib.nullcontext()
+
+
+def _block_of(event):
+    # (first event, size) of the block that holds event index `event`
+    first = 0
+    for size in _blocks():
+        if event < first + size:
+            return first, size
+        first += size
+
+
+def _drawn_state(d, start, seed, r, rule, reads):
+    # the replica's Generator state after the draws the stream layout gives
+    # the run of `rule`: every block before the one where the run ends draws
+    # its uniforms and variates; that block draws its uniforms, and then all
+    # of its variates where its walk goes on, those of its walked events
+    # where its walk stops, and none where the run reads no time
+    steps = []
+    k, _, _ = _reference_chain(d, start, _exponential_draws(seed, r), path=steps, **rule)
+    stopped = k in (rule.get("lower"), rule.get("upper"))
+    first, size = _block_of(len(steps) - stopped)  # the event that ended the run
+    variates = size
+    if stopped:
+        variates = len(steps) - first if reads else 0
+    elif "lower" in rule or "upper" in rule:
+        # the horizon ended the run, and its walk goes on to a stop or to the
+        # block's end
+        walk = []
+        draws = itertools.islice(_exponential_draws(seed, r), first + size)
+        if _reference_chain(d, start, draws, path=walk, **dict(rule, horizon=math.inf)):
+            variates = len(walk) - first
+    rng, drawn = sim.replica_rng(seed, r), 0
+    for block in _blocks():
+        if drawn == first:
+            break
+        rng.random(block)
+        rng.standard_exponential(block)
+        drawn += block
+    rng.random(size)
+    rng.standard_exponential(variates)
+    return rng.bit_generator.state
 
 
 @pytest.mark.parametrize("case", sorted(_KERNEL_CASES))
@@ -665,9 +723,11 @@ def _check_kernel_case(case):
     for r, length in lengths.items():
         want_path, got_path = ([], []) if with_path else (None, None)
         want = _reference_chain(d, start, _exponential_draws(seed, r), path=want_path, **rule)
-        got = sim._run_chain(d, start, sim.replica_rng(seed, r), path=got_path, **rule)
+        rng = sim.replica_rng(seed, r)
+        got = sim._run_chain(d, start, rng, path=got_path, **rule)
         assert got == want
         assert got_path == want_path
+        assert rng.bit_generator.state == _drawn_state(d, start, seed, r, rule, True)
         if length is not None:
             steps = []
             _reference_chain(d, start, _exponential_draws(seed, r), path=steps, **rule)
@@ -681,8 +741,11 @@ def _check_kernel_case(case):
         if untimed:
             # escape races and cycles read no exit time: they walk the same
             # directions and divide only the holding times the level needs
-            bare = sim._run_chain(d, start, sim.replica_rng(seed, r), timed=False, **rule)
+            rng = sim.replica_rng(seed, r)
+            bare = sim._run_chain(d, start, rng, timed=False, **rule)
             assert bare == (want[0], None, want[2])
+            assert rng.bit_generator.state == _drawn_state(d, start, seed, r, rule,
+                                                           "level" in rule)
         censored += got[1] == rule.get("horizon")
     if case in ("upper_with_cap", "horizon_with_level", "dense"):
         assert 0 < censored < 40  # both exits are exercised
@@ -720,9 +783,12 @@ def _check_random_chain_call(call, seed):
     draws = itertools.islice(_exponential_draws(seed, 0), _REFERENCE_EVENTS)
     want = _reference_chain(d, k, draws, path=want_path, **rule)
     assume(want is not None)  # the oracle ran out of draws
-    got = sim._run_chain(d, k, sim.replica_rng(seed, 0), path=got_path, timed=timed, **rule)
+    rng = sim.replica_rng(seed, 0)
+    got = sim._run_chain(d, k, rng, path=got_path, timed=timed, **rule)
     assert got == (want if timed else (want[0], None, want[2]))
     assert got_path == want_path
+    reads = timed or "level" in rule
+    assert rng.bit_generator.state == _drawn_state(d, k, seed, 0, rule, reads)
 
 
 @given(call=_chain_calls(), seed=st.integers(0, 2**32 - 1))
@@ -736,23 +802,6 @@ def test_kernel_matches_scalar_loop_on_random_inputs(call, seed):
 def test_kernel_matches_scalar_loop_on_random_inputs_with_python_walk(call, seed):
     with _python_walk():
         _check_random_chain_call(call, seed)
-
-
-def _kernel(name):
-    # the (walk, clock) of the compiled kernel or of its Python reference,
-    # which take the same arguments
-    if name == "python":
-        return sim._walk, sim._clock
-    compiled = sim._compiled_walk(sim._WALK_SOURCE)
-    return compiled.walk, compiled.clock
-
-
-def test_python_kernel_takes_the_compiled_kernels_arguments():
-    # `_run_chain` calls either kernel's functions at one site
-    for name, reference in (("walk", sim._walk), ("clock", sim._clock)):
-        params = re.search(rf"\bint {name}\(([^)]*)\)", sim._WALK_SOURCE).group(1)
-        assert list(inspect.signature(reference).parameters) == [
-            re.findall(r"\w+", param)[-1] for param in params.split(",")]
 
 
 @st.composite
@@ -787,27 +836,28 @@ def _walk_blocks(draw):
 
 @given(block=_walk_blocks())
 @settings(max_examples=300, deadline=None)
-def test_compiled_walk_matches_python_walk(block):
+def test_python_walk_matches_scalar_walk(block):
     d, size, k, lo, hi, u, lower, upper, placement = block
-    if _walks() != _WALKS:
-        pytest.skip("no C compiler on PATH")
-    args = (*sim._rate_lists(lo, hi, d, lower, upper)[:4], u.tobytes(), size, k - lo)
+    window = sim._rate_lists(lo, hi, d, lower, upper)
     fill = bytes(range(256)) * 8  # a run's direction buffer, filled
-    got = {}
-    for name in _WALKS:
-        out = sim._run_buffers()[0]()
-        out.raw = fill
-        got[name] = _kernel(name)[0](*args, out), out.raw
-    assert got["compiled"] == got["python"]
-    packed, ups = got["python"]
-    end, j = divmod(packed, hi - lo)
-    stopped = lo + j in (lower, upper)
+    out = bytearray(fill)
+    end, j = divmod(sim._walk(*window[:4], u.tobytes(), size, k - lo, out), hi - lo)
+    # one step at a time: up where the uniform lies below the count's threshold
+    th, count, steps = np.frombuffer(window[0]), k, bytearray()
+    for v in u.tolist():
+        step = 1 if v < th[count - lo] else -1
+        steps.append(step % 256)  # -1 as a signed byte
+        count += step
+        if count in (lower, upper):
+            break
+    assert (end, lo + j) == (len(steps), count)
+    assert out[:end] == steps
+    assert out[end:] == fill[end:]  # only the walked events' bytes change
+    stopped = count in (lower, upper)
     assert end == size or stopped
-    assert ups[end:] == fill[end:]  # only the walked events' bytes change
-    assert lo + j == k + sum(1 if b == 1 else -1 for b in ups[:end])
     if placement == "first":
         assert (end, stopped) == (1, True)
-    elif placement == "last" and upper == k + size:
+    elif placement == "last" and upper == k + size <= d.N:
         assert (end, stopped) == (size, True)
 
 
@@ -821,7 +871,7 @@ def _clock_blocks(draw):
     d, size, k, lo, hi, u, lower, upper, _ = draw(_walk_blocks())
     window = sim._rate_lists(lo, hi, d, lower, upper)
     length, rates = window[1], window[4]
-    out = sim._run_buffers()[0]()
+    out = bytearray(2048)
     events = sim._walk(*window[:4], u.tobytes(), size, k - lo, out) // length
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     low = draw(st.integers(-300, 3))
@@ -829,7 +879,7 @@ def _clock_blocks(draw):
     t0 = draw(st.floats(0.0, 1e6))
     tot = np.frombuffer(rates)
     times, t, j = [], t0, k - lo
-    for v, step in zip(x.tolist(), out.raw[:events]):
+    for v, step in zip(x.tolist(), out[:events]):
         t += v / tot[j]
         times.append(t)
         j += 1 if step == 1 else -1
@@ -843,53 +893,102 @@ def _clock_blocks(draw):
 
 @given(block=_clock_blocks(), above=st.floats(0.0, 1e6), with_path=st.booleans())
 @settings(max_examples=300, deadline=None)
-def test_compiled_clock_matches_python_clock(block, above, with_path):
+def test_python_clock_matches_scalar_clock(block, above, with_path):
     args, t0, horizon, placement = block
-    _, length, _, _, _, size, _ = args
-    if _walks() != _WALKS:
-        pytest.skip("no C compiler on PATH")
-    _, accumulators, event_times, event_counts = sim._run_buffers()
-
-    def filled():  # path buffers, filled so that a write past the timed events shows
-        return event_times(*[-1.0] * 2048), event_counts(*[-7] * 2048)
-
-    fill = [bytes(b) for b in filled()]
-    got = {}
-    for name in _WALKS:
-        acc = accumulators(t0, horizon, above)
-        times, counts = filled() if with_path else (None, None)
-        packed = _kernel(name)[1](*args, acc, times, counts)
-        got[name] = packed, acc[:], with_path and [bytes(times), bytes(counts)]
-    assert got["compiled"] == got["python"]
-    packed, _, path = got["python"]
-    cut = packed // length
+    rates, length, level, out, x, size, j = args
+    # path buffers, filled so that a write past the timed events shows
+    times, counts = (np.full(2048, -1.0), np.full(2048, -7)) if with_path else (None, None)
+    acc = [t0, horizon, above]
+    packed = sim._clock(*args, acc, times, counts)
+    # one event at a time, up to the first past the horizon
+    tot, t, want = np.frombuffer(rates), t0, []
+    for v, step in zip(np.frombuffer(x).tolist(), out[:size]):
+        dt = v / tot[j]
+        if t + dt > horizon:
+            break
+        if j >= level:
+            above += dt
+        t += dt
+        j += 1 if step == 1 else -1
+        want.append((t, j))
+    cut = len(want)
+    assert packed == cut * length + j
+    assert acc == [t, horizon, above]
     if with_path:
-        assert [b[8 * cut:] for b in path] == [b[8 * cut:] for b in fill]
+        assert list(zip(times[:cut].tolist(), counts[:cut].tolist())) == want
+        assert (times[cut:] == -1.0).all() and (counts[cut:] == -7).all()
     if placement == "last":
         assert cut < size  # earlier events may share the last one's time
     else:
         assert cut == (0 if placement == "first" else size)
 
 
+_DOUBLES = ctypes.CFUNCTYPE(ctypes.c_double, ctypes.c_void_p)
+
+
+class _Bitgen(ctypes.Structure):
+    """numpy's bitgen_t, with only its double draws set."""
+
+    _fields_ = [("state", ctypes.c_void_p), ("next_uint64", ctypes.c_void_p),
+                ("next_uint32", ctypes.c_void_p), ("next_double", _DOUBLES),
+                ("next_raw", ctypes.c_void_p)]
+
+
+def _first_compiled_step(d, k, uniform):
+    # the count after the compiled run's first event from k, its uniforms all
+    # `uniform`, from a bit generator whose doubles are scripted; stops at
+    # k - 1 and k + 1 end the run there, reading no time
+    bitgen = _Bitgen(next_double=_DOUBLES(lambda state: uniform))
+    _, layout, buffer, outcome, _, _ = sim._run_types()
+    state = buffer.from_buffer_copy(layout.pack(k, 128, k - 1, k + 1, d.N + 1, d.N, 0, 0.0,
+                                                math.inf, 0.0, d.alpha, d.beta / (d.n - 1)))
+    run = sim._compiled_walk(sim._RUN_SOURCE, sim._NPYRANDOM).run
+    assert run(ctypes.byref(bitgen), state, None, None) == 1
+    count, size, _, _ = outcome.unpack_from(state)
+    assert size == 0  # a stop ended the run
+    return count
+
+
 def test_jump_thresholds_keep_the_walk_in_range():
     # uniforms lie in [0, 1): a threshold of exactly 1 always jumps up from
     # the empty graph, one of exactly 0 always jumps down from the full one,
-    # in either walk
-    top = np.array([1.0 - 2.0 ** -53]).tobytes()
-    for name in _walks():
-        walk = _kernel(name)[0]
-        for n in (2, 40, 2000):
-            for alpha, beta in ((1.0, 1.0), (1.0, 200.0), (1e-3, 1.0), (1e3, 1.0)):
-                d = _d(n, alpha=alpha, beta=beta)
-                empty = sim._rate_lists(0, 2, d, -1, d.N + 1)
-                full = sim._rate_lists(d.N - 1, d.N + 1, d, -1, d.N + 1)
-                assert np.frombuffer(empty[0])[0] == 1.0
-                assert np.frombuffer(full[0])[-1] == 0.0
-                out = sim._run_buffers()[0]()  # a run's direction buffer
-                assert divmod(walk(*empty[:4], top, 1, 0, out), 2) == (1, 1)
-                assert out.raw[:1] == bytes([1])
-                assert divmod(walk(*full[:4], np.zeros(1).tobytes(), 1, 1, out), 2) == (1, 0)
-                assert out.raw[:1] == bytes([255])
+    # in either kernel
+    top = 1.0 - 2.0 ** -53
+    for n in (2, 40, 2000):
+        for alpha, beta in ((1.0, 1.0), (1.0, 200.0), (1e-3, 1.0), (1e3, 1.0)):
+            d = _d(n, alpha=alpha, beta=beta)
+            empty = sim._rate_lists(0, 2, d, -1, d.N + 1)
+            full = sim._rate_lists(d.N - 1, d.N + 1, d, -1, d.N + 1)
+            assert np.frombuffer(empty[0])[0] == 1.0
+            assert np.frombuffer(full[0])[-1] == 0.0
+            out = bytearray(2048)  # a run's direction buffer
+            assert divmod(sim._walk(*empty[:4], np.array([top]).tobytes(), 1, 0, out),
+                          2) == (1, 1)
+            assert out[:1] == bytes([1])
+            assert divmod(sim._walk(*full[:4], np.zeros(1).tobytes(), 1, 1, out), 2) == (1, 0)
+            assert out[:1] == bytes([255])
+            if "compiled" in _walks():
+                assert _first_compiled_step(d, 0, top) == 1
+                assert _first_compiled_step(d, d.N, 0.0) == d.N - 1
+
+
+@given(n=st.integers(2, 200), alpha=st.floats(-3.0, 3.0), beta=st.floats(-3.0, 3.0),
+       past_32_bits=st.booleans())
+@settings(max_examples=100, deadline=None)
+def test_compiled_windows_hold_the_python_windows(n, alpha, beta, past_32_bits):
+    # the compiled run computes each block's thresholds and total rates
+    # itself: they are the bytes of `_rate_lists`' windows, over every count
+    # of the chain, or over a window of counts past 2^31
+    if "compiled" not in _walks():
+        pytest.skip("the compiled run cannot be built here")
+    d = _d(70000 if past_32_bits else n, alpha=10.0 ** alpha, beta=10.0 ** beta)
+    lo, hi = (2_200_000_000 - 2048, 2_200_000_000 + 2049) if past_32_bits else (0, d.N + 1)
+    th, tot = (ctypes.c_double * (hi - lo))(), (ctypes.c_double * (hi - lo))()
+    sim._compiled_walk(sim._RUN_SOURCE, sim._NPYRANDOM).rates(
+        ctypes.c_longlong(lo), hi - lo, ctypes.c_longlong(d.N), ctypes.c_double(d.alpha),
+        ctypes.c_double(d.beta / (d.n - 1)), th, tot)
+    window = sim._rate_lists(lo, hi, d, -1, d.N + 1)
+    assert (bytes(th), bytes(tot)) == (window[0], window[4])
 
 
 def test_rate_windows_hold_the_rates_and_the_clipped_stops():
@@ -904,14 +1003,13 @@ def test_rate_windows_hold_the_rates_and_the_clipped_stops():
         # every threshold, the stops clipped to [-1, hi - lo], and the total rates
         clip = [min(max(c - lo, -1), hi - lo) for c in (lower, upper)]
         assert window == ((lam / tot).tobytes(), hi - lo, *clip, tot.tobytes())
-        # both walks stop on a stop inside the window, from the count next
+        # the walk stops on a stop inside the window, from the count next
         # to it, with a second step in the same direction left
-        for stop, name in itertools.product((lower, upper), _walks()):
+        for stop in (lower, upper):
             if lo < stop < hi - 1:
                 side = 1 if stop == upper else -1
                 u = np.full(2, 0.0 if side == 1 else 1.0 - 2.0 ** -53).tobytes()
-                packed = _kernel(name)[0](*window[:4], u, 2, stop - side - lo,
-                                          sim._run_buffers()[0]())
+                packed = sim._walk(*window[:4], u, 2, stop - side - lo, bytearray(2048))
                 assert divmod(packed, hi - lo) == (1, stop - lo)
     # each stop pair on one window is its own cache entry
     misses = sim._rate_lists.cache_info().misses
@@ -974,6 +1072,51 @@ def test_concurrent_runs_keep_their_own_direction_buffers():
     assert got == want
 
 
+def test_without_numpys_random_archive_the_count_chain_runs_in_python(tmp_path):
+    # the compiled run links numpy's random archive; where it is missing the
+    # count chain takes its Python loop, with the same bytes, and the
+    # component passage, which links nothing, still loads compiled
+    d = _d(40)
+
+    def runs():
+        path = []
+        return ([sim._run_chain(d, 0, sim.replica_rng(6, r), upper=32, level=16)
+                 for r in range(20)]
+                + [sim._run_chain(d, 28, sim.replica_rng(6, r), lower=20, upper=36, timed=False)
+                   for r in range(20)]
+                + [sim._run_chain(d, 0, sim.replica_rng(6, 0), horizon=40.0, path=path), path])
+
+    want = runs()
+    with mock.patch.object(sim, "_NPYRANDOM", str(tmp_path / "libnpyrandom.a")), \
+            mock.patch.object(sim, "_run_blocks", wraps=sim._run_blocks) as python:
+        assert sim._compiled_walk(sim._RUN_SOURCE, sim._NPYRANDOM) is None
+        assert runs() == want
+        assert python.call_count == 41
+        assert "compiled" not in _walks()
+    if shutil.which("cc") is not None:
+        assert sim._compiled_walk(comp._PASSAGE_SOURCE) is not None
+
+
+def test_library_names_follow_the_linked_archives(tmp_path):
+    # a library is named by its archives' paths, sizes and modification
+    # times as well as its source, so a changed archive builds a new library
+    archive = tmp_path / "libnpyrandom.a"
+    archive.write_bytes(b"one")
+    names = [sim._library_path(sim._RUN_SOURCE, ())]
+    for size, mtime in ((3, 1), (3, 2), (4, 2)):
+        archive.write_bytes(b"o" * size)
+        os.utime(archive, ns=(mtime, mtime))
+        names.append(sim._library_path(sim._RUN_SOURCE, (str(archive),)))
+    copy = tmp_path / "copy.a"
+    copy.write_bytes(archive.read_bytes())
+    os.utime(copy, ns=(2, 2))
+    names.append(sim._library_path(sim._RUN_SOURCE, (str(copy),)))
+    assert len(set(names)) == len(names) == 5
+    assert sim._library_path(sim._RUN_SOURCE, (str(archive),)) == names[3]
+    with pytest.raises(OSError):
+        sim._library_path(sim._RUN_SOURCE, (str(tmp_path / "missing.a"),))
+
+
 def test_kernel_paths_span_many_blocks():
     # horizon 20 at n=2000 runs through every block size; from 1040 the walk
     # crosses count 1024, a threshold-window edge for every block size
@@ -987,29 +1130,20 @@ def test_kernel_paths_span_many_blocks():
     assert all(type(t) is float and type(k) is int for t, k in got)
 
 
-class _CountingRng:
-    """A Generator that counts its `random` calls, one per block of directions."""
-
-    def __init__(self, rng):
-        self.rng, self.blocks = rng, 0
-
-    def random(self, size):
-        self.blocks += 1
-        return self.rng.random(size)
-
-    def __getattr__(self, name):
-        return getattr(self.rng, name)
-
-
 def test_horizon_in_the_first_block_reads_one_block():
     # each block is timed as soon as its variates are drawn, so a short
     # trajectory walks and draws no block past the one that passes the horizon
     d = _d(6)
-    for r in range(50):
-        rng, path = _CountingRng(sim.replica_rng(101, r)), []
-        sim._run_chain(d, 0, rng, horizon=3.0, path=path)
-        assert len(path) < 128
-        assert rng.blocks == 1
+    for name in _walks():
+        with _kernel(name):
+            for r in range(50):
+                rng, path = sim.replica_rng(101, r), []
+                sim._run_chain(d, 0, rng, horizon=3.0, path=path)
+                assert len(path) < 128
+                ref = sim.replica_rng(101, r)
+                ref.random(128)
+                ref.standard_exponential(128)
+                assert rng.bit_generator.state == ref.bit_generator.state
 
 
 def test_hitting_time_with_infinite_cap_is_exact():
