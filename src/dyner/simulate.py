@@ -7,11 +7,13 @@ tracking all N per-edge clocks but costs O(1) per event.  One event loop,
 rule (absorbing counts, a time horizon, a level to time above).  The loop
 walks each block's jump directions and then times its events, drawing the
 holding times only where read.  A whole run is one call of a C function,
-compiled with the platform's C compiler on first use, linked with numpy's
-own random library so that it draws from the replica's bit generator, and
-loaded through ctypes; where it cannot be built, the Python block loop
-`_run_blocks` with `_walk` and `_clock`, its reference, gives the same
-bytes.  Every replica owns an independent, reproducible random stream
+compiled with the platform's C compiler on first use and loaded through
+ctypes: it seeds the replica's PCG64 itself from the replica's SeedSequence
+key and draws through numpy's own random library, so no replica builds a
+numpy Generator.  Where it cannot be built (no compiler, no numpy random
+archive, no 128-bit integers), the Python block loop `_run_blocks` with
+`_walk` and `_clock`, its reference, gives the same bytes from a Generator
+keyed alike.  Every replica owns an independent, reproducible random stream
 derived from (seed, replica), so results are bit-identical regardless of
 how replicas are spread over workers.
 """
@@ -115,16 +117,16 @@ def _key_block(seed, block):
     return keys
 
 
-def replica_rng(seed: int, replica: int = 0) -> np.random.Generator:
-    """Independent reproducible stream for one replica.
+def _replica_key(seed, replica):
+    """The PCG64 key of replica `replica`'s stream: the 4 uint64 words (32
+    bytes) that SeedSequence(seed, spawn_key=(replica,)) generates.
 
-    The stream is PCG64 keyed by SeedSequence(seed, spawn_key=(replica,)),
-    so replica r sees the same randomness no matter which worker runs it.
-    The keys are computed in aligned blocks of 64 replicas (block r // 64,
-    entry r % 64), equal word for word to SeedSequence's, and the 16 blocks
-    used last are kept.  Replicas from 2^32 on are keyed by SeedSequence
-    itself.  Seed and replica must be integers (a float raises TypeError),
-    seeds in [0, 2^64).  The generator's seed sequence cannot spawn children.
+    The one keying of every replica stream, read by `replica_rng` and by the
+    count chain's compiled run.  Below 2^32 the key is taken from aligned
+    blocks of 64 replicas (block r // 64, entry r % 64), equal word for word
+    to SeedSequence's, and the 16 blocks used last are kept; from 2^32 on
+    SeedSequence itself generates it.  Seed and replica must be integers (a
+    float raises TypeError), seeds in [0, 2^64).
     """
     seed = operator.index(seed)
     if not (0 <= seed < _SEED_LIMIT):
@@ -133,9 +135,27 @@ def replica_rng(seed: int, replica: int = 0) -> np.random.Generator:
     if replica < 0:
         raise ValueError(f"replica must be a non-negative integer, got {replica}")
     if replica >= _WORD:
-        return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(replica,)))
+        return np.random.SeedSequence(seed, spawn_key=(replica,)).generate_state(4, np.uint64)
     block, entry = divmod(replica, _KEYS_PER_BLOCK)
-    return np.random.Generator(np.random.PCG64(_StreamKey(_key_block(seed, block)[entry])))
+    return _key_block(seed, block)[entry]
+
+
+def _key_generator(key):
+    """The Generator of the PCG64 stream keyed by `key` (`_replica_key`'s
+    4 words); its seed sequence cannot spawn children."""
+    return np.random.Generator(np.random.PCG64(_StreamKey(key)))
+
+
+def replica_rng(seed: int, replica: int = 0) -> np.random.Generator:
+    """Independent reproducible stream for one replica.
+
+    The stream is PCG64 keyed by SeedSequence(seed, spawn_key=(replica,)),
+    so replica r sees the same randomness no matter which worker runs it;
+    `_replica_key` computes the key.  Seed and replica must be integers (a
+    float raises TypeError), seeds in [0, 2^64).  The generator's seed
+    sequence cannot spawn children.
+    """
+    return _key_generator(_replica_key(seed, replica))
 
 
 _FIRST_BLOCK = 128  # events read by a run's first block
@@ -148,20 +168,28 @@ _NPYRANDOM = os.path.join(os.path.dirname(np.__file__), "random", "lib", "libnpy
 # The count chain's compiled run, built by `_compiled_walk` on a run's first
 # use and linked with `_NPYRANDOM`; `_run_blocks` is its Python reference.
 # `run` runs `_run_chain`'s blocks from `state` (a struct run, which
-# `_run_types` lays out), drawing each block's uniforms and then its Exp(1)
-# variates from the bit generator through numpy's own fill functions, so it
-# reads the stream as `_run_blocks` does.  Each block computes, by `rates`,
-# the thresholds and total rates of the counts it can read, [k-B, k+B]
-# inside the stops, with the operations of `model._kernel_rates` and so the
-# bytes of `_rate_lists`' windows; it then walks as `_walk` does and times
-# as `_clock` does, on indices into that window, the stops and the level
+# `_run_types` lays out).  It draws from numpy's PCG64, implemented here: a
+# 128-bit LCG with the XSL-RR output, doubles from the top 53 bits, seeded as
+# `pcg64_set_seed` seeds it from the replica's 4 key words, on the run's
+# first call (inc is 0 until then, odd after), and resumed from the struct by
+# later calls.  `blocks` draws each block's uniforms and then its Exp(1)
+# variates through numpy's own fill functions, fed by a bitgen_t on `run`'s
+# stack, so it reads the stream as `_run_blocks` reads its Generator, with no
+# Python object and no lock.  Each block computes, by `rates`, the
+# thresholds and total rates of the counts it can read, [k-B, k+B] inside
+# the stops, with the operations of `model._kernel_rates` and so the bytes
+# of `_rate_lists`' windows; it then walks as `_walk` does and times as
+# `_clock` does, on indices into that window, the stops and the level
 # clipped to [-1, length].  Where `times` is not NULL it returns after each
 # block, having written the times and counts of the block's timed events
 # there.  It returns the number of the last block's timed events and leaves
-# the run's state for the next call: its count, time and time above, and its
-# next block's size, 0 when a stop ended the run and -1 when the horizon did.
+# the run's state for the next call: its count, time, time above and
+# stream, and its next block's size, 0 when a stop ended the run and -1 when
+# the horizon did.  A compiler without `unsigned __int128` cannot build it,
+# which leaves the count chain on `_run_blocks`.
 _RUN_SOURCE = """\
 #include <stdint.h>
+#include <string.h>
 
 /* numpy's bitgen_t, as numpy/random/bitgen.h declares it */
 typedef struct {
@@ -175,13 +203,44 @@ typedef struct {
 void random_standard_uniform_fill(bitgen_t *bitgen, intptr_t count, double *out);
 void random_standard_exponential_fill(bitgen_t *bitgen, intptr_t count, double *out);
 
-/* the stops lie in [-1, N + 1]; reads is 0 where the run reads no time */
+typedef unsigned __int128 u128;
+
+/* numpy's PCG64 state */
+struct pcg {
+    u128 state, inc;
+};
+
+/* reads is 0 where the run reads no time; stream holds the struct pcg,
+   all 0 before the first call.  The stops and the level may lie outside
+   [-1, N + 1]: each block clips them to its window, whose counts outside
+   [0, N] the walk never reaches */
 struct run {
     long long count, size, lower, upper, level, N, reads;
     double t, horizon, above, alpha, birth_scale;
+    uint64_t key[4], stream[4];
 };
 
 enum { LAST = 2048 };
+
+static void pcg_step(struct pcg *g)
+{
+    g->state = g->state * (((u128)2549297995355413924ULL << 64) | 4865540595714422341ULL)
+               + g->inc;
+}
+
+static uint64_t next_uint64(void *p)
+{
+    struct pcg *g = p;
+    pcg_step(g);
+    uint64_t v = (uint64_t)(g->state >> 64) ^ (uint64_t)g->state;
+    unsigned r = (unsigned)(g->state >> 122);
+    return v >> r | v << (-r & 63);
+}
+
+static double next_double(void *p)
+{
+    return (double)(next_uint64(p) >> 11) * (1.0 / 9007199254740992.0);
+}
 
 static int clip(long long index, int length)
 {
@@ -199,7 +258,7 @@ void rates(long long base, int length, long long N, double alpha, double birth_s
     }
 }
 
-int run(bitgen_t *bitgen, struct run *state, double *times, long long *counts)
+int blocks(bitgen_t *bitgen, struct run *state, double *times, long long *counts)
 {
     long long k = state->count, N = state->N;
     double t = state->t, horizon = state->horizon, above = state->above;
@@ -260,6 +319,25 @@ int run(bitgen_t *bitgen, struct run *state, double *times, long long *counts)
     state->above = above;
     return events;
 }
+
+int run(struct run *state, double *times, long long *counts)
+{
+    struct pcg g;
+    /* the fills read only next_uint64 and next_double */
+    bitgen_t bitgen = {&g, next_uint64, 0, next_double, 0};
+    int events;
+    memcpy(&g, state->stream, sizeof g);
+    if (!(g.inc & 1)) {
+        g.state = 0;
+        g.inc = (((u128)state->key[2] << 64 | state->key[3]) << 1) | 1;
+        pcg_step(&g);
+        g.state += (u128)state->key[0] << 64 | state->key[1];
+        pcg_step(&g);
+    }
+    events = blocks(&bitgen, state, times, counts);
+    memcpy(state->stream, &g, sizeof g);
+    return events;
+}
 """
 
 
@@ -294,8 +372,10 @@ def _compiled_walk(source, *link):
     compiler, `cc`, on first use and kept at `_library_path`; it is written
     to a temporary file there and moved into place, so processes that build
     it at once do not collide.  Any failure (no compiler, a missing archive,
-    a read-only package directory, a failed load) leaves the caller on its
-    Python reference, which gives the same bytes.
+    a source the compiler rejects, such as the count chain's run where it
+    has no `unsigned __int128`, a read-only package directory, a failed
+    load) leaves the caller on its Python reference, which gives the same
+    bytes.
     """
     # imported here, so that importing dyner starts and loads nothing more
     import ctypes
@@ -326,24 +406,25 @@ def _compiled_walk(source, *link):
 
 @lru_cache(maxsize=1)
 def _run_types():
-    """What the compiled run is called with: a function giving the address
-    of a bit generator's bitgen_t from its capsule; the layout of struct run
-    and the ctypes type of its buffer; the layout of what a call leaves
-    there (count, block size, t, time above); and the ctypes types of a
-    block's event times and counts."""
+    """What the compiled run is called with: the layout of struct run, its
+    key and its zeroed stream last, and the ctypes type of its buffer; the
+    layout of what a call leaves there (count, block size, t, time above);
+    and the ctypes types of a block's event times and counts."""
     import ctypes
     import struct
 
-    class Address(ctypes.c_void_p):
-        """A restype that ctypes returns as it is, ready to pass on: a plain
-        int would pass as a 32-bit C int."""
-
-    # a private prototype: ctypes.pythonapi's own is shared with every caller
-    pointer = ctypes.PYFUNCTYPE(Address, ctypes.py_object, ctypes.c_char_p)(
-        ("PyCapsule_GetPointer", ctypes.pythonapi))
-    layout = struct.Struct("7q5d")
-    return (pointer, layout, ctypes.c_char * layout.size, struct.Struct("2q40xd8xd"),
+    layout = struct.Struct("7q5d32s32x")
+    return (layout, ctypes.c_char * layout.size, struct.Struct("2q40xd8xd"),
             ctypes.c_double * _LAST_BLOCK, ctypes.c_longlong * _LAST_BLOCK)
+
+
+def _run_state(d, k, key, lower, upper, horizon, level, reads):
+    """The struct run that a compiled run of `_run_chain` starts from, its
+    stream to be seeded from `key` by the first call."""
+    layout, buffer = _run_types()[:2]
+    return buffer.from_buffer_copy(layout.pack(
+        k, _FIRST_BLOCK, lower, upper, level, d.N, reads, 0.0, horizon, 0.0, d.alpha,
+        d.beta / (d.n - 1), key.tobytes()))
 
 
 def _walk(th, length, lower, upper, u, size, j, out):
@@ -404,7 +485,7 @@ def _clock(tot, length, level, step, x, size, j, acc, times, counts):
     return cut * length + int(before[cut] if cut < size else after[-1])
 
 
-def _run_chain(d, k, rng, lower=-1, upper=-1, horizon=math.inf, level=None, path=None,
+def _run_chain(d, k, key, lower=-1, upper=-1, horizon=math.inf, level=None, path=None,
                timed=True):
     """The event loop of the edge-count chain, from count k at time 0.
 
@@ -416,25 +497,27 @@ def _run_chain(d, k, rng, lower=-1, upper=-1, horizon=math.inf, level=None, path
     to it as (time, count).  A caller that reads no exit time passes
     timed=False (with no horizon and no path); the time is then None.
 
-    The Generator `rng` is read in blocks of B = 128 events doubling up to
-    2048: `rng.random(B)`, the jump directions in event order, and then
-    `rng.standard_exponential(B)`, their Exp(1) holding-time variates.  The
-    walk of each block's directions takes each jump up when the uniform is
-    below the count's jump threshold, birth rate / total rate; it never
-    leaves [0, N], since the threshold is exactly 1 at count 0 and 0 at
-    count N, and a stop ends it.  The variates are drawn after the walk:
-    all B when the walk goes on, as the next block's directions follow them
-    in the stream, and in the final block only those of its events, none
-    when no time is read (escape races, which skip the clock).  The clock
-    then times the block's events, adding each holding time, variate / total
-    rate, to the run's time one event at a time, so a horizon ends the run
-    in the block that passes it.
+    The run reads the PCG64 stream keyed by `key`, a replica's
+    `_replica_key`, in blocks of B = 128 events doubling up to 2048: B
+    uniforms (`Generator.random(B)`), the jump directions in event order,
+    and then B Exp(1) holding-time variates
+    (`Generator.standard_exponential(B)`).  The walk of each block's
+    directions takes each jump up when the uniform is below the count's
+    jump threshold, birth rate / total rate; it never leaves [0, N], since
+    the threshold is exactly 1 at count 0 and 0 at count N, and a stop ends
+    it.  The variates are drawn after the walk: all B when the walk goes on,
+    as the next block's directions follow them in the stream, and in the
+    final block only those of its events, none when no time is read (escape
+    races, which skip the clock).  The clock then times the block's events,
+    adding each holding time, variate / total rate, to the run's time one
+    event at a time, so a horizon ends the run in the block that passes it.
 
     The run is one call of the compiled `run` where `_compiled_walk` can
-    build it, drawing from the Generator's own bit generator under its lock,
-    as numpy's fills do, since the call runs without the interpreter lock;
-    where a path is kept it returns after each block, whose events are
-    appended.  Elsewhere `_run_blocks`, its reference, gives the same bytes.
+    build it: the call seeds the stream from the key in C and keeps it in
+    the run's own struct (`_run_state`), so no Generator is built and no
+    lock is held; where a path is kept it returns after each block, whose
+    events are appended, and the next call resumes the stream.  Elsewhere
+    `_run_blocks`, its reference, gives the same bytes.
     """
     N = d.N
     # integer counts only: a float stop would never be stepped onto
@@ -447,22 +530,17 @@ def _run_chain(d, k, rng, lower=-1, upper=-1, horizon=math.inf, level=None, path
     level = N + 1 if level is None else operator.index(level)
     compiled = _compiled_walk(_RUN_SOURCE, _NPYRANDOM)
     if compiled is None:
-        return _run_blocks(d, k, rng, lower, upper, horizon, level, path, timed, reads)
-    pointer, layout, buffer, outcome, event_times, event_counts = _run_types()
-    # no argtypes: every argument is a ctypes array or address, or None, and
-    # the result an int, ctypes' default; counts, which can pass 2^31, go in
-    # the struct as long longs
-    state = buffer.from_buffer_copy(layout.pack(
-        k, _FIRST_BLOCK, max(lower, -1), min(upper, N + 1), min(max(level, -1), N + 1), N, reads,
-        0.0, horizon, 0.0, d.alpha, d.beta / (d.n - 1)))
-    bit_generator = rng.bit_generator
-    address = pointer(bit_generator.capsule, b"BitGenerator")
+        return _run_blocks(d, k, key, lower, upper, horizon, level, path, timed, reads)
+    # no argtypes: every argument is a ctypes array or None, and the result
+    # an int, ctypes' default; counts, which can pass 2^31, go in the struct
+    # as long longs
+    state = _run_state(d, k, key, lower, upper, horizon, level, reads)
+    _, _, outcome, event_times, event_counts = _run_types()
     times = counts = None  # a block's event times and counts, where a path is kept
     if path is not None:
         times, counts = event_times(), event_counts()
     while True:
-        with bit_generator.lock:
-            events = compiled.run(address, state, times, counts)
+        events = compiled.run(state, times, counts)
         if path is not None:
             path.extend(zip(np.frombuffer(times, count=events).tolist(),
                             np.frombuffer(counts, np.int64, events).tolist()))
@@ -471,13 +549,14 @@ def _run_chain(d, k, rng, lower=-1, upper=-1, horizon=math.inf, level=None, path
             return k, (horizon if size else t if timed else None), above
 
 
-def _run_blocks(d, k, rng, lower, upper, horizon, level, path, timed, reads):
+def _run_blocks(d, k, key, lower, upper, horizon, level, path, timed, reads):
     """`_run_chain` in Python, block by block, with `_walk` and `_clock`
-    over `_rate_lists` windows: the compiled run's reference, with its
-    draws and bytes.  A block moves the count by at most B, so from count k
-    it reads one aligned window, counts (c - 1)B to (c + 2)B with
-    c = k // B, clipped to [0, N]."""
+    over `_rate_lists` windows, drawing from the Generator of `key`: the
+    compiled run's reference, with its draws and bytes.  A block moves the
+    count by at most B, so from count k it reads one aligned window, counts
+    (c - 1)B to (c + 2)B with c = k // B, clipped to [0, N]."""
     N = d.N
+    rng = _key_generator(key)
     size = _FIRST_BLOCK
     out, acc = bytearray(_LAST_BLOCK), [0.0, horizon, 0.0]
     times = counts = None  # a block's event times and count indices, where a path is kept
@@ -593,7 +672,7 @@ def simulate_trajectory(
     if not (0 < horizon < math.inf):
         raise ValueError(f"horizon must be positive and finite, got {horizon!r}")
     events = [(0.0, start)]
-    _run_chain(d, start, replica_rng(seed, replica), horizon=horizon, path=events)
+    _run_chain(d, start, _replica_key(seed, replica), horizon=horizon, path=events)
     return Trajectory(horizon, tuple(events))
 
 
@@ -613,7 +692,7 @@ def sample_hitting_time(
     if not (0 <= start < target <= d.N):
         raise ValueError(f"need 0 <= start < target <= {d.N}, got {start}, {target}")
     cap = _resolve_cap(d, cap)
-    k, t, _ = _run_chain(d, start, replica_rng(seed, replica), upper=target, horizon=cap)
+    k, t, _ = _run_chain(d, start, _replica_key(seed, replica), upper=target, horizon=cap)
     return HittingSample(t, k != target)
 
 
@@ -640,11 +719,11 @@ def sample_time_above(d: DerivedParams, i: int, s: int, seed: int, replica: int 
     """
     if not (0 <= s < i <= d.N):
         raise ValueError(f"need 0 <= s < i <= {d.N}, got i={i}, s={s}")
-    return _run_chain(d, i, replica_rng(seed, replica), lower=s, level=i, timed=False)[2]
+    return _run_chain(d, i, _replica_key(seed, replica), lower=s, level=i, timed=False)[2]
 
 
 def _escaped(d, j, i, s, seed, replica):
-    k, _, _ = _run_chain(d, j, replica_rng(seed, replica), lower=s, upper=i, timed=False)
+    k, _, _ = _run_chain(d, j, _replica_key(seed, replica), lower=s, upper=i, timed=False)
     return 1.0 if k == i else 0.0
 
 

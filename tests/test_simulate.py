@@ -629,6 +629,9 @@ _KERNEL_CASES = {
     # counts past 2^31 (N = 2,449,965,000) and a level far below the window:
     # the kernel's C arguments are window indices, never counts
     "counts_past_32_bits": (70000, 1.0, 2_200_000_000, dict(horizon=1e-6, level=0, path=True)),
+    # stops and a level outside [0, N] = [0, 45] act as none and as level 0
+    "stops_outside_the_counts": (10, 1.0, 3, dict(lower=-4, upper=60, horizon=20.0, level=-9,
+                                                  path=True)),
 }
 
 
@@ -657,6 +660,39 @@ def _walks():
 def _kernel(name):
     # runs `_run_chain` on the named kernel
     return _python_walk() if name == "python" else contextlib.nullcontext()
+
+
+def _recording(built, fn):
+    def record(*args):
+        built.append(fn(*args))
+        return built[-1]
+    return record
+
+
+@contextlib.contextmanager
+def _stream_end():
+    # yields a list that, after one `_run_chain` inside the block, holds a
+    # Generator at the place in the stream where the run left it: on the
+    # compiled path one with the PCG64 (state, inc) that the run leaves in
+    # its struct run, on the Python path the Generator `_run_blocks` drew from
+    structs, generators, end = [], [], []
+    with mock.patch.object(sim, "_run_state", wraps=_recording(structs, sim._run_state)), \
+            mock.patch.object(sim, "_key_generator",
+                              wraps=_recording(generators, sim._key_generator)):
+        yield end
+    assert len(structs) + len(generators) == 1
+    if generators:
+        end.append(generators[0])
+        return
+    offset = sim._run_types()[0].size - 32
+    raw = bytes(structs[0])[offset:]
+    rng = np.random.Generator(np.random.PCG64())
+    rng.bit_generator.state = {
+        "bit_generator": "PCG64",
+        "state": {"state": int.from_bytes(raw[:16], sys.byteorder),
+                  "inc": int.from_bytes(raw[16:], sys.byteorder)},
+        "has_uint32": 0, "uinteger": 0}
+    end.append(rng)
 
 
 def _block_of(event):
@@ -723,8 +759,9 @@ def _check_kernel_case(case):
     for r, length in lengths.items():
         want_path, got_path = ([], []) if with_path else (None, None)
         want = _reference_chain(d, start, _exponential_draws(seed, r), path=want_path, **rule)
-        rng = sim.replica_rng(seed, r)
-        got = sim._run_chain(d, start, rng, path=got_path, **rule)
+        with _stream_end() as end:
+            got = sim._run_chain(d, start, sim._replica_key(seed, r), path=got_path, **rule)
+        rng, = end
         assert got == want
         assert got_path == want_path
         assert rng.bit_generator.state == _drawn_state(d, start, seed, r, rule, True)
@@ -741,8 +778,9 @@ def _check_kernel_case(case):
         if untimed:
             # escape races and cycles read no exit time: they walk the same
             # directions and divide only the holding times the level needs
-            rng = sim.replica_rng(seed, r)
-            bare = sim._run_chain(d, start, rng, timed=False, **rule)
+            with _stream_end() as end:
+                bare = sim._run_chain(d, start, sim._replica_key(seed, r), timed=False, **rule)
+            rng, = end
             assert bare == (want[0], None, want[2])
             assert rng.bit_generator.state == _drawn_state(d, start, seed, r, rule,
                                                            "level" in rule)
@@ -783,8 +821,9 @@ def _check_random_chain_call(call, seed):
     draws = itertools.islice(_exponential_draws(seed, 0), _REFERENCE_EVENTS)
     want = _reference_chain(d, k, draws, path=want_path, **rule)
     assume(want is not None)  # the oracle ran out of draws
-    rng = sim.replica_rng(seed, 0)
-    got = sim._run_chain(d, k, rng, path=got_path, timed=timed, **rule)
+    with _stream_end() as end:
+        got = sim._run_chain(d, k, sim._replica_key(seed, 0), path=got_path, timed=timed, **rule)
+    rng, = end
     assert got == (want if timed else (want[0], None, want[2]))
     assert got_path == want_path
     reads = timed or "level" in rule
@@ -939,11 +978,12 @@ def _first_compiled_step(d, k, uniform):
     # `uniform`, from a bit generator whose doubles are scripted; stops at
     # k - 1 and k + 1 end the run there, reading no time
     bitgen = _Bitgen(next_double=_DOUBLES(lambda state: uniform))
-    _, layout, buffer, outcome, _, _ = sim._run_types()
+    layout, buffer, outcome, _, _ = sim._run_types()
     state = buffer.from_buffer_copy(layout.pack(k, 128, k - 1, k + 1, d.N + 1, d.N, 0, 0.0,
-                                                math.inf, 0.0, d.alpha, d.beta / (d.n - 1)))
-    run = sim._compiled_walk(sim._RUN_SOURCE, sim._NPYRANDOM).run
-    assert run(ctypes.byref(bitgen), state, None, None) == 1
+                                                math.inf, 0.0, d.alpha, d.beta / (d.n - 1),
+                                                bytes(32)))
+    blocks = sim._compiled_walk(sim._RUN_SOURCE, sim._NPYRANDOM).blocks
+    assert blocks(ctypes.byref(bitgen), state, None, None) == 1
     count, size, _, _ = outcome.unpack_from(state)
     assert size == 0  # a stop ended the run
     return count
@@ -1027,7 +1067,7 @@ def test_kernel_refuses_a_start_outside_its_stops():
                     (4, dict(lower=5, upper=9)), (10, dict(lower=5, upper=9)),
                     (0, dict(lower=0)), (d.N, dict(upper=d.N)), (-1, {}), (d.N + 1, {})):
         with pytest.raises(ValueError, match="strictly between"):
-            sim._run_chain(d, k, sim.replica_rng(1, 0), **rule)
+            sim._run_chain(d, k, sim._replica_key(1, 0), **rule)
 
 
 @pytest.mark.parametrize("call", [
@@ -1046,19 +1086,19 @@ def test_kernel_refuses_non_integer_counts(call):
 
 
 def test_concurrent_runs_keep_their_own_direction_buffers():
-    # the compiled walk and clock run without the interpreter lock, so runs
-    # on threads (more than the cores) must each write their own direction
-    # buffer, accumulators and path buffers
+    # the compiled run runs without the interpreter lock, so runs on threads
+    # (more than the cores) must each write their own direction buffer,
+    # accumulators, path buffers and PCG64 stream state
     d = _d(40)
 
     def run(seed, r):
         path = []
-        got = sim._run_chain(d, 0, sim.replica_rng(seed, r), upper=32, horizon=40.0, level=16,
-                             path=path)
+        got = sim._run_chain(d, 0, sim._replica_key(seed, r), upper=32, horizon=40.0,
+                             level=16, path=path)
         return got, path
 
     def passages(seed):
-        return ([sim._run_chain(d, 0, sim.replica_rng(seed, r), upper=32) for r in range(20)]
+        return ([sim._run_chain(d, 0, sim._replica_key(seed, r), upper=32) for r in range(20)]
                 + [run(seed, r) for r in range(20)])
 
     want = [passages(seed) for seed in range(8)]
@@ -1072,6 +1112,43 @@ def test_concurrent_runs_keep_their_own_direction_buffers():
     assert got == want
 
 
+@pytest.mark.parametrize("seed", _SEEDS)
+def test_both_kernels_key_replicas_around_2_to_the_32_alike(seed):
+    # below 2^32 a key comes from its cached block, from 2^32 on from
+    # SeedSequence itself; the compiled run, seeding its PCG64 from the key,
+    # and the Python loop, drawing from the key's Generator, give the same
+    # bytes and leave the stream where the layout says
+    d = _d(40)
+    rule = dict(upper=32, horizon=30.0, level=16)
+    for r in (2**32 - 65, 2**32 - 1, 2**32, 2**32 + 5):
+        want_path = []
+        want = _reference_chain(d, 0, _exponential_draws(seed, r), path=want_path, **rule)
+        runs = []
+        for name in _walks():
+            with _kernel(name), _stream_end() as end:
+                path = []
+                got = sim._run_chain(d, 0, sim._replica_key(seed, r), path=path, **rule)
+            runs.append((got, path, end[0].bit_generator.state))
+        assert runs == [(want, want_path, _drawn_state(d, 0, seed, r, rule, True))] * len(runs)
+
+
+def test_count_chain_replicas_build_no_generator():
+    # the compiled run seeds each replica's stream from its key, so with it
+    # loaded the count chain's samplers build no numpy Generator at all
+    if "compiled" not in _walks():
+        pytest.skip("the compiled run cannot be built here")
+    d = _d(40)
+
+    def samples():
+        return (sim.sample_escapes(d, 28, 36, 20, 200, seed=11),
+                sim.sample_hitting_times(d, 0, 32, 200, seed=11),
+                sim.estimate_hitting_renewal(d, 0.8, 100, seed=11))
+
+    want = samples()
+    with mock.patch.object(np.random, "Generator", side_effect=AssertionError("a Generator")):
+        assert samples() == want
+
+
 def test_without_numpys_random_archive_the_count_chain_runs_in_python(tmp_path):
     # the compiled run links numpy's random archive; where it is missing the
     # count chain takes its Python loop, with the same bytes, and the
@@ -1080,11 +1157,11 @@ def test_without_numpys_random_archive_the_count_chain_runs_in_python(tmp_path):
 
     def runs():
         path = []
-        return ([sim._run_chain(d, 0, sim.replica_rng(6, r), upper=32, level=16)
+        return ([sim._run_chain(d, 0, sim._replica_key(6, r), upper=32, level=16)
                  for r in range(20)]
-                + [sim._run_chain(d, 28, sim.replica_rng(6, r), lower=20, upper=36, timed=False)
+                + [sim._run_chain(d, 28, sim._replica_key(6, r), lower=20, upper=36, timed=False)
                    for r in range(20)]
-                + [sim._run_chain(d, 0, sim.replica_rng(6, 0), horizon=40.0, path=path), path])
+                + [sim._run_chain(d, 0, sim._replica_key(6, 0), horizon=40.0, path=path), path])
 
     want = runs()
     with mock.patch.object(sim, "_NPYRANDOM", str(tmp_path / "libnpyrandom.a")), \
@@ -1095,6 +1172,23 @@ def test_without_numpys_random_archive_the_count_chain_runs_in_python(tmp_path):
         assert "compiled" not in _walks()
     if shutil.which("cc") is not None:
         assert sim._compiled_walk(comp._PASSAGE_SOURCE) is not None
+
+
+def test_without_128_bit_integers_the_count_chain_runs_in_python():
+    # the compiled run keeps PCG64's state in unsigned __int128; a compiler
+    # without it rejects the source, which leaves the count chain on its
+    # Python loop, with the same bytes
+    if "compiled" not in _walks():
+        pytest.skip("the compiled run cannot be built here")
+    d = _d(40)
+    want = [sim._run_chain(d, 28, sim._replica_key(6, r), lower=20, upper=36) for r in range(10)]
+    source = sim._RUN_SOURCE.replace("unsigned __int128", "no_int128")
+    with mock.patch.object(sim, "_RUN_SOURCE", source), \
+            mock.patch.object(sim, "_run_blocks", wraps=sim._run_blocks) as python:
+        assert sim._compiled_walk(source, sim._NPYRANDOM) is None
+        assert [sim._run_chain(d, 28, sim._replica_key(6, r), lower=20, upper=36)
+                for r in range(10)] == want
+        assert python.call_count == 10
 
 
 def test_library_names_follow_the_linked_archives(tmp_path):
@@ -1124,7 +1218,7 @@ def test_kernel_paths_span_many_blocks():
     d = _d(2000)
     want, got = [(0.0, 1040)], [(0.0, 1040)]
     _reference_chain(d, 1040, _exponential_draws(901, 0), horizon=20.0, path=want)
-    sim._run_chain(d, 1040, sim.replica_rng(901, 0), horizon=20.0, path=got)
+    sim._run_chain(d, 1040, sim._replica_key(901, 0), horizon=20.0, path=got)
     assert len(got) > 10_000
     assert got == want
     assert all(type(t) is float and type(k) is int for t, k in got)
@@ -1137,8 +1231,10 @@ def test_horizon_in_the_first_block_reads_one_block():
     for name in _walks():
         with _kernel(name):
             for r in range(50):
-                rng, path = sim.replica_rng(101, r), []
-                sim._run_chain(d, 0, rng, horizon=3.0, path=path)
+                path = []
+                with _stream_end() as end:
+                    sim._run_chain(d, 0, sim._replica_key(101, r), horizon=3.0, path=path)
+                rng, = end
                 assert len(path) < 128
                 ref = sim.replica_rng(101, r)
                 ref.random(128)
@@ -1195,8 +1291,9 @@ def test_final_block_draws_only_the_variates_it_reads(rule):
         steps = []
         _reference_chain(d, 28, _exponential_draws(907, r), lower=20, upper=36, path=steps)
         later += len(steps) > 128
-        rng = sim.replica_rng(907, r)
-        sim._run_chain(d, 28, rng, lower=20, upper=36, **rule)
+        with _stream_end() as end:
+            sim._run_chain(d, 28, sim._replica_key(907, r), lower=20, upper=36, **rule)
+        rng, = end
         ref = sim.replica_rng(907, r)
         size, left = 128, len(steps)
         while left > size:
