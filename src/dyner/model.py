@@ -61,8 +61,8 @@ class DerivedParams:
     update_rate  per-pair refresh rate alpha + beta/(n-1)
 
     Its hash, the hash of the tuple of those fields, is computed once: the
-    caches of rate windows and killed spectra take the params as a key on
-    every lookup.
+    caches of killed spectra and hitting-time laws take the params as a key
+    on every lookup.
     """
 
     n: int

@@ -11,11 +11,11 @@ compiled with the platform's C compiler on first use and loaded through
 ctypes: it seeds the replica's PCG64 itself from the replica's SeedSequence
 key and draws through numpy's own random library, so no replica builds a
 numpy Generator.  Where it cannot be built (no compiler, no numpy random
-archive, no 128-bit integers), the Python block loop `_run_blocks` with
-`_walk` and `_clock`, its reference, gives the same bytes from a Generator
-keyed alike.  Every replica owns an independent, reproducible random stream
-derived from (seed, replica), so results are bit-identical regardless of
-how replicas are spread over workers.
+archive, no 128-bit integers), its reference, the Python block loop
+`_run_blocks`, gives the same bytes from a Generator keyed alike.  Every
+replica owns an independent, reproducible random stream derived from (seed,
+replica), so results are bit-identical regardless of how replicas are spread
+over workers.
 """
 
 import bisect
@@ -177,16 +177,18 @@ _NPYRANDOM = os.path.join(os.path.dirname(np.__file__), "random", "lib", "libnpy
 # stack, so it reads the stream as `_run_blocks` reads its Generator, with no
 # Python object and no lock.  Each block computes, by `rates`, the
 # thresholds and total rates of the counts it can read, [k-B, k+B] inside
-# the stops, with the operations of `model._kernel_rates` and so the bytes
-# of `_rate_lists`' windows; it then walks as `_walk` does and times as
-# `_clock` does, on indices into that window, the stops and the level
-# clipped to [-1, length].  Where `times` is not NULL it returns after each
-# block, having written the times and counts of the block's timed events
-# there.  It returns the number of the last block's timed events and leaves
-# the run's state for the next call: its count, time, time above and
-# stream, and its next block's size, 0 when a stop ended the run and -1 when
-# the horizon did.  A compiler without `unsigned __int128` cannot build it,
-# which leaves the count chain on `_run_blocks`.
+# the stops, with the operations of `model._kernel_rates`, so with the
+# bytes of `_run_blocks`' window; it then walks the block's directions and
+# times its events as `_run_blocks` does, on indices into that window, the
+# stops and the level clipped to [-1, length].  Where `times` is not NULL it
+# returns after each block, having written the times and counts of the
+# block's timed events there, at most LAST = `_LAST_BLOCK`, the size of the
+# buffers `_run_types` gives.  It returns the number of the last block's
+# timed events and leaves the run's state for the next call: its count,
+# time, time above and stream, and its next block's size, 0 when a stop
+# ended the run and -1 when the horizon did.  A compiler without
+# `unsigned __int128` cannot build it, which leaves the count chain on
+# `_run_blocks`.
 _RUN_SOURCE = """\
 #include <stdint.h>
 #include <string.h>
@@ -427,64 +429,6 @@ def _run_state(d, k, key, lower, upper, horizon, level, reads):
         d.beta / (d.n - 1), key.tobytes()))
 
 
-def _walk(th, length, lower, upper, u, size, j, out):
-    """The walk of one block's directions, the reference of the compiled
-    run's: from window index j (`_rate_lists`' window), each uniform below
-    the threshold at j steps up (1 written to `out`), else down (-1), up to
-    `size` uniforms or a step onto a stop index.  Returns
-    steps * length + j for the index j it ended on."""
-    th = memoryview(th).cast("d")
-    steps = bytearray()
-    up = steps.append
-    for v in memoryview(u).cast("d")[:size]:
-        if v < th[j]:
-            j += 1
-            up(1)
-        else:
-            j -= 1
-            up(255)  # -1 as a signed byte
-        if j == lower or j == upper:
-            break
-    out[:len(steps)] = bytes(steps)
-    return len(steps) * length + j
-
-
-def _clock(tot, length, level, step, x, size, j, acc, times, counts):
-    """The clock of one block's `size` steps from window index j, the
-    reference of the compiled run's: each event takes its Exp(1) variate
-    over the total rate before its step.  acc holds (t, horizon, time
-    above), the time above taking the events from indices >= level.  It
-    stops at the first event past the horizon, writes the times and count
-    indices of the events before it to `times` and `counts` where they are
-    not None, and returns events * length + j for the index j before the
-    first untimed event.
-
-    The holding times are added to t in event order by `np.cumsum`, so
-    every time equals that of adding one event at a time, up to the first
-    event past the horizon; those of the events before it from indices
-    >= level go to the time above likewise.
-    """
-    tot, x = np.frombuffer(tot), np.frombuffer(x, count=size)
-    steps = np.frombuffer(step, np.int8, size)
-    after = np.cumsum(steps) + j
-    before = after - steps
-    terms = x / tot[before]
-    terms[0] += acc[0]
-    at = np.cumsum(terms)
-    cut = int(np.searchsorted(at, acc[1], side="right"))
-    hit = np.flatnonzero(before[:cut] >= level)
-    if hit.size:
-        terms = x[hit] / tot[before[hit]]
-        terms[0] += acc[2]
-        acc[2] = float(np.cumsum(terms)[-1])
-    if cut:
-        acc[0] = float(at[cut - 1])
-        if times is not None:
-            times[:cut] = at[:cut]
-            counts[:cut] = after[:cut]
-    return cut * length + int(before[cut] if cut < size else after[-1])
-
-
 def _run_chain(d, k, key, lower=-1, upper=-1, horizon=math.inf, level=None, path=None,
                timed=True):
     """The event loop of the edge-count chain, from count k at time 0.
@@ -517,7 +461,8 @@ def _run_chain(d, k, key, lower=-1, upper=-1, horizon=math.inf, level=None, path
     the run's own struct (`_run_state`), so no Generator is built and no
     lock is held; where a path is kept it returns after each block, whose
     events are appended, and the next call resumes the stream.  Elsewhere
-    `_run_blocks`, its reference, gives the same bytes.
+    `_run_blocks`, its reference, runs the same blocks in Python and gives
+    the same bytes.
     """
     N = d.N
     # integer counts only: a float stop would never be stepped onto
@@ -550,60 +495,46 @@ def _run_chain(d, k, key, lower=-1, upper=-1, horizon=math.inf, level=None, path
 
 
 def _run_blocks(d, k, key, lower, upper, horizon, level, path, timed, reads):
-    """`_run_chain` in Python, block by block, with `_walk` and `_clock`
-    over `_rate_lists` windows, drawing from the Generator of `key`: the
-    compiled run's reference, with its draws and bytes.  A block moves the
-    count by at most B, so from count k it reads one aligned window, counts
-    (c - 1)B to (c + 2)B with c = k // B, clipped to [0, N]."""
-    N = d.N
+    """`_run_chain` in Python, drawing from the Generator of `key`: the
+    compiled run's reference, C `blocks` block by block, with its draws and
+    bytes.  A block of B events moves the count by at most B, so it reads
+    the counts [k - B, k + B], cut at the stops and at [0, N], with the
+    rates of `model._kernel_rates`."""
     rng = _key_generator(key)
-    size = _FIRST_BLOCK
-    out, acc = bytearray(_LAST_BLOCK), [0.0, horizon, 0.0]
-    times = counts = None  # a block's event times and count indices, where a path is kept
-    if path is not None:
-        times, counts = np.empty(_LAST_BLOCK), np.empty(_LAST_BLOCK, np.int64)
+    size, t, above = _FIRST_BLOCK, 0.0, 0.0
     while True:
-        u = rng.random(size)
-        lo = max(0, (k // size - 1) * size)
-        ratio, length, low, high, rates = _rate_lists(lo, min(N + 1, lo + 3 * size), d, lower,
-                                                      upper)
-        j = k - lo
-        events, end = divmod(_walk(ratio, length, low, high, u.tobytes(), size, j, out), length)
-        k = lo + end
-        stopped = k == lower or k == upper
-        if not stopped:
-            x = rng.standard_exponential(size)
-        elif reads:
-            x = rng.standard_exponential(events)
+        base = max(k - size, lower + 1, 0)
+        lam, mu = _kernel_rates(base, min(k + size, upper - 1, d.N) + 1, d)
+        tot = lam + mu
+        th = (lam / tot).tolist()
+        low, high, start = lower - base, upper - base, k - base
+        j, steps = start, []
+        for v in rng.random(size).tolist():
+            step = 1 if v < th[j] else -1
+            steps.append(step)
+            j += step
+            if j == low or j == high:
+                break
+        k = base + j
+        stopped = j == low or j == high
+        if stopped and not reads:
+            return k, None, above
+        x = rng.standard_exponential(len(steps) if stopped else size).tolist()
         if reads:
-            at = min(max(level - lo, -1), length)  # the level's index, clipped as the stops are
-            cut, end = divmod(_clock(rates, length, at, out, x.tobytes(), events, j, acc, times,
-                                     counts), length)
-            if path is not None:
-                path.extend(zip(times[:cut].tolist(), (counts[:cut] + lo).tolist()))
-            if cut < events:
-                return lo + end, horizon, acc[2]
+            tot, at, j = tot.tolist(), level - base, start
+            for step, v in zip(steps, x):
+                dt = v / tot[j]
+                if t + dt > horizon:
+                    return base + j, horizon, above
+                if j >= at:
+                    above += dt
+                t += dt
+                j += step
+                if path is not None:
+                    path.append((t, base + j))
         if stopped:
-            return k, (acc[0] if timed else None), acc[2]
+            return k, (t if timed else None), above
         size = min(2 * size, _LAST_BLOCK)
-
-
-@lru_cache(maxsize=32)
-def _rate_lists(lo, hi, d, lower, upper):
-    """The window of counts lo..hi-1 as `_walk` and `_clock` read it: (the
-    jump thresholds' bytes, their count, lower - lo, upper - lo, the total
-    rates' bytes), the stops clipped to [-1, hi - lo].
-
-    The thresholds are lam/tot, with the birth rate lam and the total rate
-    tot = lam + mu of `model._kernel_rates`.  Cached: `_run_blocks` asks for
-    aligned windows, so the replicas of one sampler, which start from one
-    count and share its stops, mostly ask for the same windows.
-    """
-    lam, mu = _kernel_rates(lo, hi, d)
-    tot = lam + mu
-    size = hi - lo
-    return ((lam / tot).tobytes(), size,
-            *(min(max(stop - lo, -1), size) for stop in (lower, upper)), tot.tobytes())
 
 
 @dataclass(frozen=True, slots=True)
@@ -739,9 +670,9 @@ def run_replicas(fn, args, replicas: int, workers: int = 1) -> list:
     list; per-replica streams make the values themselves worker-independent.
     Replica 0 runs in the caller first, so a bad input is reported before
     any process starts, and the caches every replica reads (killed spectra,
-    the compiled kernels, key blocks, rate windows) are filled once.  Replicas
-    1.. then go to at most os.cpu_count() processes, forked on Linux so that
-    they inherit those caches; a lone replica left runs in the caller too.
+    the compiled kernels, key blocks) are filled once.  Replicas 1.. then go
+    to at most os.cpu_count() processes, forked on Linux so that they
+    inherit those caches; a lone replica left runs in the caller too.
     """
     if replicas < 1:
         raise ValueError(f"replicas must be positive, got {replicas}")

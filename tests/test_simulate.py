@@ -8,6 +8,7 @@ import os
 import random
 import shutil
 import sys
+import types
 from concurrent.futures import Future, ThreadPoolExecutor
 from unittest import mock
 
@@ -20,7 +21,7 @@ from scipy.stats import chisquare, ks_2samp
 from dyner import analytic as an
 from dyner import components as comp
 from dyner import simulate as sim
-from dyner.model import ModelParams, derive
+from dyner.model import ModelParams, _kernel_rates, derive
 from dyner.stats import ks_distance, mean_ci
 
 
@@ -587,8 +588,8 @@ _KERNEL_CASES = {
     # extreme rate ratios
     "slow_deaths": (40, 1.0, 0, dict(upper=600, horizon=60.0, level=580, alpha=1e-3)),
     "fast_deaths": (40, 1.0, 30, dict(lower=0, upper=31, level=10, alpha=1e3)),
-    # starts on both sides of aligned threshold-window edges (multiples of
-    # the block sizes), walking over several blocks
+    # starts on both sides of multiples of the block sizes, walking over
+    # several blocks
     "window_edge_127": (2000, 1.0, 127, dict(horizon=0.5)),
     "window_edge_128": (2000, 1.0, 128, dict(horizon=0.5)),
     "window_edge_383": (2000, 1.0, 383, dict(horizon=0.5)),
@@ -843,125 +844,6 @@ def test_kernel_matches_scalar_loop_on_random_inputs_with_python_walk(call, seed
         _check_random_chain_call(call, seed)
 
 
-@st.composite
-def _walk_blocks(draw):
-    # a block of the kernel at a random count, in its aligned window, with
-    # no stop, stops a few counts away, or a stop on the block's first or
-    # last event
-    n = draw(st.integers(2, 200))
-    rate = st.floats(-3.0, 3.0).map(lambda e: 10.0 ** e)
-    d = _d(n, alpha=draw(rate), beta=draw(rate))
-    size = draw(st.sampled_from([128, 256, 512, 1024, 2048]))
-    k = draw(st.integers(0, d.N))
-    lo = max(0, (k // size - 1) * size)
-    hi = min(d.N + 1, lo + 3 * size)
-    u = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).random(size)
-    lower, upper = -1, d.N + 1
-    placement = draw(st.sampled_from(["none", "near", "first", "last"]))
-    if placement == "near":
-        gap = st.sampled_from(range(9)).map(lambda e: 2 ** e)
-        lower, upper = k - draw(gap), k + draw(gap)
-    elif placement == "first":
-        if u[0] < np.frombuffer(sim._rate_lists(lo, hi, d, -1, d.N + 1)[0])[k - lo]:
-            upper = k + 1
-        else:
-            lower = k - 1
-    elif placement == "last" and k + size <= d.N:
-        u[:] = 0.0  # every step up: the count first reaches k + size on the last
-        upper = k + size
-    assume(lower < k < upper)
-    return d, size, k, lo, hi, u, max(lower, -1), min(upper, d.N + 1), placement
-
-
-@given(block=_walk_blocks())
-@settings(max_examples=300, deadline=None)
-def test_python_walk_matches_scalar_walk(block):
-    d, size, k, lo, hi, u, lower, upper, placement = block
-    window = sim._rate_lists(lo, hi, d, lower, upper)
-    fill = bytes(range(256)) * 8  # a run's direction buffer, filled
-    out = bytearray(fill)
-    end, j = divmod(sim._walk(*window[:4], u.tobytes(), size, k - lo, out), hi - lo)
-    # one step at a time: up where the uniform lies below the count's threshold
-    th, count, steps = np.frombuffer(window[0]), k, bytearray()
-    for v in u.tolist():
-        step = 1 if v < th[count - lo] else -1
-        steps.append(step % 256)  # -1 as a signed byte
-        count += step
-        if count in (lower, upper):
-            break
-    assert (end, lo + j) == (len(steps), count)
-    assert out[:end] == steps
-    assert out[end:] == fill[end:]  # only the walked events' bytes change
-    stopped = count in (lower, upper)
-    assert end == size or stopped
-    if placement == "first":
-        assert (end, stopped) == (1, True)
-    elif placement == "last" and upper == k + size <= d.N:
-        assert (end, stopped) == (size, True)
-
-
-@st.composite
-def _clock_blocks(draw):
-    # a walked block of the kernel with Exp(1) variates stood in for by
-    # values from 1e-300 to 1e3, timed from a random time; the horizon is
-    # passed on the block's first event, on its last event, or not at all
-    # (infinite, or exactly the last event's time), and the level index lies
-    # below, inside or above the window
-    d, size, k, lo, hi, u, lower, upper, _ = draw(_walk_blocks())
-    window = sim._rate_lists(lo, hi, d, lower, upper)
-    length, rates = window[1], window[4]
-    out = bytearray(2048)
-    events = sim._walk(*window[:4], u.tobytes(), size, k - lo, out) // length
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    low = draw(st.integers(-300, 3))
-    x = 10.0 ** rng.uniform(low, draw(st.integers(low, 3)), events)
-    t0 = draw(st.floats(0.0, 1e6))
-    tot = np.frombuffer(rates)
-    times, t, j = [], t0, k - lo
-    for v, step in zip(x.tolist(), out[:events]):
-        t += v / tot[j]
-        times.append(t)
-        j += 1 if step == 1 else -1
-    placement = draw(st.sampled_from(["first", "last", "infinite", "on_last"]))
-    horizon = {"first": math.nextafter(times[0], -math.inf),
-               "last": math.nextafter(times[-1], -math.inf),
-               "infinite": math.inf, "on_last": times[-1]}[placement]
-    level = draw(st.sampled_from([-1, length]) | st.integers(0, length - 1))
-    return (rates, length, level, out, x.tobytes(), events, k - lo), t0, horizon, placement
-
-
-@given(block=_clock_blocks(), above=st.floats(0.0, 1e6), with_path=st.booleans())
-@settings(max_examples=300, deadline=None)
-def test_python_clock_matches_scalar_clock(block, above, with_path):
-    args, t0, horizon, placement = block
-    rates, length, level, out, x, size, j = args
-    # path buffers, filled so that a write past the timed events shows
-    times, counts = (np.full(2048, -1.0), np.full(2048, -7)) if with_path else (None, None)
-    acc = [t0, horizon, above]
-    packed = sim._clock(*args, acc, times, counts)
-    # one event at a time, up to the first past the horizon
-    tot, t, want = np.frombuffer(rates), t0, []
-    for v, step in zip(np.frombuffer(x).tolist(), out[:size]):
-        dt = v / tot[j]
-        if t + dt > horizon:
-            break
-        if j >= level:
-            above += dt
-        t += dt
-        j += 1 if step == 1 else -1
-        want.append((t, j))
-    cut = len(want)
-    assert packed == cut * length + j
-    assert acc == [t, horizon, above]
-    if with_path:
-        assert list(zip(times[:cut].tolist(), counts[:cut].tolist())) == want
-        assert (times[cut:] == -1.0).all() and (counts[cut:] == -7).all()
-    if placement == "last":
-        assert cut < size  # earlier events may share the last one's time
-    else:
-        assert cut == (0 if placement == "first" else size)
-
-
 _DOUBLES = ctypes.CFUNCTYPE(ctypes.c_double, ctypes.c_void_p)
 
 
@@ -989,6 +871,18 @@ def _first_compiled_step(d, k, uniform):
     return count
 
 
+def _first_python_step(d, k, uniform):
+    # the count after the Python walk's first event from k, its uniforms all
+    # `uniform`, from a stand-in Generator that has no Exp(1) variates to
+    # give; stops at k - 1 and k + 1 end the run there, reading no time
+    scripted = types.SimpleNamespace(random=lambda size: np.full(size, uniform))
+    with mock.patch.object(sim, "_key_generator", lambda key: scripted):
+        count, t, _ = sim._run_blocks(d, k, sim._replica_key(1, 0), k - 1, k + 1, math.inf,
+                                      d.N + 1, None, False, False)
+    assert t is None
+    return count
+
+
 def test_jump_thresholds_keep_the_walk_in_range():
     # uniforms lie in [0, 1): a threshold of exactly 1 always jumps up from
     # the empty graph, one of exactly 0 always jumps down from the full one,
@@ -997,16 +891,11 @@ def test_jump_thresholds_keep_the_walk_in_range():
     for n in (2, 40, 2000):
         for alpha, beta in ((1.0, 1.0), (1.0, 200.0), (1e-3, 1.0), (1e3, 1.0)):
             d = _d(n, alpha=alpha, beta=beta)
-            empty = sim._rate_lists(0, 2, d, -1, d.N + 1)
-            full = sim._rate_lists(d.N - 1, d.N + 1, d, -1, d.N + 1)
-            assert np.frombuffer(empty[0])[0] == 1.0
-            assert np.frombuffer(full[0])[-1] == 0.0
-            out = bytearray(2048)  # a run's direction buffer
-            assert divmod(sim._walk(*empty[:4], np.array([top]).tobytes(), 1, 0, out),
-                          2) == (1, 1)
-            assert out[:1] == bytes([1])
-            assert divmod(sim._walk(*full[:4], np.zeros(1).tobytes(), 1, 1, out), 2) == (1, 0)
-            assert out[:1] == bytes([255])
+            for lo, count, threshold in ((0, 0, 1.0), (d.N - 1, d.N, 0.0)):
+                lam, mu = _kernel_rates(lo, lo + 2, d)
+                assert (lam / (lam + mu))[count - lo] == threshold
+            assert _first_python_step(d, 0, top) == 1
+            assert _first_python_step(d, d.N, 0.0) == d.N - 1
             if "compiled" in _walks():
                 assert _first_compiled_step(d, 0, top) == 1
                 assert _first_compiled_step(d, d.N, 0.0) == d.N - 1
@@ -1017,8 +906,9 @@ def test_jump_thresholds_keep_the_walk_in_range():
 @settings(max_examples=100, deadline=None)
 def test_compiled_windows_hold_the_python_windows(n, alpha, beta, past_32_bits):
     # the compiled run computes each block's thresholds and total rates
-    # itself: they are the bytes of `_rate_lists`' windows, over every count
-    # of the chain, or over a window of counts past 2^31
+    # itself: they are the bytes of lam / (lam + mu) and lam + mu from
+    # `_kernel_rates`, as `_run_blocks` reads them, over every count of the
+    # chain, or over a window of counts past 2^31
     if "compiled" not in _walks():
         pytest.skip("the compiled run cannot be built here")
     d = _d(70000 if past_32_bits else n, alpha=10.0 ** alpha, beta=10.0 ** beta)
@@ -1027,37 +917,14 @@ def test_compiled_windows_hold_the_python_windows(n, alpha, beta, past_32_bits):
     sim._compiled_walk(sim._RUN_SOURCE, sim._NPYRANDOM).rates(
         ctypes.c_longlong(lo), hi - lo, ctypes.c_longlong(d.N), ctypes.c_double(d.alpha),
         ctypes.c_double(d.beta / (d.n - 1)), th, tot)
-    window = sim._rate_lists(lo, hi, d, -1, d.N + 1)
-    assert (bytes(th), bytes(tot)) == (window[0], window[4])
+    lam, mu = _kernel_rates(lo, hi, d)
+    assert (bytes(th), bytes(tot)) == ((lam / (lam + mu)).tobytes(), (lam + mu).tobytes())
 
 
-def test_rate_windows_hold_the_rates_and_the_clipped_stops():
-    d = _d(40)
-    lo, hi = 128, 512
-    counts = np.arange(lo, hi)
-    lam = (d.N - counts) * (d.beta / (d.n - 1))
-    tot = lam + counts * d.alpha
-    # stops inside, on both edges of, and just outside the window
-    for lower, upper in ((200, 300), (-1, 300), (lo, hi - 1), (lo - 1, hi), (0, d.N)):
-        window = sim._rate_lists(lo, hi, d, lower, upper)
-        # every threshold, the stops clipped to [-1, hi - lo], and the total rates
-        clip = [min(max(c - lo, -1), hi - lo) for c in (lower, upper)]
-        assert window == ((lam / tot).tobytes(), hi - lo, *clip, tot.tobytes())
-        # the walk stops on a stop inside the window, from the count next
-        # to it, with a second step in the same direction left
-        for stop in (lower, upper):
-            if lo < stop < hi - 1:
-                side = 1 if stop == upper else -1
-                u = np.full(2, 0.0 if side == 1 else 1.0 - 2.0 ** -53).tobytes()
-                packed = sim._walk(*window[:4], u, 2, stop - side - lo, bytearray(2048))
-                assert divmod(packed, hi - lo) == (1, stop - lo)
-    # each stop pair on one window is its own cache entry
-    misses = sim._rate_lists.cache_info().misses
-    one = sim._rate_lists(lo, hi, d, 201, 299)
-    other = sim._rate_lists(lo, hi, d, 202, 299)
-    assert sim._rate_lists.cache_info().misses == misses + 2
-    assert one[2:4] == (201 - lo, 299 - lo) and other[2:4] == (202 - lo, 299 - lo)
-    assert sim._rate_lists(lo, hi, d, 201, 299) is one
+def test_the_path_buffers_hold_the_compiled_runs_largest_block():
+    # `_run_types` sizes a block's event-time and count buffers by
+    # `_LAST_BLOCK`, and C `blocks` writes up to LAST events there
+    assert f"LAST = {sim._LAST_BLOCK}" in sim._RUN_SOURCE
 
 
 def test_kernel_refuses_a_start_outside_its_stops():
@@ -1078,7 +945,7 @@ def test_kernel_refuses_a_start_outside_its_stops():
 ], ids=["time_above", "escapes", "trajectory", "hitting"])
 def test_kernel_refuses_non_integer_counts(call):
     # a float count never lands on a stop, so the walk could not end; the
-    # integer call first fills the rate windows' cache
+    # integer call first loads the kernel and fills the key block's cache
     d = _d(10)
     sim.sample_hitting_time(d, 0, 5, seed=1)
     with pytest.raises(TypeError):
@@ -1213,8 +1080,8 @@ def test_library_names_follow_the_linked_archives(tmp_path):
 
 def test_kernel_paths_span_many_blocks():
     # horizon 20 at n=2000 runs through every block size; from 1040 the walk
-    # crosses count 1024, a threshold-window edge for every block size
-    # below 2048, both ways
+    # crosses count 1024, a multiple of every block size below 2048, both
+    # ways
     d = _d(2000)
     want, got = [(0.0, 1040)], [(0.0, 1040)]
     _reference_chain(d, 1040, _exponential_draws(901, 0), horizon=20.0, path=want)
@@ -1240,6 +1107,27 @@ def test_horizon_in_the_first_block_reads_one_block():
                 ref.random(128)
                 ref.standard_exponential(128)
                 assert rng.bit_generator.state == ref.bit_generator.state
+
+
+def test_a_horizon_on_an_event_time_keeps_that_event():
+    # the run ends at the first event past the horizon, so an event exactly
+    # at the horizon is kept and the next one is cut: inside a block, on the
+    # last event of the first and second blocks and on the first of the next
+    d = _d(40)
+    full = []
+    _reference_chain(d, 0, _exponential_draws(908, 0), horizon=60.0, path=full)
+    for e in (50, 127, 128, 383, 384):
+        horizon, count = full[e]
+        assert full[e + 1][0] > horizon
+        want = _reference_chain(d, 0, _exponential_draws(908, 0), horizon=horizon, level=5)
+        assert want[:2] == (count, horizon) and want[2] > 0.0
+        for name in _walks():
+            path = []
+            with _kernel(name):
+                got = sim._run_chain(d, 0, sim._replica_key(908, 0), horizon=horizon, level=5,
+                                     path=path)
+            assert path == full[:e + 1]
+            assert got == want
 
 
 def test_hitting_time_with_infinite_cap_is_exact():
