@@ -3,19 +3,22 @@
 The edge count is simulated as an aggregate chain (two competing
 exponentials per step), which by superposition has exactly the same law as
 tracking all N per-edge clocks but costs O(1) per event.  One event loop,
-`_run_chain`, serves every sampler here; each sampler only picks its stop
-rule (absorbing counts, a time horizon, a level to time above).  The loop
-walks each block's jump directions and then times its events, drawing the
-holding times only where read.  A whole run is one call of a C function,
-compiled with the platform's C compiler on first use and loaded through
-ctypes: it seeds the replica's PCG64 itself from the replica's SeedSequence
-key and draws through numpy's own random library, so no replica builds a
-numpy Generator.  Where it cannot be built (no compiler, no numpy random
-archive, no 128-bit integers), its reference, the Python block loop
-`_run_blocks`, gives the same bytes from a Generator keyed alike.  Every
-replica owns an independent, reproducible random stream derived from (seed,
-replica), so results are bit-identical regardless of how replicas are spread
-over workers.
+`_run_chain` (`_run_chains` for a chunk of replicas), serves every sampler
+here; each sampler only picks its stop rule (absorbing counts, a time
+horizon, a level to time above).  The loop walks each block's jump
+directions and then times its events, drawing the holding times only where
+read.  A chunk of replicas is one call of a C function, compiled with the
+platform's C compiler on first use and loaded through ctypes, that runs each
+replica's whole run in turn: it seeds the replica's PCG64 itself from the
+replica's SeedSequence key, draws its uniforms inline and its Exp(1)
+variates through numpy's own random library, so no replica builds a numpy
+Generator; each sampler's one replica is its chunk of one.  Where it cannot
+be built (no compiler, no numpy random archive, no 128-bit integers), its
+reference, the Python block loop `_run_blocks`, gives the same bytes from a
+Generator keyed alike, one replica at a time.  Every replica owns an
+independent, reproducible random stream derived from (seed, replica), so
+results are bit-identical regardless of how replicas are spread over
+workers or chunks.
 """
 
 import bisect
@@ -95,24 +98,29 @@ class _StreamKey(ISeedSequence):
         return self.words  # PCG64 asks for exactly these: 4 uint64 words
 
 
-@lru_cache(maxsize=16)
-def _key_block(seed, block):
-    """The PCG64 keys of replicas 64*block..64*block+63 as a (64, 4) uint64 array.
+def _hashed_keys(seed, first, stop):
+    """The PCG64 keys of replicas first..stop-1, stop <= 2^32, as a
+    (stop - first, 4) uint64 array.
 
     Each replica's spawn word is mixed into the pool of SeedSequence(seed)
-    and the 8 output words are hashed out, for all 64 replicas at once in
+    and the 8 output words are hashed out, for all the replicas at once in
     uint32 arithmetic, which wraps as SeedSequence's does.
     """
     pool = np.random.SeedSequence(seed).pool * _MIX_L
-    first = block * _KEYS_PER_BLOCK
-    h = (np.arange(first, first + _KEYS_PER_BLOCK, dtype=np.uint32)[:, None] ^ _KEY_XOR) * _KEY_MUL
+    h = (np.arange(first, stop, dtype=np.uint32)[:, None] ^ _KEY_XOR) * _KEY_MUL
     h ^= h >> 16
     h *= _MIX_R
     p = pool - h
     p ^= p >> 16
     w = (p.reshape(-1, 1, 4) ^ _OUT_XOR) * _OUT_MUL
     w ^= w >> 16
-    keys = w.reshape(-1, 8).astype("<u4", copy=False).view("<u8").astype(np.uint64, copy=False)
+    return w.reshape(-1, 8).astype("<u4", copy=False).view("<u8").astype(np.uint64, copy=False)
+
+
+@lru_cache(maxsize=16)
+def _key_block(seed, block):
+    """The PCG64 keys of replicas 64*block..64*block+63 as a (64, 4) uint64 array."""
+    keys = _hashed_keys(seed, block * _KEYS_PER_BLOCK, (block + 1) * _KEYS_PER_BLOCK)
     keys.setflags(write=False)  # the cache hands this array to every caller
     return keys
 
@@ -122,7 +130,7 @@ def _replica_key(seed, replica):
     bytes) that SeedSequence(seed, spawn_key=(replica,)) generates.
 
     The one keying of every replica stream, read by `replica_rng` and by the
-    count chain's compiled run.  Below 2^32 the key is taken from aligned
+    count chain's runs, whose chunks take theirs from `_replica_keys`.  Below 2^32 the key is taken from aligned
     blocks of 64 replicas (block r // 64, entry r % 64), equal word for word
     to SeedSequence's, and the 16 blocks used last are kept; from 2^32 on
     SeedSequence itself generates it.  Seed and replica must be integers (a
@@ -138,6 +146,20 @@ def _replica_key(seed, replica):
         return np.random.SeedSequence(seed, spawn_key=(replica,)).generate_state(4, np.uint64)
     block, entry = divmod(replica, _KEYS_PER_BLOCK)
     return _key_block(seed, block)[entry]
+
+
+def _replica_keys(seed, lo, hi):
+    """The keys of replicas lo..hi-1 as the rows of one (hi - lo, 4) array,
+    each `_replica_key`'s: below 2^32 hashed all at once, from 2^32 on one
+    SeedSequence each."""
+    if hi <= lo:
+        return np.empty((0, 4), np.uint64)
+    rows = [_replica_key(seed, lo)[None]]  # checks the seed and lo
+    below = min(hi, _WORD)
+    if lo + 1 < below:
+        rows.append(_hashed_keys(seed, lo + 1, below))
+    rows += [_replica_key(seed, r)[None] for r in range(max(lo + 1, _WORD), hi)]
+    return np.concatenate(rows)
 
 
 def _key_generator(key):
@@ -161,8 +183,8 @@ def replica_rng(seed: int, replica: int = 0) -> np.random.Generator:
 _FIRST_BLOCK = 128  # events read by a run's first block
 _LAST_BLOCK = 2048  # blocks double up to this size
 
-# numpy's random library, whose fill functions Generator.random and
-# Generator.standard_exponential call; the compiled run links it
+# numpy's random library, whose exponential fill function
+# Generator.standard_exponential calls; the compiled run links it
 _NPYRANDOM = os.path.join(os.path.dirname(np.__file__), "random", "lib", "libnpyrandom.a")
 
 # The count chain's compiled run, built by `_compiled_walk` on a run's first
@@ -172,23 +194,25 @@ _NPYRANDOM = os.path.join(os.path.dirname(np.__file__), "random", "lib", "libnpy
 # 128-bit LCG with the XSL-RR output, doubles from the top 53 bits, seeded as
 # `pcg64_set_seed` seeds it from the replica's 4 key words, on the run's
 # first call (inc is 0 until then, odd after), and resumed from the struct by
-# later calls.  `blocks` draws each block's uniforms and then its Exp(1)
-# variates through numpy's own fill functions, fed by a bitgen_t on `run`'s
-# stack, so it reads the stream as `_run_blocks` reads its Generator, with no
-# Python object and no lock.  Each block computes, by `rates`, the
-# thresholds and total rates of the counts it can read, [k-B, k+B] inside
-# the stops, with the operations of `model._kernel_rates`, so with the
-# bytes of `_run_blocks`' window; it then walks the block's directions and
-# times its events as `_run_blocks` does, on indices into that window, the
-# stops and the level clipped to [-1, length].  Where `times` is not NULL it
-# returns after each block, having written the times and counts of the
-# block's timed events there, at most LAST = `_LAST_BLOCK`, the size of the
-# buffers `_run_types` gives.  It returns the number of the last block's
-# timed events and leaves the run's state for the next call: its count,
-# time, time above and stream, and its next block's size, 0 when a stop
-# ended the run and -1 when the horizon did.  A compiler without
-# `unsigned __int128` cannot build it, which leaves the count chain on
-# `_run_blocks`.
+# later calls.  `blocks` draws each block's uniforms inline, as numpy's
+# uniform fill draws them, and then its Exp(1) variates through numpy's own
+# exponential fill, fed by a bitgen_t over the run's PCG64 on its stack, so
+# it reads the stream as `_run_blocks` reads its Generator, with no Python
+# object and no lock.  Each block computes, by `rates`, the thresholds and
+# total rates of the counts it can read, [k-B, k+B] inside the stops, with
+# the operations of `model._kernel_rates`, so with the bytes of
+# `_run_blocks`' window; it then walks the block's directions and times its
+# events as `_run_blocks` does, on indices into that window, the stops and
+# the level clipped to [-1, length].  Where `times` is not NULL it returns
+# after each block, having written the times and counts of the block's timed
+# events there, at most LAST = `_LAST_BLOCK`, the size of the buffers
+# `_run_types` gives.  It returns the number of the last block's timed
+# events and leaves the run's state for the next call: its count, time, time
+# above and stream, and its next block's size, 0 when a stop ended the run
+# and -1 when the horizon did; called again on an ended run it returns 0 at
+# once and changes nothing.  `runs` runs `count` structs in place, each to
+# its end, for `_run_chains`.  A compiler without `unsigned __int128` cannot
+# build it, which leaves the count chain on `_run_blocks`.
 _RUN_SOURCE = """\
 #include <stdint.h>
 #include <string.h>
@@ -202,7 +226,6 @@ typedef struct {
     uint64_t (*next_raw)(void *);
 } bitgen_t;
 
-void random_standard_uniform_fill(bitgen_t *bitgen, intptr_t count, double *out);
 void random_standard_exponential_fill(bitgen_t *bitgen, intptr_t count, double *out);
 
 typedef unsigned __int128 u128;
@@ -260,14 +283,18 @@ void rates(long long base, int length, long long N, double alpha, double birth_s
     }
 }
 
-int blocks(bitgen_t *bitgen, struct run *state, double *times, long long *counts)
+static int blocks(struct pcg *g, struct run *state, double *times, long long *counts)
 {
+    /* the exponential fill reads only next_uint64 and next_double */
+    bitgen_t bitgen = {g, next_uint64, 0, next_double, 0};
     long long k = state->count, N = state->N;
     double t = state->t, horizon = state->horizon, above = state->above;
     int size = (int)state->size, events;
     double draws[LAST], th[2 * LAST + 1], tot[2 * LAST + 1];
     signed char step[LAST];
 
+    if (size <= 0)  /* the run has ended */
+        return 0;
     for (;;) {
         long long base = k - size > state->lower ? k - size : state->lower + 1;
         int length = (int)((k + size < state->upper ? k + size : state->upper - 1) - base + 1);
@@ -275,7 +302,8 @@ int blocks(bitgen_t *bitgen, struct run *state, double *times, long long *counts
         int level = clip(state->level - base, length);
         int start = (int)(k - base), i = 0, j = start, stopped = 0;
         rates(base, length, N, state->alpha, state->birth_scale, th, tot);
-        random_standard_uniform_fill(bitgen, size, draws);
+        for (int u = 0; u < size; u++)
+            draws[u] = next_double(g);
         while (i < size && !stopped && 0 <= j && j < length) {
             int s = draws[i] < th[j] ? 1 : -1;
             step[i++] = (signed char)s;
@@ -285,7 +313,7 @@ int blocks(bitgen_t *bitgen, struct run *state, double *times, long long *counts
         events = i;
         k = base + j;
         if (!stopped || state->reads)
-            random_standard_exponential_fill(bitgen, stopped ? events : size, draws);
+            random_standard_exponential_fill(&bitgen, stopped ? events : size, draws);
         if (state->reads) {
             for (i = 0, j = start; i < events; i++) {
                 double dt = draws[i] / tot[j], next = t + dt;
@@ -325,8 +353,6 @@ int blocks(bitgen_t *bitgen, struct run *state, double *times, long long *counts
 int run(struct run *state, double *times, long long *counts)
 {
     struct pcg g;
-    /* the fills read only next_uint64 and next_double */
-    bitgen_t bitgen = {&g, next_uint64, 0, next_double, 0};
     int events;
     memcpy(&g, state->stream, sizeof g);
     if (!(g.inc & 1)) {
@@ -336,9 +362,15 @@ int run(struct run *state, double *times, long long *counts)
         g.state += (u128)state->key[0] << 64 | state->key[1];
         pcg_step(&g);
     }
-    events = blocks(&bitgen, state, times, counts);
+    events = blocks(&g, state, times, counts);
     memcpy(state->stream, &g, sizeof g);
     return events;
+}
+
+void runs(struct run *states, long long count)
+{
+    for (long long r = 0; r < count; r++)
+        run(states + r, 0, 0);
 }
 """
 
@@ -346,19 +378,26 @@ int run(struct run *state, double *times, long long *counts)
 _CFLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")  # no fused multiply-add
 
 
+_CACHE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "__pycache__")
+
+
 def _library_path(source, link):
     """Where `_compiled_walk` keeps the library built from the C `source`
-    and the archives `link`: the package's `__pycache__`, under a hash of the
-    platform tag, the compiler flags, the source and each archive's path,
-    size and modification time.  OSError when an archive is missing."""
+    and the archives `link`: `_CACHE`, the package's `__pycache__`, as
+    `_kernel-<name>-<hash>.so`.  The name is the kernel's, the last function
+    the source exports; the hash is of the platform tag, the compiler flags,
+    the source and each archive's path, size and modification time.  OSError
+    when an archive is missing."""
     import hashlib
+    import re
     import sysconfig
 
     stats = [os.stat(archive) for archive in link]
     key = "\n".join((sysconfig.get_platform(), *_CFLAGS, source,
                      *(f"{a} {s.st_size} {s.st_mtime_ns}" for a, s in zip(link, stats))))
-    cache = os.path.join(os.path.dirname(os.path.abspath(__file__)), "__pycache__")
-    return os.path.join(cache, f"_kernel-{hashlib.sha256(key.encode()).hexdigest()[:16]}.so")
+    name = re.findall(r"^(?!static\b)\w[\w ]*?\b(\w+)\((?!.*;$)", source, re.M)[-1]
+    digest = hashlib.sha256(key.encode()).hexdigest()[:16]
+    return os.path.join(_CACHE, f"_kernel-{name}-{digest}.so")
 
 
 @lru_cache(maxsize=4)
@@ -373,14 +412,17 @@ def _compiled_walk(source, *link):
     beside its Python reference.  The library is compiled by the platform C
     compiler, `cc`, on first use and kept at `_library_path`; it is written
     to a temporary file there and moved into place, so processes that build
-    it at once do not collide.  Any failure (no compiler, a missing archive,
-    a source the compiler rejects, such as the count chain's run where it
-    has no `unsigned __int128`, a read-only package directory, a failed
-    load) leaves the caller on its Python reference, which gives the same
-    bytes.
+    it at once do not collide, and the libraries of the kernel's earlier
+    sources are then removed, those of other kernels kept.  Any failure (no
+    compiler, a missing archive, a source the compiler rejects, such as the
+    count chain's run where it has no `unsigned __int128`, a read-only
+    package directory, a failed load) leaves the caller on its Python
+    reference, which gives the same bytes.
     """
     # imported here, so that importing dyner starts and loads nothing more
+    import contextlib
     import ctypes
+    import glob
     import subprocess
     import tempfile
 
@@ -401,6 +443,10 @@ def _compiled_walk(source, *link):
             finally:
                 if os.path.exists(tmp):
                     os.remove(tmp)
+            for old in glob.glob(f"{path.rsplit('-', 1)[0]}-*.so"):
+                if old != path:
+                    with contextlib.suppress(OSError):  # another process removed it first
+                        os.remove(old)
         return ctypes.CDLL(path)
     except (OSError, subprocess.SubprocessError):
         return None
@@ -409,24 +455,48 @@ def _compiled_walk(source, *link):
 @lru_cache(maxsize=1)
 def _run_types():
     """What the compiled run is called with: the layout of struct run, its
-    key and its zeroed stream last, and the ctypes type of its buffer; the
+    key and its zeroed stream last, and the same struct as numpy fields; the
     layout of what a call leaves there (count, block size, t, time above);
     and the ctypes types of a block's event times and counts."""
     import ctypes
     import struct
 
-    layout = struct.Struct("7q5d32s32x")
-    return (layout, ctypes.c_char * layout.size, struct.Struct("2q40xd8xd"),
+    fields = np.dtype([(name, np.int64) for name in ("count", "size", "lower", "upper",
+                                                     "level", "N", "reads")]
+                      + [(name, np.float64) for name in ("t", "horizon", "above", "alpha",
+                                                         "birth_scale")]
+                      + [("key", np.uint64, 4), ("stream", np.uint64, 4)])
+    return (struct.Struct("7q5d32s32x"), fields, struct.Struct("2q40xd8xd"),
             ctypes.c_double * _LAST_BLOCK, ctypes.c_longlong * _LAST_BLOCK)
 
 
-def _run_state(d, k, key, lower, upper, horizon, level, reads):
-    """The struct run that a compiled run of `_run_chain` starts from, its
-    stream to be seeded from `key` by the first call."""
-    layout, buffer = _run_types()[:2]
-    return buffer.from_buffer_copy(layout.pack(
+def _run_state(d, k, keys, lower, upper, horizon, level, reads):
+    """The struct runs that compiled runs of `_run_chain` start from, one
+    per row of `keys`, as a numpy array the caller owns: copies of one
+    packed template with the key column set, each stream to be seeded from
+    its key by the run's first call."""
+    layout, fields = _run_types()[:2]
+    template = np.frombuffer(layout.pack(
         k, _FIRST_BLOCK, lower, upper, level, d.N, reads, 0.0, horizon, 0.0, d.alpha,
-        d.beta / (d.n - 1), key.tobytes()))
+        d.beta / (d.n - 1), bytes(32)), fields)
+    states = np.repeat(template, len(keys))
+    states["key"] = keys
+    return states
+
+
+def _chain_args(d, k, lower, upper, level, timed):
+    """`_run_chain`'s counts, checked: (k, lower, upper, level, reads), with
+    the default stops and level put in and reads true where the run reads
+    a time."""
+    # integer counts only: a float stop would never be stepped onto
+    k, lower, upper = operator.index(k), operator.index(lower), operator.index(upper)
+    if upper < 0:
+        upper = d.N + 1
+    if not (lower < k < upper):
+        raise ValueError(f"start {k} must lie strictly between {lower} and {upper}")
+    reads = timed or level is not None
+    level = d.N + 1 if level is None else operator.index(level)
+    return k, lower, upper, level, reads
 
 
 def _run_chain(d, k, key, lower=-1, upper=-1, horizon=math.inf, level=None, path=None,
@@ -456,42 +526,77 @@ def _run_chain(d, k, key, lower=-1, upper=-1, horizon=math.inf, level=None, path
     adding each holding time, variate / total rate, to the run's time one
     event at a time, so a horizon ends the run in the block that passes it.
 
-    The run is one call of the compiled `run` where `_compiled_walk` can
-    build it: the call seeds the stream from the key in C and keeps it in
-    the run's own struct (`_run_state`), so no Generator is built and no
-    lock is held; where a path is kept it returns after each block, whose
-    events are appended, and the next call resumes the stream.  Elsewhere
-    `_run_blocks`, its reference, runs the same blocks in Python and gives
-    the same bytes.
+    Without a path the run is `_run_chains`' chunk of one.  With one it is
+    a loop of calls of the compiled `run` where `_compiled_walk` can build
+    it, each returning after a block, whose events are appended, and the
+    next resuming the stream from the run's struct (`_run_state`); the
+    first call seeds the stream from the key in C, so no Generator is built
+    and no lock is held.  Elsewhere `_run_blocks`, its reference, runs the
+    same blocks in Python and gives the same bytes.
     """
-    N = d.N
-    # integer counts only: a float stop would never be stepped onto
-    k, lower, upper = operator.index(k), operator.index(lower), operator.index(upper)
-    if upper < 0:
-        upper = N + 1
-    if not (lower < k < upper):
-        raise ValueError(f"start {k} must lie strictly between {lower} and {upper}")
-    reads = timed or level is not None
-    level = N + 1 if level is None else operator.index(level)
+    if path is None:
+        return _run_chains(d, k, key[None], lower, upper, horizon, level, timed)[0]
+    k, lower, upper, level, reads = _chain_args(d, k, lower, upper, level, timed)
     compiled = _compiled_walk(_RUN_SOURCE, _NPYRANDOM)
     if compiled is None:
         return _run_blocks(d, k, key, lower, upper, horizon, level, path, timed, reads)
-    # no argtypes: every argument is a ctypes array or None, and the result
-    # an int, ctypes' default; counts, which can pass 2^31, go in the struct
-    # as long longs
-    state = _run_state(d, k, key, lower, upper, horizon, level, reads)
+    import ctypes
+
+    # no argtypes: the struct goes as a c_void_p, the buffers as ctypes
+    # arrays, and the result is an int, ctypes' default; counts, which can
+    # pass 2^31, go in the struct as long longs
+    state = _run_state(d, k, key[None], lower, upper, horizon, level, reads)
     _, _, outcome, event_times, event_counts = _run_types()
-    times = counts = None  # a block's event times and counts, where a path is kept
-    if path is not None:
-        times, counts = event_times(), event_counts()
+    times, counts = event_times(), event_counts()
     while True:
-        events = compiled.run(state, times, counts)
-        if path is not None:
-            path.extend(zip(np.frombuffer(times, count=events).tolist(),
-                            np.frombuffer(counts, np.int64, events).tolist()))
+        events = compiled.run(ctypes.c_void_p(state.ctypes.data), times, counts)
+        path.extend(zip(np.frombuffer(times, count=events).tolist(),
+                        np.frombuffer(counts, np.int64, events).tolist()))
         k, size, t, above = outcome.unpack_from(state)
         if size <= 0:
             return k, (horizon if size else t if timed else None), above
+
+
+def _run_chains(d, k, keys, lower=-1, upper=-1, horizon=math.inf, level=None, timed=True):
+    """`_run_chain` without a path, once per row of `keys`: the runs'
+    (exit count, exit time, time above) in row order.
+
+    Where `_compiled_walk` builds the compiled run, the rows are one call of
+    C `runs` on a `_run_state` array that this call owns, which runs each
+    struct to its end, its stream seeded from its key; the outcomes are read
+    back from the array's fields.  Elsewhere `_run_blocks`, the reference,
+    runs each key in turn, with the same bytes.
+    """
+    k, lower, upper, level, reads = _chain_args(d, k, lower, upper, level, timed)
+    compiled = _compiled_walk(_RUN_SOURCE, _NPYRANDOM)
+    if compiled is None:
+        return [_run_blocks(d, k, key, lower, upper, horizon, level, None, timed, reads)
+                for key in keys]
+    import ctypes
+
+    states = _run_state(d, k, keys, lower, upper, horizon, level, reads)
+    compiled.runs(ctypes.c_void_p(states.ctypes.data), ctypes.c_longlong(len(states)))
+    times = [None] * len(states)
+    if timed:
+        times = [horizon if size else t
+                 for size, t in zip(states["size"].tolist(), states["t"].tolist())]
+    return list(zip(states["count"].tolist(), times, states["above"].tolist()))
+
+
+# replicas per `_run_chains` call of a chunk: their keys and structs (160
+# bytes each) take under 1 MiB, however many replicas the chunk holds
+_RUNS_PER_CALL = 4096
+
+
+def _run_chunk(d, k, seed, lo, hi, **rule):
+    """`_run_chains` of replicas lo..hi-1 of `seed`, from count k under the
+    stop `rule`, `_RUNS_PER_CALL` replicas at a time: each replica's (exit
+    count, exit time, time above) in replica order."""
+    out = []
+    for first in range(lo, hi, _RUNS_PER_CALL):
+        keys = _replica_keys(seed, first, min(first + _RUNS_PER_CALL, hi))
+        out += _run_chains(d, k, keys, **rule)
+    return out
 
 
 def _run_blocks(d, k, key, lower, upper, horizon, level, path, timed, reads):
@@ -620,11 +725,16 @@ def sample_hitting_time(
     Runs the exact jump chain; if the passage has not happened by `cap`
     the sample is censored (time records the cap, never dropped).
     """
+    return _hitting_times(d, start, target, seed, cap, lo=replica, hi=replica + 1)[0]
+
+
+def _hitting_times(d, start, target, seed, cap=None, *, lo, hi):
+    # `sample_hitting_time` of replicas lo..hi-1, as one chunk
     if not (0 <= start < target <= d.N):
         raise ValueError(f"need 0 <= start < target <= {d.N}, got {start}, {target}")
     cap = _resolve_cap(d, cap)
-    k, t, _ = _run_chain(d, start, _replica_key(seed, replica), upper=target, horizon=cap)
-    return HittingSample(t, k != target)
+    return [HittingSample(t, k != target)
+            for k, t, _ in _run_chunk(d, start, seed, lo, hi, upper=target, horizon=cap)]
 
 
 def sample_stationarity_time(d: DerivedParams, seed: int, replica: int = 0) -> float:
@@ -648,24 +758,50 @@ def sample_time_above(d: DerivedParams, i: int, s: int, seed: int, replica: int 
     This is the whole above-i time of an (i -> s -> i) regenerative cycle:
     the return leg from s spends no time at or above i before its endpoint.
     """
+    return _times_above(d, i, s, seed, lo=replica, hi=replica + 1)[0]
+
+
+def _times_above(d, i, s, seed, *, lo, hi):
+    # `sample_time_above` of replicas lo..hi-1, as one chunk
     if not (0 <= s < i <= d.N):
         raise ValueError(f"need 0 <= s < i <= {d.N}, got i={i}, s={s}")
-    return _run_chain(d, i, _replica_key(seed, replica), lower=s, level=i, timed=False)[2]
+    return [above for _, _, above in _run_chunk(d, i, seed, lo, hi, lower=s, level=i,
+                                                timed=False)]
 
 
 def _escaped(d, j, i, s, seed, replica):
-    k, _, _ = _run_chain(d, j, _replica_key(seed, replica), lower=s, upper=i, timed=False)
-    return 1.0 if k == i else 0.0
+    return _escapes(d, j, i, s, seed, lo=replica, hi=replica + 1)[0]
+
+
+def _escapes(d, j, i, s, seed, *, lo, hi):
+    # `_escaped` of replicas lo..hi-1, as one chunk: 1.0 where the race reached i
+    return [1.0 if k == i else 0.0
+            for k, _, _ in _run_chunk(d, j, seed, lo, hi, lower=s, upper=i, timed=False)]
+
+
+# the count chain's samplers, whose chunks each run as one call
+sample_hitting_time._chunked = _hitting_times
+sample_time_above._chunked = _times_above
+_escaped._chunked = _escapes
 
 
 def _chunk(fn, args, lo, hi):
-    return [fn(*args, replica=r) for r in range(lo, hi)]
+    # fn(*args, replica=r) for r in lo..hi-1: one call of `fn._chunked`
+    # where fn has that chunk form, else one call per replica
+    chunked = getattr(fn, "_chunked", None)
+    if chunked is None:
+        return [fn(*args, replica=r) for r in range(lo, hi)]
+    return chunked(*args, lo=lo, hi=hi)
 
 
 def run_replicas(fn, args, replicas: int, workers: int = 1) -> list:
     """Evaluate fn(*args, replica=r) for r = 0..replicas-1, optionally on worker processes.
 
     Each sampler taking a `replica` keyword is thus its own replica function.
+    A count-chain sampler (`sample_hitting_time`, `sample_time_above`, the
+    escape races) runs each chunk of replicas lo..hi as one call of its chunk
+    form, `fn._chunked`, whose chains run in one C call per `_RUNS_PER_CALL`
+    replicas (`_run_chunk`); its one-replica form is its chunk of one.
     Results come back in replica order, so any worker count yields the same
     list; per-replica streams make the values themselves worker-independent.
     Replica 0 runs in the caller first, so a bad input is reported before

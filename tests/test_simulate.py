@@ -380,6 +380,30 @@ def test_run_replicas_worker_independent():
     assert serial == parallel
 
 
+@pytest.mark.parametrize("walk", ["compiled", "python"])
+def test_count_chain_samplers_give_one_list_at_any_worker_count(walk):
+    # each chunk of replicas is one call of the sampler's chunk form, on
+    # either kernel, so neither the worker count nor the kernel moves a value
+    if walk not in _walks():
+        pytest.skip("the compiled run cannot be built here")
+    d = _d(40)
+
+    def samples(workers):
+        return (sim.sample_escapes(d, 28, 36, 20, 300, seed=12, workers=workers),
+                sim.sample_hitting_times(d, 0, 32, 150, seed=12, workers=workers),
+                list(sim.estimate_hitting_renewal(d, 0.8, 150, seed=12, workers=workers).cycles))
+
+    want = samples(1)
+    assert want == tuple(
+        [fn(*args, replica=r) for r in range(replicas)] for fn, args, replicas in (
+            (sim._escaped, (d, 28, 36, 20, 12), 300),
+            (sim.sample_hitting_time, (d, 0, 32, 12), 150),
+            (sim.sample_time_above, (d, 32, 20, 12), 150)))
+    with _kernel(walk):
+        assert samples(1) == want
+        assert samples(2) == want
+
+
 def test_run_replicas_rejects_non_positive_workers():
     for workers in (0, -2):
         with pytest.raises(ValueError, match="workers must be positive"):
@@ -686,14 +710,18 @@ def _stream_end():
         end.append(generators[0])
         return
     offset = sim._run_types()[0].size - 32
-    raw = bytes(structs[0])[offset:]
+    end.append(_generator_at(bytes(structs[0])[offset:]))
+
+
+def _generator_at(raw):
+    # the Generator at the PCG64 (state, inc) bytes of a struct run's stream
     rng = np.random.Generator(np.random.PCG64())
     rng.bit_generator.state = {
         "bit_generator": "PCG64",
         "state": {"state": int.from_bytes(raw[:16], sys.byteorder),
                   "inc": int.from_bytes(raw[16:], sys.byteorder)},
         "has_uint32": 0, "uinteger": 0}
-    end.append(rng)
+    return rng
 
 
 def _block_of(event):
@@ -844,31 +872,127 @@ def test_kernel_matches_scalar_loop_on_random_inputs_with_python_walk(call, seed
         _check_random_chain_call(call, seed)
 
 
-_DOUBLES = ctypes.CFUNCTYPE(ctypes.c_double, ctypes.c_void_p)
+# the count chain's samplers' stop rules: escape races, cycles, passages
+_CHUNK_RULES = [dict(lower=20, upper=36, timed=False), dict(lower=9, level=22, timed=False),
+                dict(upper=36, horizon=4.0), dict(upper=36, horizon=4.0, level=30)]
 
 
-class _Bitgen(ctypes.Structure):
-    """numpy's bitgen_t, with only its double draws set."""
+@st.composite
+def _replica_ranges(draw):
+    # chunks lo..hi-1 that cross key blocks of 64 replicas, down to a chunk
+    # of one, below 2^32, across it and above it
+    lo = draw(st.one_of(st.integers(0, 200), st.integers(2**32 - 80, 2**32 + 10)))
+    return lo, lo + draw(st.sampled_from([1, 2, 63, 64, 65, 130]))
 
-    _fields_ = [("state", ctypes.c_void_p), ("next_uint64", ctypes.c_void_p),
-                ("next_uint32", ctypes.c_void_p), ("next_double", _DOUBLES),
-                ("next_raw", ctypes.c_void_p)]
+
+def _check_chunk(seed, lo, hi, rule):
+    # a chunk's runs give each replica's `_run_blocks` result and leave each
+    # replica's stream where that reference left its Generator
+    d = _d(40)
+    k, lower, upper, level, reads = sim._chain_args(d, 28, rule.get("lower", -1),
+                                                    rule.get("upper", -1), rule.get("level"),
+                                                    rule.get("timed", True))
+    want, want_ends = [], []
+    for r in range(lo, hi):
+        generators = []
+        with mock.patch.object(sim, "_key_generator",
+                               wraps=_recording(generators, sim._key_generator)):
+            want.append(sim._run_blocks(d, k, sim._replica_key(seed, r), lower, upper,
+                                        rule.get("horizon", math.inf), level, None,
+                                        rule.get("timed", True), reads))
+        want_ends.append(generators[0].bit_generator.state)
+    keys = sim._replica_keys(seed, lo, hi)
+    assert keys.tolist() == [sim._replica_key(seed, r).tolist() for r in range(lo, hi)]
+    structs, generators = [], []
+    with mock.patch.object(sim, "_run_state", wraps=_recording(structs, sim._run_state)), \
+            mock.patch.object(sim, "_key_generator",
+                              wraps=_recording(generators, sim._key_generator)):
+        got = sim._run_chunk(d, 28, seed, lo, hi, **rule)
+    if structs:
+        generators = [_generator_at(row.tobytes()) for s in structs for row in s["stream"]]
+    assert got == want
+    assert [rng.bit_generator.state for rng in generators] == want_ends
+
+
+@given(seed=st.sampled_from(_SEEDS), replicas=_replica_ranges(),
+       rule=st.sampled_from(_CHUNK_RULES))
+@settings(max_examples=60, deadline=None)
+def test_chunked_runs_match_the_per_replica_reference(seed, replicas, rule):
+    _check_chunk(seed, *replicas, rule)
+
+
+@given(seed=st.sampled_from(_SEEDS), replicas=_replica_ranges(),
+       rule=st.sampled_from(_CHUNK_RULES))
+@settings(max_examples=30, deadline=None)
+def test_chunked_runs_match_the_per_replica_reference_with_python_walk(seed, replicas, rule):
+    with _python_walk():
+        _check_chunk(seed, *replicas, rule)
+
+
+def test_a_chunk_longer_than_one_call_gives_the_same_runs():
+    # `_run_chunk` runs at most `_RUNS_PER_CALL` replicas per C call; a
+    # chunk cut into calls of 7 gives the list of one call
+    if "compiled" not in _walks():
+        pytest.skip("the compiled run cannot be built here")
+    d = _d(40)
+    want = sim._run_chunk(d, 28, 5, 60, 100, lower=20, upper=36)
+    structs = []
+    with mock.patch.object(sim, "_RUNS_PER_CALL", 7), \
+            mock.patch.object(sim, "_run_state", wraps=_recording(structs, sim._run_state)):
+        assert sim._run_chunk(d, 28, 5, 60, 100, lower=20, upper=36) == want
+    assert [len(s) for s in structs] == [7] * 5 + [5]
+    assert sim._RUNS_PER_CALL * sim._run_types()[1].itemsize <= 1 << 20
+
+
+@pytest.mark.parametrize("rule", [dict(lower=20, upper=36), dict(upper=36, horizon=1.0)],
+                         ids=["stop", "horizon"])
+def test_a_finished_run_returns_at_once(rule):
+    # a run called again on the struct its end left draws nothing and
+    # changes nothing: a stop leaves block size 0, a horizon -1
+    if "compiled" not in _walks():
+        pytest.skip("the compiled run cannot be built here")
+    d = _d(40)
+    k, lower, upper, level, reads = sim._chain_args(d, 28, rule.get("lower", -1),
+                                                    rule["upper"], None, True)
+    state = sim._run_state(d, k, sim._replica_keys(3, 0, 1), lower, upper,
+                           rule.get("horizon", math.inf), level, reads)
+    run = sim._compiled_walk(sim._RUN_SOURCE, sim._NPYRANDOM).run
+    run(ctypes.c_void_p(state.ctypes.data), None, None)
+    ended = state.tobytes()
+    assert state["size"][0] == (0 if "lower" in rule else -1)
+    assert run(ctypes.c_void_p(state.ctypes.data), None, None) == 0
+    assert state.tobytes() == ended
+
+
+_PCG_MULTIPLIER = (2549297995355413924 << 64) | 4865540595714422341  # numpy's PCG64 LCG
+
+
+def _stream_before(uniform):
+    # PCG64 (state, inc) bytes, as struct run's stream holds them, whose
+    # next double is `uniform`, a multiple of 2^-53: the next LCG step lands
+    # on the state whose high word is 0 and low word `uniform` * 2^64, so the
+    # XSL-RR output (rotation 0) is that word
+    inc, after = 1, int(uniform * 2**53) << 11
+    before = (after - inc) * pow(_PCG_MULTIPLIER, -1, 2**128) % 2**128
+    rng = np.random.Generator(np.random.PCG64())
+    rng.bit_generator.state = {"bit_generator": "PCG64", "state": {"state": before, "inc": inc},
+                               "has_uint32": 0, "uinteger": 0}
+    assert rng.random() == uniform
+    return before.to_bytes(16, sys.byteorder) + inc.to_bytes(16, sys.byteorder)
 
 
 def _first_compiled_step(d, k, uniform):
-    # the count after the compiled run's first event from k, its uniforms all
-    # `uniform`, from a bit generator whose doubles are scripted; stops at
-    # k - 1 and k + 1 end the run there, reading no time
-    bitgen = _Bitgen(next_double=_DOUBLES(lambda state: uniform))
-    layout, buffer, outcome, _, _ = sim._run_types()
-    state = buffer.from_buffer_copy(layout.pack(k, 128, k - 1, k + 1, d.N + 1, d.N, 0, 0.0,
-                                                math.inf, 0.0, d.alpha, d.beta / (d.n - 1),
-                                                bytes(32)))
-    blocks = sim._compiled_walk(sim._RUN_SOURCE, sim._NPYRANDOM).blocks
-    assert blocks(ctypes.byref(bitgen), state, None, None) == 1
-    count, size, _, _ = outcome.unpack_from(state)
-    assert size == 0  # a stop ended the run
-    return count
+    # the count after the compiled run's first event from k, its first
+    # uniform `uniform`, from a stream set in its struct (an odd inc, so the
+    # run does not seed it); stops at k - 1 and k + 1 end the run there,
+    # reading no time
+    state = sim._run_state(d, k, np.zeros((1, 4), np.uint64), k - 1, k + 1, math.inf, d.N + 1,
+                           False)
+    state["stream"] = np.frombuffer(_stream_before(uniform), np.uint64)
+    run = sim._compiled_walk(sim._RUN_SOURCE, sim._NPYRANDOM).run
+    assert run(ctypes.c_void_p(state.ctypes.data), None, None) == 1
+    assert state["size"][0] == 0  # a stop ended the run
+    return state["count"][0]
 
 
 def _first_python_step(d, k, uniform):
@@ -1076,6 +1200,25 @@ def test_library_names_follow_the_linked_archives(tmp_path):
     assert sim._library_path(sim._RUN_SOURCE, (str(archive),)) == names[3]
     with pytest.raises(OSError):
         sim._library_path(sim._RUN_SOURCE, (str(tmp_path / "missing.a"),))
+
+
+def test_a_new_library_removes_only_its_kernels_older_ones(tmp_path):
+    # a library is named by its kernel, the last function its source
+    # exports; building one removes that kernel's libraries of other
+    # sources and keeps other kernels'
+    if shutil.which("cc") is None:
+        pytest.skip("no C compiler")
+    sources = [f"int {name}(void)\n{{\n    return {value};\n}}\n"
+               for name, value in (("tiny", 1), ("other", 3), ("tiny", 2))]
+    build = sim._compiled_walk.__wrapped__  # not into the cache of loaded kernels
+    with mock.patch.object(sim, "_CACHE", str(tmp_path)):
+        assert build(sources[0]).tiny() == 1
+        assert build(sources[1]).other() == 3
+        assert len(os.listdir(tmp_path)) == 2
+        assert build(sources[2]).tiny() == 2
+        kept = {os.path.basename(sim._library_path(source, ())) for source in sources[1:]}
+    assert set(os.listdir(tmp_path)) == kept
+    assert sorted(name.split("-")[1] for name in kept) == ["other", "tiny"]
 
 
 def test_kernel_paths_span_many_blocks():
