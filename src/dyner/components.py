@@ -2,20 +2,22 @@
 
 Unlike the aggregate edge-count chain, this module keeps per-edge identity:
 deletions remove a uniform present edge, insertions add a uniform absent
-pair, which reproduces the per-pair on-off dynamics exactly.  One event
-loop, the `_edge_flips` generator, drives every labeled sampler in Python.
-`simulate_graph` applies each flip to a `GraphState`, which maintains
-components incrementally, each as one vertex set shared by its vertices:
-insertions merge the smaller set into the larger, deletions repair
-connectivity with a bidirectional search over the affected component only,
-and a list of component counts indexed by size keeps the largest size.
-The first-passage samplers share one driver, `_passage`: the component
-passage bounds the largest component by a union-find that ignores
-deletions, fed the added edges one at a time, and rebuilds it only when the
-bound reaches the threshold.  It runs in C, flips and bound in one function
-compiled on first use (`_PASSAGE_SOURCE`), or where that cannot be built in
-Python, as `_edge_flips` feeding `_component_passage`, its reference, which
-gives the same results and reads the same uniforms.  Emergence runs and
+pair, which reproduces the per-pair on-off dynamics exactly.  The event
+loop runs in C, flips and component bound in one function compiled on
+first use (`_PASSAGE_SOURCE`, driven by `_run_compiled`); where that cannot
+be built, or n is above `_PASSAGE_MAX_N`, the `_edge_flips` generator, its
+reference, runs the same flips in Python from the same uniforms.  The
+first-passage samplers share one driver, `_passage`: the component passage
+bounds the largest component by a union-find that ignores deletions, fed
+the added edges one at a time, and rebuilds it only when the bound reaches
+the threshold; in Python it is `_edge_flips` feeding `_component_passage`.
+`simulate_graph` takes its flips from the compiled passage's flip log, a
+passage to the horizon whose threshold is never reached, and applies each
+to a `GraphState`, which maintains components incrementally, each as one
+vertex set shared by its vertices: insertions merge the smaller set into
+the larger, deletions repair connectivity with a bidirectional search over
+the affected component only, and a list of component counts indexed by
+size keeps the largest size.  Emergence runs and
 domination flags share one driver, `_emergence`: where the component comes
 first, one draw from two killed spectra (`analytic.sample_passage`) settles
 the edge passage.  A flag thins the draw's terms only when their sum all
@@ -283,23 +285,40 @@ def simulate_graph(
 ) -> GraphState:
     """Run the labeled dynamics from the empty graph up to the horizon.
 
-    Observers are called synchronously with each GraphEvent.
+    Observers are called synchronously with each GraphEvent.  The flips
+    are the flip log of the compiled passage (`_run_compiled`), run to the
+    horizon with the threshold n + 1, which no component reaches, where
+    `_compiled_passage` gives it; elsewhere they come from `_edge_flips`,
+    its reference, with the same flips, graph and events.
     """
     if not (0 < horizon < math.inf):
         raise ValueError(f"horizon must be positive and finite, got {horizon!r}")
     n = d.n
     state = GraphState(n)
     add, remove = state.add_edge, state.remove_edge
-    for t, added, key in _edge_flips(d, _uniforms(seed, replica), horizon, []):
-        a, b = divmod(key, n)
-        if added:
-            add(a, b)
-        else:
-            remove(a, b)
-        if observers:
-            event = GraphEvent(t, added, a, b, state.edge_count, state._largest)
-            for ob in observers:
-                ob(event)
+
+    def apply(flips):
+        for t, added, a, b in flips:
+            if added:
+                add(a, b)
+            else:
+                remove(a, b)
+            if observers:
+                event = GraphEvent(t, added, a, b, state.edge_count, state._largest)
+                for ob in observers:
+                    ob(event)
+
+    def logged(times, keys):
+        a, b = np.divmod(np.abs(keys), n)
+        apply(zip(times.tolist(), (keys > 0).tolist(), a.tolist(), b.tolist()))
+
+    compiled = _compiled_passage(n)
+    if compiled is None:
+        flips = _edge_flips(d, _uniforms(seed, replica), horizon, [])
+        apply((t, added, *divmod(key, n)) for t, added, key in flips)
+    else:
+        _run_compiled(compiled, d, replica_rng(seed, replica), horizon, n + 1,
+                      on_flips=logged)
     state.time = horizon
     return state
 
@@ -351,19 +370,21 @@ def _component_passage(flips, edges: list, n: int, threshold: int, edge_target=m
 # from the state its last call left, reading the uniforms u[i] for i from
 # count[2] below len, and returns FOUND when the largest component reaches
 # the threshold (tau_component is time[0]), CAPPED when the next event would
-# pass the horizon, REFILL when the uniforms run out inside an event and
-# GROW when the edge array is full at an event's start; in the last two
-# nothing of the event is kept, so the caller extends the uniforms or the
-# array and calls again.  rate holds alpha, beta/(n-1), the horizon and the
-# edge target; time holds t and tau_edges (NaN until set); count holds the
-# edge count m, the bound's largest set (0 before the first call) and the
-# index of the first unread uniform.  present has a bit per key a*n+b;
-# parent and size are the union-find bound, rebuilt from the m edges when it
-# reaches the threshold.
+# pass the horizon, REFILL when the uniforms run out inside an event, GROW
+# when the edge array is full at an event's start and LOGGED when the flip
+# log is full there; in the last three nothing of the event is kept, so the
+# caller extends the uniforms or the array or empties the log and calls
+# again.  rate holds alpha, beta/(n-1), the horizon and the edge target;
+# time holds t and tau_edges (NaN until set); count holds the edge count m,
+# the bound's largest set (0 before the first call), the index of the first
+# unread uniform and the number of flips logged.  present has a bit per key
+# a*n+b; parent and size are the union-find bound, rebuilt from the m edges
+# when it reaches the threshold.  The flip log, kept when log_time is not
+# NULL, takes each finished event's time and key, negated for a deletion.
 _PASSAGE_SOURCE = """\
 #include <math.h>
 
-enum { FOUND, CAPPED, REFILL, GROW };
+enum { FOUND, CAPPED, REFILL, GROW, LOGGED };
 
 static int find(int *parent, int a)
 {
@@ -408,11 +429,12 @@ static int rebuild(int n, const int *edges, int m, int *parent, int *size)
 
 int passage(int n, int N, int threshold, const double *rate, double *time, int *count,
             const double *u, int len, int *edges, int capacity,
-            unsigned char *present, int *parent, int *size)
+            unsigned char *present, int *parent, int *size,
+            double *log_time, int *log_key, int log_capacity)
 {
     double alpha = rate[0], birth_scale = rate[1], horizon = rate[2], edge_target = rate[3];
     double t = time[0], tau_edges = time[1];
-    int m = count[0], largest = count[1], i = count[2];
+    int m = count[0], largest = count[1], i = count[2], logged = count[3];
     int status;
 
     if (!largest)
@@ -426,6 +448,10 @@ int passage(int n, int N, int threshold, const double *rate, double *time, int *
         }
         if (m == capacity) {
             status = GROW;
+            break;
+        }
+        if (log_time && logged == log_capacity) {
+            status = LOGGED;
             break;
         }
         if (len - j < 2)
@@ -446,6 +472,7 @@ int passage(int n, int N, int threshold, const double *rate, double *time, int *
             key = edges[at];
             edges[at] = edges[--m];
             present[key >> 3] &= ~(1 << (key & 7));
+            key = -key;
         } else {
             do {
                 int a, b;
@@ -465,6 +492,10 @@ int passage(int n, int N, int threshold, const double *rate, double *time, int *
             if (joined > largest && (largest = joined) >= threshold)
                 largest = rebuild(n, edges, m, parent, size);
         }
+        if (log_time) {
+            log_time[logged] = next;
+            log_key[logged++] = key;
+        }
         t = next;
         i = j;
         continue;
@@ -477,12 +508,20 @@ int passage(int n, int N, int threshold, const double *rate, double *time, int *
     count[0] = m;
     count[1] = largest;
     count[2] = i;
+    count[3] = logged;
     return status;
 }
 """
-_FOUND, _CAPPED, _REFILL, _GROW = range(4)
+_FOUND, _CAPPED, _REFILL, _GROW, _LOGGED = range(5)
 _FIRST_EDGES = 1024  # the edge array's first capacity; it doubles when full
 _PASSAGE_MAX_N = 8192  # above it, the n^2 bits of present pairs pass 8 MiB
+_FLIP_LOG = 4096  # flips a logged passage keeps before it returns LOGGED
+
+
+def _compiled_passage(n: int):
+    """The compiled passage where `simulate._compiled_walk` can build it and
+    n <= `_PASSAGE_MAX_N`, else None."""
+    return simulate._compiled_walk(_PASSAGE_SOURCE) if n <= _PASSAGE_MAX_N else None
 
 
 def _passage(d: DerivedParams, seed: int, replica: int, cap: float, threshold: int,
@@ -492,33 +531,51 @@ def _passage(d: DerivedParams, seed: int, replica: int, cap: float, threshold: i
     first two, with m the edge count at its end and `uniform` the replica's
     stream from its first unread double.
 
-    Runs the compiled passage where `simulate._compiled_walk` can build it
-    and n <= 8192, else `_edge_flips` and `_component_passage`, its
-    reference, with the same arithmetic, reads and results.  Every buffer
-    belongs to the run, since the compiled passage runs without the
-    interpreter lock; the Generator's blocks of `_BLOCK` doubles are passed
-    on as they are read, a partial event's uniforms carried into the next.
+    Runs the compiled passage (`_run_compiled`) where `_compiled_passage`
+    gives it, else `_edge_flips` and `_component_passage`, its reference,
+    with the same arithmetic, reads and results.
     """
     n = d.n
-    compiled = simulate._compiled_walk(_PASSAGE_SOURCE) if n <= _PASSAGE_MAX_N else None
+    compiled = _compiled_passage(n)
     if compiled is None:
         uniform, edges = _uniforms(seed, replica), []
         flips = _edge_flips(d, uniform, cap, edges)
         return (*_component_passage(flips, edges, n, threshold, edge_target), len(edges),
                 uniform)
+    return _run_compiled(compiled, d, replica_rng(seed, replica), cap, threshold, edge_target)
+
+
+def _run_compiled(compiled, d: DerivedParams, rng, cap: float, threshold: int,
+                  edge_target=math.inf, on_flips=None) -> tuple:
+    """The compiled passage from the empty graph on the uniforms of the
+    Generator `rng`, to the cap: `_passage`'s (tau_component, tau_edges, m,
+    uniform).
+
+    Every buffer belongs to the run, since the compiled passage runs without
+    the interpreter lock; the Generator's blocks of `_BLOCK` doubles are
+    passed on as they are read, a partial event's uniforms carried into the
+    next.  With `on_flips`, the passage logs each finished flip, and
+    `on_flips(times, keys)` is called with the log each time it holds
+    `_FLIP_LOG` flips and once at the end: numpy views of the flips' times
+    and keys a*n+b, negated for a deletion (a key is at least 1, since
+    b > a), valid until the call returns.
+    """
     import ctypes
 
-    rng = replica_rng(seed, replica)
+    n = d.n
     rate = (ctypes.c_double * 4)(d.alpha, d.beta / (n - 1), cap, edge_target)
     time = (ctypes.c_double * 2)(0.0, math.nan)
-    count = (ctypes.c_int * 3)()
+    count = (ctypes.c_int * 4)()
     edges = (ctypes.c_int * _FIRST_EDGES)()
     present = (ctypes.c_ubyte * -(-n * n // 8))()
     parent, size = (ctypes.c_int * n)(), (ctypes.c_int * n)()
+    log = (None, None, 0)
+    if on_flips is not None:
+        log = ((ctypes.c_double * _FLIP_LOG)(), (ctypes.c_int * _FLIP_LOG)(), _FLIP_LOG)
     u = rng.random(_BLOCK).tobytes()
     while True:
         status = compiled.passage(n, d.N, threshold, rate, time, count, u, len(u) // 8,
-                                  edges, len(edges), present, parent, size)
+                                  edges, len(edges), present, parent, size, *log)
         if status == _REFILL:
             u = u[8 * count[2]:] + rng.random(_BLOCK).tobytes()
             count[2] = 0
@@ -527,7 +584,12 @@ def _passage(d: DerivedParams, seed: int, replica: int, cap: float, threshold: i
             ctypes.memmove(grown, edges, ctypes.sizeof(edges))
             edges = grown
         else:
-            break
+            if count[3]:
+                on_flips(np.frombuffer(log[0], count=count[3]),
+                         np.frombuffer(log[1], np.intc, count[3]))
+                count[3] = 0
+            if status != _LOGGED:
+                break
     t, tau_edges = time
     head = np.frombuffer(u, offset=8 * count[2]).tolist()
     return (t if status == _FOUND else None, None if math.isnan(tau_edges) else tau_edges,

@@ -413,11 +413,12 @@ def _compiled_walk(source, *link):
     compiler, `cc`, on first use and kept at `_library_path`; it is written
     to a temporary file there and moved into place, so processes that build
     it at once do not collide, and the libraries of the kernel's earlier
-    sources are then removed, those of other kernels kept.  Any failure (no
-    compiler, a missing archive, a source the compiler rejects, such as the
-    count chain's run where it has no `unsigned __int128`, a read-only
-    package directory, a failed load) leaves the caller on its Python
-    reference, which gives the same bytes.
+    sources are then removed, with any unnamed `_kernel-<hash>.so` left by
+    builds from before kernels were named, those of other kernels kept.
+    Any failure (no compiler, a missing archive, a source the compiler
+    rejects, such as the count chain's run where it has no `unsigned
+    __int128`, a read-only package directory, a failed load) leaves the
+    caller on its Python reference, which gives the same bytes.
     """
     # imported here, so that importing dyner starts and loads nothing more
     import contextlib
@@ -443,7 +444,8 @@ def _compiled_walk(source, *link):
             finally:
                 if os.path.exists(tmp):
                     os.remove(tmp)
-            for old in glob.glob(f"{path.rsplit('-', 1)[0]}-*.so"):
+            unnamed = os.path.join(cache, f"_kernel-{'[0-9a-f]' * 16}.so")
+            for old in glob.glob(f"{path.rsplit('-', 1)[0]}-*.so") + glob.glob(unnamed):
                 if old != path:
                     with contextlib.suppress(OSError):  # another process removed it first
                         os.remove(old)
@@ -476,10 +478,9 @@ def _run_state(d, k, keys, lower, upper, horizon, level, reads):
     packed template with the key column set, each stream to be seeded from
     its key by the run's first call."""
     layout, fields = _run_types()[:2]
-    template = np.frombuffer(layout.pack(
-        k, _FIRST_BLOCK, lower, upper, level, d.N, reads, 0.0, horizon, 0.0, d.alpha,
-        d.beta / (d.n - 1), bytes(32)), fields)
-    states = np.repeat(template, len(keys))
+    template = layout.pack(k, _FIRST_BLOCK, lower, upper, level, d.N, reads, 0.0, horizon,
+                           0.0, d.alpha, d.beta / (d.n - 1), bytes(32))
+    states = np.frombuffer(bytearray(template) * len(keys), fields)
     states["key"] = keys
     return states
 

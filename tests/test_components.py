@@ -773,6 +773,91 @@ def test_concurrent_passages_keep_their_own_buffers():
     assert {True, False} <= {flag for seed in want for flag in seed}
 
 
+@st.composite
+def _flip_log_calls(draw):
+    n = draw(st.integers(2, 40))
+    d = _d(n, beta=draw(st.sampled_from([0.5, 1.0, 4.0, 4.0 * n])))
+    rate = d.N * d.beta / (n - 1) + d.N * d.p * d.alpha  # about the stationary total
+    horizon = draw(st.just(1e-300) | st.integers(1, 400).map(lambda events: events / rate))
+    zeros = draw(st.sets(st.integers(0, 12) | st.integers(0, 400), max_size=6))
+    return (d, horizon, draw(st.integers(1, 8)), draw(st.integers(1, 4)),
+            draw(st.integers(1, 3)), draw(st.integers(0, 2**32 - 1)), zeros)
+
+
+@given(call=_flip_log_calls())
+@settings(max_examples=300, deadline=None)
+def test_compiled_flip_log_matches_python_flips(call):
+    # logs of 1-3 flips, uniform blocks and a first edge capacity of a few
+    # entries, so the passage returns with a full log between refills and
+    # growth; the flips and the stream after the horizon are those of
+    # `_edge_flips`
+    _compiled_passage_or_skip()
+    d, horizon, block, first_edges, log, seed, zeros = call
+    got = []
+
+    def logged(times, keys):
+        assert 0 < len(keys) <= log
+        got.extend((t, key > 0, abs(key)) for t, key in zip(times.tolist(), keys.tolist()))
+
+    with mock.patch.object(comp, "_BLOCK", block), \
+            mock.patch.object(comp, "_FIRST_EDGES", first_edges), \
+            mock.patch.object(comp, "_FLIP_LOG", log):
+        uniform = comp._stream(_Scripted(seed, zeros))
+        want = list(comp._edge_flips(d, uniform, horizon, []))
+        *_, tail = comp._run_compiled(comp._compiled_passage(d.n), d, _Scripted(seed, zeros),
+                                      horizon, d.n + 1, on_flips=logged)
+    assert got == want
+    assert [tail() for _ in range(50)] == [uniform() for _ in range(50)]
+
+
+@pytest.mark.parametrize("n, horizon, seed", [(2, 3.0, 1), (12, 2.0, 73), (200, 30.0, 75)])
+def test_simulate_graph_gives_one_run_on_every_path(n, horizon, seed, monkeypatch):
+    # the compiled flip log (more than one log's worth at n=200), the Python
+    # flips with no compiled passage, and those of a graph above the
+    # compiled passage's largest n
+    _compiled_passage_or_skip()
+    d = _d(n)
+
+    def run():
+        events = []
+        state = comp.simulate_graph(d, horizon, seed, observers=(events.append,), replica=2)
+        state.verify()
+        return state.adj, state._largest, state.edge_count, events
+
+    compiled = run()
+    with _python_passage():
+        python = run()
+    monkeypatch.setattr(comp, "_PASSAGE_MAX_N", n - 1)
+    assert compiled == python == run()
+    events = compiled[3]
+    assert len(events) > (comp._FLIP_LOG if n == 200 else 0)
+    assert all(list(map(type, event)) == [float, bool, int, int, int, int] for event in events)
+
+
+def test_concurrent_graph_runs_keep_their_own_buffers(monkeypatch):
+    # each run's compiled passage runs without the interpreter lock and
+    # hands back a log of 7 flips at a time, so runs on threads (more than
+    # the cores) interleave often and must each keep their own log and graph
+    monkeypatch.setattr(comp, "_FLIP_LOG", 7)
+    d = _d(60)
+
+    def run(seed):
+        events = []
+        state = comp.simulate_graph(d, 20.0, seed, observers=(events.append,))
+        return state.adj, events
+
+    want = [run(seed) for seed in range(8)]
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            got = [f.result(timeout=60) for f in [pool.submit(run, s) for s in range(8)]]
+    finally:
+        sys.setswitchinterval(old)
+    assert got == want
+    assert min(len(events) for _, events in want) > 100
+
+
 # ------------------------------------------------------------ static graphs
 
 

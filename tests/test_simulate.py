@@ -1205,19 +1205,27 @@ def test_library_names_follow_the_linked_archives(tmp_path):
 def test_a_new_library_removes_only_its_kernels_older_ones(tmp_path):
     # a library is named by its kernel, the last function its source
     # exports; building one removes that kernel's libraries of other
-    # sources and keeps other kernels'
+    # sources and the unnamed `_kernel-<16 hex digits>.so` of builds from
+    # before kernels were named, and keeps other kernels' and other files
     if shutil.which("cc") is None:
         pytest.skip("no C compiler")
     sources = [f"int {name}(void)\n{{\n    return {value};\n}}\n"
                for name, value in (("tiny", 1), ("other", 3), ("tiny", 2))]
+    unnamed = ["_kernel-9fec670a0a47c417.so", "_kernel-f6764b9364d2d0c1.so"]
+    others = ["_kernel-9fec670a.so", "_kernel-9fec670a0a47c417.so.txt",
+              "kernel-f6764b9364d2d0c1.so"]
     build = sim._compiled_walk.__wrapped__  # not into the cache of loaded kernels
     with mock.patch.object(sim, "_CACHE", str(tmp_path)):
         assert build(sources[0]).tiny() == 1
+        for name in unnamed + others:
+            (tmp_path / name).write_bytes(b"")
         assert build(sources[1]).other() == 3
-        assert len(os.listdir(tmp_path)) == 2
+        assert len(os.listdir(tmp_path)) == 2 + len(others)
+        for name in unnamed:
+            (tmp_path / name).write_bytes(b"")
         assert build(sources[2]).tiny() == 2
         kept = {os.path.basename(sim._library_path(source, ())) for source in sources[1:]}
-    assert set(os.listdir(tmp_path)) == kept
+    assert set(os.listdir(tmp_path)) == kept | set(others)
     assert sorted(name.split("-")[1] for name in kept) == ["other", "tiny"]
 
 
