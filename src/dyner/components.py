@@ -20,8 +20,12 @@ the affected component only, and a list of component counts indexed by
 size keeps the largest size.  Emergence runs and
 domination flags share one driver, `_emergence`: where the component comes
 first, one draw from two killed spectra (`analytic.sample_passage`) settles
-the edge passage.  A flag thins the draw's terms only when their sum all
-kept could end past the cap, since that sum bounds the draw.
+the edge passage, reading on from the passage's first unread uniform.  A
+flag thins the draw's terms only when their sum all kept could end past the
+cap, since that sum bounds the draw.  The static `G(n, m)` reference,
+`static_er_largest_component`, joins its m drawn pairs in the same compiled
+library (`largest_of_pairs`), or in `_UnionFind` where `_compiled_passage`
+gives none.
 """
 
 import math
@@ -381,6 +385,9 @@ def _component_passage(flips, edges: list, n: int, threshold: int, edge_target=m
 # a*n+b; parent and size are the union-find bound, rebuilt from the m edges
 # when it reaches the threshold.  The flip log, kept when log_time is not
 # NULL, takes each finished event's time and key, negated for a deletion.
+# The same library serves `static_er_largest_component` through
+# `largest_of_pairs`; `passage` stays the last function, since
+# `simulate._library_path` names the library after it.
 _PASSAGE_SOURCE = """\
 #include <math.h>
 
@@ -421,6 +428,28 @@ static int rebuild(int n, const int *edges, int m, int *parent, int *size)
     }
     for (int e = 0; e < m; e++) {
         int joined = join(parent, size, edges[e] / n, edges[e] % n);
+        if (joined > largest)
+            largest = joined;
+    }
+    return largest;
+}
+
+/* the largest component of the graph on n vertices whose m edges are the
+   pairs a < b at the row-major indices idx.  Row a starts at index
+   a(2n-1-a)/2, so the row of x is the floor of the smaller root of
+   a(2n-1-a)/2 = x; the integer steps make it exact whatever the rounding of
+   the root, which takes no step for n <= 8192 */
+int largest_of_pairs(int n, const long long *idx, int m, int *parent, int *size)
+{
+    long long b = 2LL * n - 1;
+    int largest = rebuild(n, 0, 0, parent, size);
+    for (int e = 0; e < m; e++) {
+        long long x = idx[e], a = (long long)((b - sqrt((double)(b * b - 8 * x))) / 2);
+        while (a * (b - a) / 2 > x)
+            a--;
+        while ((a + 1) * (b - a - 1) / 2 <= x)
+            a++;
+        int joined = join(parent, size, (int)a, (int)(x - a * (b - a) / 2 + a + 1));
         if (joined > largest)
             largest = joined;
     }
@@ -519,7 +548,8 @@ _FLIP_LOG = 4096  # flips a logged passage keeps before it returns LOGGED
 
 
 def _compiled_passage(n: int):
-    """The compiled passage where `simulate._compiled_walk` can build it and
+    """The compiled library of `_PASSAGE_SOURCE`, with `passage` and
+    `largest_of_pairs`, where `simulate._compiled_walk` can build it and
     n <= `_PASSAGE_MAX_N`, else None."""
     return simulate._compiled_walk(_PASSAGE_SOURCE) if n <= _PASSAGE_MAX_N else None
 
@@ -558,7 +588,10 @@ def _run_compiled(compiled, d: DerivedParams, rng, cap: float, threshold: int,
     `on_flips(times, keys)` is called with the log each time it holds
     `_FLIP_LOG` flips and once at the end: numpy views of the flips' times
     and keys a*n+b, negated for a deletion (a key is at least 1, since
-    b > a), valid until the call returns.
+    b > a), valid until the call returns.  The returned `uniform` reads the
+    unread rest of the last block through a memoryview, one float at a
+    time, then the Generator's next blocks, so a caller that reads none
+    copies none.
     """
     import ctypes
 
@@ -591,9 +624,8 @@ def _run_compiled(compiled, d: DerivedParams, rng, cap: float, threshold: int,
             if status != _LOGGED:
                 break
     t, tau_edges = time
-    head = np.frombuffer(u, offset=8 * count[2]).tolist()
     return (t if status == _FOUND else None, None if math.isnan(tau_edges) else tau_edges,
-            count[0], _stream(rng, head))
+            count[0], _stream(rng, memoryview(u)[8 * count[2]:].cast("d")))
 
 
 def sample_component_hitting(
@@ -745,14 +777,27 @@ class _UnionFind:
 
 
 def static_er_largest_component(n: int, m: int, seed: int, replica: int = 0) -> int:
-    """Largest component of a uniform graph on n vertices with m distinct edges."""
+    """Largest component of a uniform graph on n vertices with m distinct edges.
+
+    The edges are a uniform m-subset of the row-major indices of the pairs
+    a < b.  Where `_compiled_passage(n)` gives the compiled library, its
+    `largest_of_pairs` decodes them and joins them in one call; elsewhere a
+    numpy decode feeds `_UnionFind`, its reference, with the same result.
+    """
     if n < 2:
         raise ValueError(f"need at least 2 vertices, got {n}")
     pairs = n * (n - 1) // 2
     if not (0 <= m <= pairs):
         raise ValueError(f"edge count must be in [0, {pairs}], got {m}")
-    # a uniform m-subset of the pair indices, decoded to (row, col) with row < col
     idx = replica_rng(seed, replica).choice(pairs, size=m, replace=False)
+    compiled = _compiled_passage(n)
+    if compiled is not None:
+        import ctypes
+
+        # the call runs without the interpreter lock, so its buffers are its own
+        idx = np.ascontiguousarray(idx, np.int64)
+        return compiled.largest_of_pairs(n, ctypes.c_void_p(idx.ctypes.data), m,
+                                         (ctypes.c_int * n)(), (ctypes.c_int * n)())
     starts = np.concatenate(([0], np.cumsum(np.arange(n - 1, 0, -1))))
     rows = np.searchsorted(starts, idx, side="right") - 1
     cols = idx - starts[rows] + rows + 1

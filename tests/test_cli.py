@@ -639,7 +639,9 @@ def test_without_a_c_compiler_the_python_walk_gives_the_same_bytes(tmp_path):
                 ["simulate", "renewal", "--n", "40", "--c", "0.8", "--replicas", "1000",
                  "--seed", "7"],
                 ["components", "emergence", "--n", "100", "--eps", "0.3", "--delta", "0.1",
-                 "--replicas", "20", "--seed", "9"]]
+                 "--replicas", "20", "--seed", "9"],
+                ["components", "static", "--n", "2000", "--eps", "0.5", "--replicas", "10",
+                 "--seed", "3"]]
     env = dict(os.environ, PYTHONPATH=str(tmp_path), PYTHONWARNINGS="error::RuntimeWarning")
     empty = tmp_path / "bin"
     empty.mkdir()

@@ -748,9 +748,11 @@ def test_large_graphs_keep_the_python_passage(monkeypatch):
     asked = []
     monkeypatch.setattr(sim, "_compiled_walk", lambda source: asked.append(source))
     sample = comp.emergence_run(d, 0.3, 0.1, seed=84)
+    sizes = comp.static_largest_samples(40, 30, 10, seed=84)
     assert asked == []
     monkeypatch.undo()
     assert comp.emergence_run(d, 0.3, 0.1, seed=84) == sample
+    assert comp.static_largest_samples(40, 30, 10, seed=84) == sizes
 
 
 def test_concurrent_passages_keep_their_own_buffers():
@@ -808,6 +810,29 @@ def test_compiled_flip_log_matches_python_flips(call):
                                       horizon, d.n + 1, on_flips=logged)
     assert got == want
     assert [tail() for _ in range(50)] == [uniform() for _ in range(50)]
+
+
+@pytest.mark.parametrize("cap, threshold", [(1.0, 101), (math.inf, 10), (30.0, 101)])
+def test_compiled_stream_reads_on_from_the_passages_first_unread_uniform(cap, threshold):
+    # at the real block size: passages capped or at their threshold inside
+    # the first block, and one capped past two refills; the returned stream
+    # gives the Generator's uniforms from the first one the passage left
+    # unread
+    _compiled_passage_or_skip()
+    d, seed, replica = _d(100), 31, 4
+    reads, stream, edges = 0, comp._uniforms(seed, replica), []
+
+    def uniform():
+        nonlocal reads
+        reads += 1
+        return stream()
+
+    comp._component_passage(comp._edge_flips(d, uniform, cap, edges), edges, d.n, threshold)
+    assert reads % comp._BLOCK and (reads > comp._BLOCK) == (cap == 30.0)
+    *_, tail = comp._run_compiled(comp._compiled_passage(d.n), d,
+                                  comp.replica_rng(seed, replica), cap, threshold)
+    want = comp.replica_rng(seed, replica).random(reads + 2 * comp._BLOCK)[reads:]
+    assert [tail() for _ in range(2 * comp._BLOCK)] == want.tolist()
 
 
 @pytest.mark.parametrize("n, horizon, seed", [(2, 3.0, 1), (12, 2.0, 73), (200, 30.0, 75)])
@@ -894,3 +919,60 @@ def test_static_worker_independence():
     sizes_serial = comp.static_largest_samples(100, 80, 20, seed=97, workers=1)
     sizes_parallel = comp.static_largest_samples(100, 80, 20, seed=97, workers=2)
     assert sizes_serial == sizes_parallel
+
+
+@st.composite
+def _static_calls(draw):
+    n = draw(st.integers(2, 80))
+    pairs = n * (n - 1) // 2
+    m = draw(st.sampled_from([0, pairs]) | st.integers(0, pairs))
+    return n, m, draw(st.integers(0, 2**64 - 1)), draw(st.integers(0, 2**33))
+
+
+@given(call=_static_calls())
+@settings(max_examples=300, deadline=None)
+def test_compiled_static_graph_matches_python_static_graph(call):
+    _compiled_passage_or_skip()
+    n, m, seed, replica = call
+    size = comp.static_er_largest_component(n, m, seed, replica)
+    with _python_passage():
+        assert comp.static_er_largest_component(n, m, seed, replica) == size
+
+
+@pytest.mark.parametrize("row", ["0", "1", "n/2", "n-3", "n-2"])
+def test_static_pairs_decode_at_their_rows_ends(row, monkeypatch):
+    # the pair indices drawn are the first and the last of one row a, the
+    # pairs (a, a+1) and (a, n-1): a path of 3 vertices (one pair, 2, on
+    # row n-2); a pair decoded one row off is a self-loop or leaves [0, n)
+    _compiled_passage_or_skip()
+    n = comp._PASSAGE_MAX_N
+    a = {"0": 0, "1": 1, "n/2": n // 2, "n-3": n - 3, "n-2": n - 2}[row]
+    first = a * (2 * n - 1 - a) // 2
+    chosen = np.array(sorted({first, first + n - 2 - a}))
+
+    def choice(pairs, size, replace):
+        assert (pairs, size, replace) == (n * (n - 1) // 2, len(chosen), False)
+        return chosen.copy()
+
+    monkeypatch.setattr(comp, "replica_rng", lambda seed, replica: mock.Mock(choice=choice))
+    want = len(chosen) + 1
+    assert comp.static_er_largest_component(n, len(chosen), seed=0) == want
+    with _python_passage():
+        assert comp.static_er_largest_component(n, len(chosen), seed=0) == want
+
+
+def test_concurrent_static_graphs_keep_their_own_buffers():
+    # each compiled call runs without the interpreter lock, so runs on
+    # threads (more than the cores) must each keep their own buffers
+    def sizes(seed):
+        return comp.static_largest_samples(2000, 1386, 10, seed=seed)
+
+    want = [sizes(seed) for seed in range(8)]
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            got = [f.result(timeout=60) for f in [pool.submit(sizes, s) for s in range(8)]]
+    finally:
+        sys.setswitchinterval(old)
+    assert got == want
