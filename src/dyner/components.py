@@ -4,9 +4,10 @@ Unlike the aggregate edge-count chain, this module keeps per-edge identity:
 deletions remove a uniform present edge, insertions add a uniform absent
 pair, which reproduces the per-pair on-off dynamics exactly.  The event
 loop runs in C, flips and component bound in one function compiled on
-first use (`_PASSAGE_SOURCE`, driven by `_run_compiled`); where that cannot
-be built, or n is above `_PASSAGE_MAX_N`, the `_edge_flips` generator, its
-reference, runs the same flips in Python from the same uniforms.  The
+first use (`_PASSAGE_SOURCE`, driven by `_run_compiled`) on the replica's
+PCG64, seeded in C; with no `cc`, no `unsigned __int128` or n above
+`_PASSAGE_MAX_N`, the `_edge_flips` generator, its reference, runs the
+same flips in Python from the same uniforms.  The
 first-passage samplers share one driver, `_passage`: the component passage
 bounds the largest component by a union-find that ignores deletions, fed
 the added edges one at a time, and rebuilds it only when the bound reaches
@@ -29,9 +30,10 @@ gives none.
 """
 
 import math
+import sys
 from collections import deque
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -39,7 +41,7 @@ import numpy as np
 from . import simulate
 from .analytic import _passage_terms, _thinned_sum, c_epsilon
 from .model import DerivedParams, closest_integer
-from .simulate import HittingSample, _resolve_cap, replica_rng, run_replicas
+from .simulate import HittingSample, _replica_key, _resolve_cap, replica_rng, run_replicas
 
 __all__ = [
     "GraphEvent",
@@ -217,25 +219,36 @@ class GraphState:
         assert self._largest == max(sizes), (self._largest, max(sizes))
 
 
-_BLOCK = 4096  # doubles drawn from a replica's Generator at a time
+_BLOCK = 4096  # doubles drawn from a Generator at a time, after its first blocks
 
 
 def _uniforms(seed: int, replica: int):
     """Callable returning the replica's uniforms one Python float at a time."""
-    return _stream(replica_rng(seed, replica))
+    return _stream(lambda: replica_rng(seed, replica))
 
 
-def _stream(rng, head=()):
-    """Callable returning the floats of `head`, then the uniforms of the
-    Generator `rng`, one at a time.
+def _stream(generator):
+    """Callable returning the uniforms of the Generator that `generator()`
+    builds on the first call, one at a time.
 
-    The Generator is read in blocks of `_BLOCK` doubles.  PCG64 double draws
-    do not depend on the draw size (`random(4096)` equals 16 draws of
-    `random(256)`), so the block size only sets how far ahead the stream is
-    read, not the values.
+    The Generator is the first item of `iter(generator, None)`, which the
+    endless block loop never reads again, and is read in blocks of 256
+    doubles growing 4-fold to `_BLOCK`.  PCG64 double draws do not depend on
+    the draw size (`random(4096)` equals 16 draws of `random(256)`), so the
+    block sizes only set how far ahead the stream is read, not the values.
     """
-    blocks = iter(lambda: rng.random(_BLOCK).tolist(), None)
-    return chain(head, chain.from_iterable(blocks)).__next__
+    blocks = (memoryview(rng.random(size)) for rng in iter(generator, None)
+              for size in chain((256, 1024), repeat(_BLOCK)))
+    return chain.from_iterable(blocks).__next__
+
+
+def _generator_at(key, raw):
+    """The Generator keyed by `key` at the PCG64 (state, inc) of `raw`, a struct pcg's bytes."""
+    rng = simulate._key_generator(key)
+    state, inc = (int.from_bytes(raw[i:i + 16], sys.byteorder) for i in (0, 16))
+    rng.bit_generator.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                               "has_uint32": 0, "uinteger": 0}
+    return rng
 
 
 def _edge_flips(d: DerivedParams, uniform, horizon: float, edges: list):
@@ -321,7 +334,7 @@ def simulate_graph(
         flips = _edge_flips(d, _uniforms(seed, replica), horizon, [])
         apply((t, added, *divmod(key, n)) for t, added, key in flips)
     else:
-        _run_compiled(compiled, d, replica_rng(seed, replica), horizon, n + 1,
+        _run_compiled(compiled, d, _replica_key(seed, replica), horizon, n + 1,
                       on_flips=logged)
     state.time = horizon
     return state
@@ -369,29 +382,27 @@ def _component_passage(flips, edges: list, n: int, threshold: int, edge_target=m
     return None, tau_edges
 
 
-# The compiled form of `_edge_flips` feeding `_component_passage`, loaded on
-# a run's first use by `simulate._compiled_walk`.  `passage` runs the flips
-# from the state its last call left, reading the uniforms u[i] for i from
-# count[2] below len, and returns FOUND when the largest component reaches
-# the threshold (tau_component is time[0]), CAPPED when the next event would
-# pass the horizon, REFILL when the uniforms run out inside an event, GROW
-# when the edge array is full at an event's start and LOGGED when the flip
-# log is full there; in the last three nothing of the event is kept, so the
-# caller extends the uniforms or the array or empties the log and calls
-# again.  rate holds alpha, beta/(n-1), the horizon and the edge target;
-# time holds t and tau_edges (NaN until set); count holds the edge count m,
-# the bound's largest set (0 before the first call), the index of the first
-# unread uniform and the number of flips logged.  present has a bit per key
-# a*n+b; parent and size are the union-find bound, rebuilt from the m edges
-# when it reaches the threshold.  The flip log, kept when log_time is not
-# NULL, takes each finished event's time and key, negated for a deletion.
-# The same library serves `static_er_largest_component` through
-# `largest_of_pairs`; `passage` stays the last function, since
-# `simulate._library_path` names the library after it.
-_PASSAGE_SOURCE = """\
+# The compiled form of `_edge_flips` feeding `_component_passage`, loaded on a
+# run's first use by `simulate._compiled_walk`.  `passage` runs the flips from
+# the state its last call left, drawing from the PCG64 whose key and struct
+# pcg `stream` holds (`simulate._PCG_SOURCE`), and returns FOUND when the
+# largest component reaches the threshold (tau_component is time[0]), CAPPED
+# when the next event would pass the horizon, GROW when the edge array is
+# full at an event's start and LOGGED when the flip log is full there; in the
+# last two nothing of the event is drawn, so the caller grows the array or
+# empties the log and calls again.  rate holds alpha, beta/(n-1), the horizon
+# and the edge target; time holds t and tau_edges (NaN until set); count
+# holds the edge count m, the bound's largest set (0 before the first call)
+# and the number of flips logged.  present has a bit per key a*n+b; parent
+# and size are the union-find bound, rebuilt from the m edges when it reaches
+# the threshold.  The flip log, kept when log_time is not NULL, takes each
+# finished event's time and key, negated for a deletion.  The same library
+# serves `static_er_largest_component` through `largest_of_pairs`; `passage`
+# stays the last function: `simulate._library_path` names the library by it.
+_PASSAGE_SOURCE = simulate._PCG_SOURCE + """
 #include <math.h>
 
-enum { FOUND, CAPPED, REFILL, GROW, LOGGED };
+enum { FOUND, CAPPED, GROW, LOGGED };
 
 static int find(int *parent, int a)
 {
@@ -457,20 +468,19 @@ int largest_of_pairs(int n, const long long *idx, int m, int *parent, int *size)
 }
 
 int passage(int n, int N, int threshold, const double *rate, double *time, int *count,
-            const double *u, int len, int *edges, int capacity,
+            uint64_t *stream, int *edges, int capacity,
             unsigned char *present, int *parent, int *size,
             double *log_time, int *log_key, int log_capacity)
 {
     double alpha = rate[0], birth_scale = rate[1], horizon = rate[2], edge_target = rate[3];
     double t = time[0], tau_edges = time[1];
-    int m = count[0], largest = count[1], i = count[2], logged = count[3];
-    int status;
+    int m = count[0], largest = count[1], logged = count[2], status;
+    struct pcg g = pcg_set_seed(stream, stream + 4);
 
     if (!largest)
         largest = rebuild(n, edges, 0, parent, size);
     for (;;) {
-        int j = i, key;
-        double del_rate, tot, next;
+        int key;
         if (largest >= threshold) {
             status = FOUND;
             break;
@@ -483,32 +493,22 @@ int passage(int n, int N, int threshold, const double *rate, double *time, int *
             status = LOGGED;
             break;
         }
-        if (len - j < 2)
-            goto refill;
-        del_rate = m * alpha;
-        tot = del_rate + (N - m) * birth_scale;
-        next = t + -log(1.0 - u[j++]) / tot;
+        double del_rate = m * alpha, tot = del_rate + (N - m) * birth_scale;
+        double next = t + -log(1.0 - next_double(&g)) / tot;
         if (next > horizon) {
-            i = j;
             status = CAPPED;
             break;
         }
-        if (u[j++] * tot < del_rate) {
-            int at;
-            if (len - j < 1)
-                goto refill;
-            at = (int)(u[j++] * m);
+        if (next_double(&g) * tot < del_rate) {
+            int at = (int)(next_double(&g) * m);
             key = edges[at];
             edges[at] = edges[--m];
             present[key >> 3] &= ~(1 << (key & 7));
             key = -key;
         } else {
             do {
-                int a, b;
-                if (len - j < 2)
-                    goto refill;
-                a = (int)(u[j++] * n);
-                b = (int)(u[j++] * (n - 1));
+                int a = (int)(next_double(&g) * n);
+                int b = (int)(next_double(&g) * (n - 1));
                 if (b >= a)
                     b++;
                 key = a < b ? a * n + b : b * n + a;
@@ -526,22 +526,17 @@ int passage(int n, int N, int threshold, const double *rate, double *time, int *
             log_key[logged++] = key;
         }
         t = next;
-        i = j;
-        continue;
-    refill:
-        status = REFILL;
-        break;
     }
+    memcpy(stream + 4, &g, sizeof g);
     time[0] = t;
     time[1] = tau_edges;
     count[0] = m;
     count[1] = largest;
-    count[2] = i;
-    count[3] = logged;
+    count[2] = logged;
     return status;
 }
 """
-_FOUND, _CAPPED, _REFILL, _GROW, _LOGGED = range(5)
+_FOUND, _CAPPED, _GROW, _LOGGED = range(4)
 _FIRST_EDGES = 1024  # the edge array's first capacity; it doubles when full
 _PASSAGE_MAX_N = 8192  # above it, the n^2 bits of present pairs pass 8 MiB
 _FLIP_LOG = 4096  # flips a logged passage keeps before it returns LOGGED
@@ -572,60 +567,56 @@ def _passage(d: DerivedParams, seed: int, replica: int, cap: float, threshold: i
         flips = _edge_flips(d, uniform, cap, edges)
         return (*_component_passage(flips, edges, n, threshold, edge_target), len(edges),
                 uniform)
-    return _run_compiled(compiled, d, replica_rng(seed, replica), cap, threshold, edge_target)
+    return _run_compiled(compiled, d, _replica_key(seed, replica), cap, threshold, edge_target)
 
 
-def _run_compiled(compiled, d: DerivedParams, rng, cap: float, threshold: int,
+def _run_compiled(compiled, d: DerivedParams, key, cap: float, threshold: int,
                   edge_target=math.inf, on_flips=None) -> tuple:
-    """The compiled passage from the empty graph on the uniforms of the
-    Generator `rng`, to the cap: `_passage`'s (tau_component, tau_edges, m,
-    uniform).
+    """The compiled passage from the empty graph on the PCG64 stream keyed by
+    `key`, a replica's `_replica_key`, to the cap: `_passage`'s
+    (tau_component, tau_edges, m, uniform).
 
-    Every buffer belongs to the run, since the compiled passage runs without
-    the interpreter lock; the Generator's blocks of `_BLOCK` doubles are
-    passed on as they are read, a partial event's uniforms carried into the
-    next.  With `on_flips`, the passage logs each finished flip, and
-    `on_flips(times, keys)` is called with the log each time it holds
-    `_FLIP_LOG` flips and once at the end: numpy views of the flips' times
-    and keys a*n+b, negated for a deletion (a key is at least 1, since
-    b > a), valid until the call returns.  The returned `uniform` reads the
-    unread rest of the last block through a memoryview, one float at a
-    time, then the Generator's next blocks, so a caller that reads none
-    copies none.
+    The stream's 8 words are `key` and its struct pcg, 0 until the first
+    call seeds it from the key, or the PCG64 state that a `key` of 8 words
+    ends with.  Every buffer belongs to the run, since the compiled passage
+    runs without the interpreter lock.  With `on_flips`, the passage logs
+    each finished flip, and `on_flips(times, keys)` is called with the log
+    each time it holds `_FLIP_LOG` flips and once at the end: numpy views of
+    the flips' times and keys a*n+b, negated for a deletion (a key is at
+    least 1, since b > a), valid until the call returns.  The returned
+    `uniform` reads on from the passage's last state, through a Generator
+    built on its first call, so a caller that reads none builds none.
     """
     import ctypes
 
     n = d.n
     rate = (ctypes.c_double * 4)(d.alpha, d.beta / (n - 1), cap, edge_target)
     time = (ctypes.c_double * 2)(0.0, math.nan)
-    count = (ctypes.c_int * 4)()
+    count = (ctypes.c_int * 3)()
+    stream = (ctypes.c_uint64 * 8)(*key)
     edges = (ctypes.c_int * _FIRST_EDGES)()
     present = (ctypes.c_ubyte * -(-n * n // 8))()
     parent, size = (ctypes.c_int * n)(), (ctypes.c_int * n)()
     log = (None, None, 0)
     if on_flips is not None:
         log = ((ctypes.c_double * _FLIP_LOG)(), (ctypes.c_int * _FLIP_LOG)(), _FLIP_LOG)
-    u = rng.random(_BLOCK).tobytes()
     while True:
-        status = compiled.passage(n, d.N, threshold, rate, time, count, u, len(u) // 8,
+        status = compiled.passage(n, d.N, threshold, rate, time, count, stream,
                                   edges, len(edges), present, parent, size, *log)
-        if status == _REFILL:
-            u = u[8 * count[2]:] + rng.random(_BLOCK).tobytes()
-            count[2] = 0
-        elif status == _GROW:
+        if status == _GROW:
             grown = (ctypes.c_int * (2 * len(edges)))()
             ctypes.memmove(grown, edges, ctypes.sizeof(edges))
             edges = grown
         else:
-            if count[3]:
-                on_flips(np.frombuffer(log[0], count=count[3]),
-                         np.frombuffer(log[1], np.intc, count[3]))
-                count[3] = 0
+            if count[2]:
+                on_flips(np.frombuffer(log[0], count=count[2]),
+                         np.frombuffer(log[1], np.intc, count[2]))
+                count[2] = 0
             if status != _LOGGED:
                 break
     t, tau_edges = time
     return (t if status == _FOUND else None, None if math.isnan(tau_edges) else tau_edges,
-            count[0], _stream(rng, memoryview(u)[8 * count[2]:].cast("d")))
+            count[0], _stream(lambda: _generator_at(key[:4], bytes(stream)[32:])))
 
 
 def sample_component_hitting(

@@ -9,16 +9,16 @@ horizon, a level to time above).  The loop walks each block's jump
 directions and then times its events, drawing the holding times only where
 read.  A chunk of replicas is one call of a C function, compiled with the
 platform's C compiler on first use and loaded through ctypes, that runs each
-replica's whole run in turn: it seeds the replica's PCG64 itself from the
-replica's SeedSequence key, draws its uniforms inline and its Exp(1)
-variates through numpy's own random library, so no replica builds a numpy
-Generator; each sampler's one replica is its chunk of one.  Where it cannot
-be built (no compiler, no numpy random archive, no 128-bit integers), its
-reference, the Python block loop `_run_blocks`, gives the same bytes from a
-Generator keyed alike, one replica at a time.  Every replica owns an
-independent, reproducible random stream derived from (seed, replica), so
-results are bit-identical regardless of how replicas are spread over
-workers or chunks.
+replica's whole run in turn: it seeds the replica's PCG64 (`_PCG_SOURCE`,
+the labeled passage's too) from its key, draws its uniforms inline and its
+Exp(1) variates through numpy's own random library, so no replica builds a
+numpy Generator; each sampler's one replica is its chunk of one.  Where it
+cannot be built (no compiler, no numpy random archive, no 128-bit
+integers), its reference, the Python block loop `_run_blocks`, gives the
+same bytes from a Generator keyed alike, one replica at a time.  Every
+replica owns an independent, reproducible random stream derived from
+(seed, replica), so results are bit-identical regardless of how replicas
+are spread over workers or chunks.
 """
 
 import bisect
@@ -187,46 +187,13 @@ _LAST_BLOCK = 2048  # blocks double up to this size
 # Generator.standard_exponential calls; the compiled run links it
 _NPYRANDOM = os.path.join(os.path.dirname(np.__file__), "random", "lib", "libnpyrandom.a")
 
-# The count chain's compiled run, built by `_compiled_walk` on a run's first
-# use and linked with `_NPYRANDOM`; `_run_blocks` is its Python reference.
-# `run` runs `_run_chain`'s blocks from `state` (a struct run, which
-# `_run_types` lays out).  It draws from numpy's PCG64, implemented here: a
-# 128-bit LCG with the XSL-RR output, doubles from the top 53 bits, seeded as
-# `pcg64_set_seed` seeds it from the replica's 4 key words, on the run's
-# first call (inc is 0 until then, odd after), and resumed from the struct by
-# later calls.  `blocks` draws each block's uniforms inline, as numpy's
-# uniform fill draws them, and then its Exp(1) variates through numpy's own
-# exponential fill, fed by a bitgen_t over the run's PCG64 on its stack, so
-# it reads the stream as `_run_blocks` reads its Generator, with no Python
-# object and no lock.  Each block computes, by `rates`, the thresholds and
-# total rates of the counts it can read, [k-B, k+B] inside the stops, with
-# the operations of `model._kernel_rates`, so with the bytes of
-# `_run_blocks`' window; it then walks the block's directions and times its
-# events as `_run_blocks` does, on indices into that window, the stops and
-# the level clipped to [-1, length].  Where `times` is not NULL it returns
-# after each block, having written the times and counts of the block's timed
-# events there, at most LAST = `_LAST_BLOCK`, the size of the buffers
-# `_run_types` gives.  It returns the number of the last block's timed
-# events and leaves the run's state for the next call: its count, time, time
-# above and stream, and its next block's size, 0 when a stop ended the run
-# and -1 when the horizon did; called again on an ended run it returns 0 at
-# once and changes nothing.  `runs` runs `count` structs in place, each to
-# its end, for `_run_chains`.  A compiler without `unsigned __int128` cannot
-# build it, which leaves the count chain on `_run_blocks`.
-_RUN_SOURCE = """\
+# numpy's PCG64, which both compiled kernels start with: a 128-bit LCG with
+# the XSL-RR output, doubles from the top 53 bits.  `pcg_set_seed` loads a
+# struct pcg from its 4 stream words, or, where they are 0 (inc is odd once
+# seeded), seeds it from the 4 key words as numpy's `pcg64_set_seed` does.
+_PCG_SOURCE = """\
 #include <stdint.h>
 #include <string.h>
-
-/* numpy's bitgen_t, as numpy/random/bitgen.h declares it */
-typedef struct {
-    void *state;
-    uint64_t (*next_uint64)(void *);
-    uint32_t (*next_uint32)(void *);
-    double (*next_double)(void *);
-    uint64_t (*next_raw)(void *);
-} bitgen_t;
-
-void random_standard_exponential_fill(bitgen_t *bitgen, intptr_t count, double *out);
 
 typedef unsigned __int128 u128;
 
@@ -234,18 +201,6 @@ typedef unsigned __int128 u128;
 struct pcg {
     u128 state, inc;
 };
-
-/* reads is 0 where the run reads no time; stream holds the struct pcg,
-   all 0 before the first call.  The stops and the level may lie outside
-   [-1, N + 1]: each block clips them to its window, whose counts outside
-   [0, N] the walk never reaches */
-struct run {
-    long long count, size, lower, upper, level, N, reads;
-    double t, horizon, above, alpha, birth_scale;
-    uint64_t key[4], stream[4];
-};
-
-enum { LAST = 2048 };
 
 static void pcg_step(struct pcg *g)
 {
@@ -266,6 +221,68 @@ static double next_double(void *p)
 {
     return (double)(next_uint64(p) >> 11) * (1.0 / 9007199254740992.0);
 }
+
+static struct pcg pcg_set_seed(const uint64_t *key, const uint64_t *stream)
+{
+    struct pcg g;
+    memcpy(&g, stream, sizeof g);
+    if (!(g.inc & 1)) {
+        g.state = 0;
+        g.inc = (((u128)key[2] << 64 | key[3]) << 1) | 1;
+        pcg_step(&g);
+        g.state += (u128)key[0] << 64 | key[1];
+        pcg_step(&g);
+    }
+    return g;
+}
+"""
+
+# The count chain's compiled run, built by `_compiled_walk` on a run's first
+# use and linked with `_NPYRANDOM`; `_run_blocks` is its Python reference.
+# `run` runs `_run_chain`'s blocks from `state` (a struct run, which
+# `_run_types` lays out) on the PCG64 of `_PCG_SOURCE`, seeded from the key
+# on the run's first call and resumed from the struct by later calls; its
+# `blocks` draws each block's uniforms inline, as numpy's
+# uniform fill draws them, and then its Exp(1) variates through numpy's own
+# exponential fill, fed by a bitgen_t over the run's PCG64 on its stack, so
+# it reads the stream as `_run_blocks` reads its Generator, with no Python
+# object and no lock.  Each block computes, by `rates`, the thresholds and
+# total rates of the counts it can read, [k-B, k+B] inside the stops, with
+# the operations of `model._kernel_rates`, so with the bytes of
+# `_run_blocks`' window; it then walks the block's directions and times its
+# events as `_run_blocks` does, on indices into that window, the stops and
+# the level clipped to [-1, length].  Where `times` is not NULL it returns
+# after each block, having written the times and counts of the block's timed
+# events there, at most LAST = `_LAST_BLOCK`, the size of the buffers
+# `_run_types` gives.  It returns the number of the last block's timed
+# events and leaves the run's state for the next call: its count, time, time
+# above and stream, and its next block's size, 0 when a stop ended the run
+# and -1 when the horizon did; called again on an ended run it returns 0 at
+# once and changes nothing.  `runs` runs `count` structs in place, each to
+# its end, for `_run_chains`.
+_RUN_SOURCE = _PCG_SOURCE + """
+/* numpy's bitgen_t, as numpy/random/bitgen.h declares it */
+typedef struct {
+    void *state;
+    uint64_t (*next_uint64)(void *);
+    uint32_t (*next_uint32)(void *);
+    double (*next_double)(void *);
+    uint64_t (*next_raw)(void *);
+} bitgen_t;
+
+void random_standard_exponential_fill(bitgen_t *bitgen, intptr_t count, double *out);
+
+/* reads is 0 where the run reads no time; stream holds the struct pcg,
+   all 0 before the first call.  The stops and the level may lie outside
+   [-1, N + 1]: each block clips them to its window, whose counts outside
+   [0, N] the walk never reaches */
+struct run {
+    long long count, size, lower, upper, level, N, reads;
+    double t, horizon, above, alpha, birth_scale;
+    uint64_t key[4], stream[4];
+};
+
+enum { LAST = 2048 };
 
 static int clip(long long index, int length)
 {
@@ -352,17 +369,8 @@ static int blocks(struct pcg *g, struct run *state, double *times, long long *co
 
 int run(struct run *state, double *times, long long *counts)
 {
-    struct pcg g;
-    int events;
-    memcpy(&g, state->stream, sizeof g);
-    if (!(g.inc & 1)) {
-        g.state = 0;
-        g.inc = (((u128)state->key[2] << 64 | state->key[3]) << 1) | 1;
-        pcg_step(&g);
-        g.state += (u128)state->key[0] << 64 | state->key[1];
-        pcg_step(&g);
-    }
-    events = blocks(&g, state, times, counts);
+    struct pcg g = pcg_set_seed(state->key, state->stream);
+    int events = blocks(&g, state, times, counts);
     memcpy(state->stream, &g, sizeof g);
     return events;
 }
@@ -416,9 +424,9 @@ def _compiled_walk(source, *link):
     sources are then removed, with any unnamed `_kernel-<hash>.so` left by
     builds from before kernels were named, those of other kernels kept.
     Any failure (no compiler, a missing archive, a source the compiler
-    rejects, such as the count chain's run where it has no `unsigned
-    __int128`, a read-only package directory, a failed load) leaves the
-    caller on its Python reference, which gives the same bytes.
+    rejects, such as either kernel where it has no `unsigned __int128`, a
+    read-only package directory, a failed load) leaves the caller on its
+    Python reference, which gives the same bytes.
     """
     # imported here, so that importing dyner starts and loads nothing more
     import contextlib

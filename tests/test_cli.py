@@ -658,7 +658,8 @@ def test_without_a_c_compiler_the_python_walk_gives_the_same_bytes(tmp_path):
         pytest.skip("no C compiler on PATH to build the compiled kernels")
     assert run(env) == python
     libraries = list(built.glob("_kernel-*"))  # the built libraries, no temporary left
-    assert len(libraries) == 2
+    # named by their last exported functions, which the shared PCG64 leaves
+    assert sorted(library.name.split("-")[1] for library in libraries) == ["passage", "runs"]
     for library in libraries:
         library.write_bytes(b"not a shared library")
     assert run(env) == python

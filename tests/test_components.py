@@ -1,4 +1,3 @@
-import contextlib
 import math
 import os
 import sys
@@ -11,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import binom, chisquare, ks_2samp
 
+from _pcg64 import _generator_at, _stream_before
 from dyner import analytic as an
 from dyner import components as comp
 from dyner import simulate as sim
@@ -677,20 +677,18 @@ def _compiled_passage_or_skip():
         pytest.skip("no C compiler on PATH to build the compiled passage")
 
 
-class _Scripted:
-    """A Generator's uniforms with the doubles at the stream indices `zeros`
-    set to 0.0, which a direction test reads at its bound."""
+def _compiled_and_python(raw):
+    # `_run_compiled`'s stream words that start its PCG64 at the struct pcg
+    # `raw`, and the reference's uniforms from the Generator at that state
+    return np.frombuffer(bytes(32) + raw, np.uint64), comp._stream(lambda: _generator_at(raw))
 
-    def __init__(self, seed, zeros):
-        self.rng, self.zeros, self.read = np.random.default_rng(seed), zeros, 0
 
-    def random(self, size):
-        u = self.rng.random(size)
-        for i in self.zeros:
-            if self.read <= i < self.read + size:
-                u[i - self.read] = 0.0
-        self.read += size
-        return u
+def _reference_passage(d, uniform, cap, threshold, edge_target=math.inf):
+    # `_passage`'s Python path on the uniforms `uniform`
+    edges = []
+    flips = comp._edge_flips(d, uniform, cap, edges)
+    return (*comp._component_passage(flips, edges, d.n, threshold, edge_target), len(edges),
+            uniform)
 
 
 @st.composite
@@ -706,27 +704,29 @@ def _passage_calls(draw):
         cap = draw(st.integers(1, 400)) / rate
     threshold = draw(st.integers(1, n))
     edge_target = draw(st.one_of(st.just(math.inf), st.integers(1, d.N)))
-    zeros = draw(st.sets(st.integers(0, 12) | st.integers(0, 400), max_size=6))
-    return (d, cap, threshold, edge_target, draw(st.integers(1, 8)), draw(st.integers(1, 4)),
-            draw(st.integers(0, 2**32 - 1)), zeros)
+    zero = draw(st.none() | st.integers(0, 12) | st.integers(0, 400))
+    return (d, cap, threshold, edge_target, draw(st.integers(1, 4)),
+            draw(st.integers(0, 2**32 - 1)), zero)
+
+
+def _start(seed, zero):
+    # a PCG64 state picked by `seed`, whose stream gives 0.0 at index `zero`
+    # unless it is None: a direction test reads 0.0 at its bound
+    return _stream_before(seed=seed) if zero is None else _stream_before(0.0, zero, seed)
 
 
 @given(call=_passage_calls())
 @settings(max_examples=300, deadline=None)
 def test_compiled_passage_matches_python_passage(call):
-    # uniform blocks and a first edge capacity of a few entries, so events
-    # straddle refills and the edge array grows
+    # a first edge capacity of a few entries, so the edge array grows
     _compiled_passage_or_skip()
-    d, cap, threshold, edge_target, block, first_edges, seed, zeros = call
-    got = []
-    for python in (False, True):
-        with mock.patch.object(comp, "_BLOCK", block), \
-                mock.patch.object(comp, "_FIRST_EDGES", first_edges), \
-                mock.patch.object(comp, "replica_rng", lambda s, r: _Scripted(s, zeros)), \
-                (_python_passage() if python else contextlib.nullcontext()):
-            tau_component, tau_edges, m, uniform = comp._passage(d, seed, 0, cap, threshold,
-                                                                 edge_target)
-            got.append((tau_component, tau_edges, m, [uniform() for _ in range(50)]))
+    d, cap, threshold, edge_target, first_edges, seed, zero = call
+    words, uniform = _compiled_and_python(_start(seed, zero))
+    got = [_reference_passage(d, uniform, cap, threshold, edge_target)]
+    with mock.patch.object(comp, "_FIRST_EDGES", first_edges):
+        got.append(comp._run_compiled(comp._compiled_passage(d.n), d, words, cap, threshold,
+                                      edge_target))
+    got = [(*run[:3], [run[3]() for _ in range(50)]) for run in got]
     assert got[0] == got[1]
 
 
@@ -734,11 +734,11 @@ def test_zero_direction_uniform_on_the_empty_graph_adds_an_edge():
     # u * tot < m alpha is false at m = 0 for u = 0, so the first event adds
     _compiled_passage_or_skip()
     d = _d(8)
-    for python in (False, True):
-        with mock.patch.object(comp, "replica_rng", lambda s, r: _Scripted(s, {1})), \
-                (_python_passage() if python else contextlib.nullcontext()):
-            tau_component, tau_edges, m, _ = comp._passage(d, 5, 0, math.inf, 2, 1)
-            assert (m, tau_edges) == (1, tau_component)
+    words, uniform = _compiled_and_python(_stream_before(0.0, 1, 5))
+    for tau_component, tau_edges, m, _ in (
+            _reference_passage(d, uniform, math.inf, 2, 1),
+            comp._run_compiled(comp._compiled_passage(d.n), d, words, math.inf, 2, 1)):
+        assert (m, tau_edges) == (1, tau_component)
 
 
 def test_large_graphs_keep_the_python_passage(monkeypatch):
@@ -753,6 +753,29 @@ def test_large_graphs_keep_the_python_passage(monkeypatch):
     monkeypatch.undo()
     assert comp.emergence_run(d, 0.3, 0.1, seed=84) == sample
     assert comp.static_largest_samples(40, 30, 10, seed=84) == sizes
+
+
+def test_without_128_bit_integers_the_passage_runs_in_python(monkeypatch):
+    # the passage keeps its PCG64 in unsigned __int128; a compiler without it
+    # rejects the source, which leaves the labeled chain and the static
+    # sampler on their Python references, with the same bytes
+    _compiled_passage_or_skip()
+    d = _d(40)
+
+    def results():
+        events = []
+        comp.simulate_graph(d, 5.0, 84, observers=(events.append,))
+        return (comp.emergence_run(d, 0.3, 0.1, seed=84),
+                comp.domination_samples(d, 0.3, 0.1, 10, seed=84),
+                comp.static_largest_samples(40, 30, 10, seed=84), events)
+
+    want = results()
+    source = comp._PASSAGE_SOURCE.replace("unsigned __int128", "no_int128")
+    monkeypatch.setattr(comp, "_PASSAGE_SOURCE", source)
+    with mock.patch.object(comp, "_edge_flips", wraps=comp._edge_flips) as python:
+        assert comp._compiled_passage(d.n) is None
+        assert results() == want
+        assert python.call_count == 12
 
 
 def test_concurrent_passages_keep_their_own_buffers():
@@ -781,33 +804,31 @@ def _flip_log_calls(draw):
     d = _d(n, beta=draw(st.sampled_from([0.5, 1.0, 4.0, 4.0 * n])))
     rate = d.N * d.beta / (n - 1) + d.N * d.p * d.alpha  # about the stationary total
     horizon = draw(st.just(1e-300) | st.integers(1, 400).map(lambda events: events / rate))
-    zeros = draw(st.sets(st.integers(0, 12) | st.integers(0, 400), max_size=6))
-    return (d, horizon, draw(st.integers(1, 8)), draw(st.integers(1, 4)),
-            draw(st.integers(1, 3)), draw(st.integers(0, 2**32 - 1)), zeros)
+    zero = draw(st.none() | st.integers(0, 12) | st.integers(0, 400))
+    return (d, horizon, draw(st.integers(1, 4)), draw(st.integers(1, 3)),
+            draw(st.integers(0, 2**32 - 1)), zero)
 
 
 @given(call=_flip_log_calls())
 @settings(max_examples=300, deadline=None)
 def test_compiled_flip_log_matches_python_flips(call):
-    # logs of 1-3 flips, uniform blocks and a first edge capacity of a few
-    # entries, so the passage returns with a full log between refills and
-    # growth; the flips and the stream after the horizon are those of
-    # `_edge_flips`
+    # logs of 1-3 flips and a first edge capacity of a few entries, so the
+    # passage returns with a full log between growths; the flips and the
+    # stream after the horizon are those of `_edge_flips`
     _compiled_passage_or_skip()
-    d, horizon, block, first_edges, log, seed, zeros = call
+    d, horizon, first_edges, log, seed, zero = call
     got = []
 
     def logged(times, keys):
         assert 0 < len(keys) <= log
         got.extend((t, key > 0, abs(key)) for t, key in zip(times.tolist(), keys.tolist()))
 
-    with mock.patch.object(comp, "_BLOCK", block), \
-            mock.patch.object(comp, "_FIRST_EDGES", first_edges), \
+    words, uniform = _compiled_and_python(_start(seed, zero))
+    want = list(comp._edge_flips(d, uniform, horizon, []))
+    with mock.patch.object(comp, "_FIRST_EDGES", first_edges), \
             mock.patch.object(comp, "_FLIP_LOG", log):
-        uniform = comp._stream(_Scripted(seed, zeros))
-        want = list(comp._edge_flips(d, uniform, horizon, []))
-        *_, tail = comp._run_compiled(comp._compiled_passage(d.n), d, _Scripted(seed, zeros),
-                                      horizon, d.n + 1, on_flips=logged)
+        *_, tail = comp._run_compiled(comp._compiled_passage(d.n), d, words, horizon, d.n + 1,
+                                      on_flips=logged)
     assert got == want
     assert [tail() for _ in range(50)] == [uniform() for _ in range(50)]
 
@@ -830,9 +851,27 @@ def test_compiled_stream_reads_on_from_the_passages_first_unread_uniform(cap, th
     comp._component_passage(comp._edge_flips(d, uniform, cap, edges), edges, d.n, threshold)
     assert reads % comp._BLOCK and (reads > comp._BLOCK) == (cap == 30.0)
     *_, tail = comp._run_compiled(comp._compiled_passage(d.n), d,
-                                  comp.replica_rng(seed, replica), cap, threshold)
+                                  sim._replica_key(seed, replica), cap, threshold)
     want = comp.replica_rng(seed, replica).random(reads + 2 * comp._BLOCK)[reads:]
     assert [tail() for _ in range(2 * comp._BLOCK)] == want.tolist()
+
+
+def test_only_a_stream_read_on_builds_a_generator():
+    # the compiled passage seeds its PCG64 from the replica's key in C, and
+    # the stream it hands on builds its Generator on the first read: a
+    # component hitting time, a graph and a flag whose edge count comes
+    # first read none, and an emergence run whose component comes first
+    # reads its edge passage's draw there
+    _compiled_passage_or_skip()
+    d = _d(40)
+    with mock.patch.object(np.random, "PCG64", wraps=np.random.PCG64) as built:
+        comp.sample_component_hitting(d, 0.5, 1, replica=6)
+        comp.simulate_graph(d, 5.0, 1)
+        assert [comp.domination_run(d, 0.5, 0.05, 1, replica=r) for r in (6, 17)] == [False] * 2
+        assert built.call_count == 0
+        sample = comp.emergence_run(d, 0.5, 0.05, 1, replica=0)
+        assert sample.tau_component < sample.tau_edges and sample.dominated
+        assert built.call_count == 1
 
 
 @pytest.mark.parametrize("n, horizon, seed", [(2, 3.0, 1), (12, 2.0, 73), (200, 30.0, 75)])

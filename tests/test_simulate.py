@@ -18,6 +18,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.stats import chisquare, ks_2samp
 
+from _pcg64 import _generator_at, _stream_before
 from dyner import analytic as an
 from dyner import components as comp
 from dyner import simulate as sim
@@ -713,17 +714,6 @@ def _stream_end():
     end.append(_generator_at(bytes(structs[0])[offset:]))
 
 
-def _generator_at(raw):
-    # the Generator at the PCG64 (state, inc) bytes of a struct run's stream
-    rng = np.random.Generator(np.random.PCG64())
-    rng.bit_generator.state = {
-        "bit_generator": "PCG64",
-        "state": {"state": int.from_bytes(raw[:16], sys.byteorder),
-                  "inc": int.from_bytes(raw[16:], sys.byteorder)},
-        "has_uint32": 0, "uinteger": 0}
-    return rng
-
-
 def _block_of(event):
     # (first event, size) of the block that holds event index `event`
     first = 0
@@ -962,23 +952,6 @@ def test_a_finished_run_returns_at_once(rule):
     assert state["size"][0] == (0 if "lower" in rule else -1)
     assert run(ctypes.c_void_p(state.ctypes.data), None, None) == 0
     assert state.tobytes() == ended
-
-
-_PCG_MULTIPLIER = (2549297995355413924 << 64) | 4865540595714422341  # numpy's PCG64 LCG
-
-
-def _stream_before(uniform):
-    # PCG64 (state, inc) bytes, as struct run's stream holds them, whose
-    # next double is `uniform`, a multiple of 2^-53: the next LCG step lands
-    # on the state whose high word is 0 and low word `uniform` * 2^64, so the
-    # XSL-RR output (rotation 0) is that word
-    inc, after = 1, int(uniform * 2**53) << 11
-    before = (after - inc) * pow(_PCG_MULTIPLIER, -1, 2**128) % 2**128
-    rng = np.random.Generator(np.random.PCG64())
-    rng.bit_generator.state = {"bit_generator": "PCG64", "state": {"state": before, "inc": inc},
-                               "has_uint32": 0, "uinteger": 0}
-    assert rng.random() == uniform
-    return before.to_bytes(16, sys.byteorder) + inc.to_bytes(16, sys.byteorder)
 
 
 def _first_compiled_step(d, k, uniform):
