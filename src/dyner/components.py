@@ -13,12 +13,17 @@ bounds the largest component by a union-find that ignores deletions, fed
 the added edges one at a time, and rebuilds it only when the bound reaches
 the threshold; in Python it is `_edge_flips` feeding `_component_passage`.
 `simulate_graph` takes its flips from the compiled passage's flip log, a
-passage to the horizon whose threshold is never reached, and applies each
-to a `GraphState`, which maintains components incrementally, each as one
-vertex set shared by its vertices: insertions merge the smaller set into
-the larger, deletions repair connectivity with a bidirectional search over
-the affected component only, and a list of component counts indexed by
-size keeps the largest size.  Emergence runs and
+passage to the horizon whose threshold is never reached; the per-flip
+bookkeeping its observers read, the edge count and the largest component,
+is kept in C too (`components`, one call per chunk of the log), and the
+returned `GraphState` is built once from the edges present at the horizon.
+`GraphState`, the returned graph and the reference of that bookkeeping,
+maintains components incrementally, each as one vertex set shared by its
+vertices: insertions merge the smaller set into the larger, deletions
+repair connectivity with a bidirectional search over the affected
+component only, and a list of component counts indexed by size keeps the
+largest size; it applies each flip itself where there is no compiled
+passage.  Emergence runs and
 domination flags share one driver, `_emergence`: where the component comes
 first, one draw from two killed spectra (`analytic.sample_passage`) settles
 the edge passage, reading on from the passage's first unread uniform.  A
@@ -302,20 +307,25 @@ def simulate_graph(
 ) -> GraphState:
     """Run the labeled dynamics from the empty graph up to the horizon.
 
-    Observers are called synchronously with each GraphEvent.  The flips
-    are the flip log of the compiled passage (`_run_compiled`), run to the
-    horizon with the threshold n + 1, which no component reaches, where
-    `_compiled_passage` gives it; elsewhere they come from `_edge_flips`,
-    its reference, with the same flips, graph and events.
+    Observers are called synchronously with each GraphEvent.  Where
+    `_compiled_passage` gives the compiled passage, the flips are its flip
+    log (`_run_compiled`), run to the horizon with the threshold n + 1,
+    which no component reaches, and the events' largest components come
+    from the compiled `components`, one call per chunk of the log
+    (`_graph_events`); with no observers no log is kept.  The returned
+    `GraphState` is then built once from the edges present at the horizon.
+    Elsewhere the flips come from `_edge_flips` and each is applied to the
+    `GraphState`, the reference, with the same flips, graph and events.
     """
     if not (0 < horizon < math.inf):
         raise ValueError(f"horizon must be positive and finite, got {horizon!r}")
     n = d.n
     state = GraphState(n)
-    add, remove = state.add_edge, state.remove_edge
-
-    def apply(flips):
-        for t, added, a, b in flips:
+    compiled = _compiled_passage(n)
+    if compiled is None:
+        add, remove = state.add_edge, state.remove_edge
+        for t, added, key in _edge_flips(d, _uniforms(seed, replica), horizon, []):
+            a, b = divmod(key, n)
             if added:
                 add(a, b)
             else:
@@ -324,20 +334,51 @@ def simulate_graph(
                 event = GraphEvent(t, added, a, b, state.edge_count, state._largest)
                 for ob in observers:
                     ob(event)
-
-    def logged(times, keys):
-        a, b = np.divmod(np.abs(keys), n)
-        apply(zip(times.tolist(), (keys > 0).tolist(), a.tolist(), b.tolist()))
-
-    compiled = _compiled_passage(n)
-    if compiled is None:
-        flips = _edge_flips(d, _uniforms(seed, replica), horizon, [])
-        apply((t, added, *divmod(key, n)) for t, added, key in flips)
     else:
+        edges = []
         _run_compiled(compiled, d, _replica_key(seed, replica), horizon, n + 1,
-                      on_flips=logged)
+                      on_flips=_graph_events(compiled, n, observers) if observers else None,
+                      present_edges=edges)
+        for key in edges:
+            state.add_edge(*divmod(key, n))
     state.time = horizon
     return state
+
+
+def _graph_events(compiled, n: int, observers):
+    """The `on_flips` of a compiled `simulate_graph` run: applies each chunk
+    of the flip log to a component state that the run owns, with the
+    compiled `components`, and calls the observers with each flip's
+    GraphEvent, its edge count a running sum of the flips' +1 and -1.
+
+    The state is the adjacency bits, n rows of `words` uint64 each, and
+    7n + 3 ints of labels, sizes, counts by size and search space (see
+    `components`); every buffer belongs to the run, since the call runs
+    without the interpreter lock.
+    """
+    import ctypes
+
+    words = -(-n // 64)
+    rows = np.zeros(n * words, np.uint64)
+    comps = np.zeros(7 * n + 3, np.intc)
+    m = 0
+
+    def logged(times, keys):
+        nonlocal m
+        largest = np.empty(len(keys), np.intc)
+        compiled.components(n, words, ctypes.c_void_p(keys.ctypes.data), len(keys),
+                            ctypes.c_void_p(largest.ctypes.data),
+                            ctypes.c_void_p(rows.ctypes.data), ctypes.c_void_p(comps.ctypes.data))
+        added = keys > 0
+        counts = np.where(added, 1, -1).cumsum() + m
+        m = int(counts[-1])
+        a, b = np.divmod(np.abs(keys), n)
+        for event in map(GraphEvent._make, zip(times.tolist(), added.tolist(), a.tolist(),
+                                               b.tolist(), counts.tolist(), largest.tolist())):
+            for ob in observers:
+                ob(event)
+
+    return logged
 
 
 def _passage_bounds(d: DerivedParams, eps: float, cap: float | None) -> tuple:
@@ -397,8 +438,9 @@ def _component_passage(flips, edges: list, n: int, threshold: int, edge_target=m
 # and size are the union-find bound, rebuilt from the m edges when it reaches
 # the threshold.  The flip log, kept when log_time is not NULL, takes each
 # finished event's time and key, negated for a deletion.  The same library
-# serves `static_er_largest_component` through `largest_of_pairs`; `passage`
-# stays the last function: `simulate._library_path` names the library by it.
+# serves `static_er_largest_component` through `largest_of_pairs` and
+# `simulate_graph`'s observers through `components`; `passage` stays the
+# last function: `simulate._library_path` names the library by it.
 _PASSAGE_SOURCE = simulate._PCG_SOURCE + """
 #include <math.h>
 
@@ -465,6 +507,120 @@ int largest_of_pairs(int n, const long long *idx, int m, int *parent, int *size)
             largest = joined;
     }
     return largest;
+}
+
+/* applies the k flips of a flip log, keys a*n+b negated for a deletion, to
+   the component state of a graph on n vertices, and writes the largest
+   component after each flip to largest.  rows holds the n rows of `words`
+   uint64 adjacency bits; comp holds the largest component (0 until the first
+   call sets up the empty graph) and the number of free labels, then n
+   labels, one per vertex, the n sizes of the labels' components, the n + 1
+   counts of components by size, n seen marks, two search queues of n and
+   the n free labels.  An added edge between two components relabels the
+   smaller; a deletion runs GraphState._split_side's bidirectional search,
+   one vertex expansion per side in turn until the sides meet or one is
+   exhausted, and that side takes a free label */
+void components(int n, int words, const int *keys, int k, int *largest,
+                uint64_t *rows, int *comp)
+{
+    int *label = comp + 2, *size = label + n, *count = size + n, *mark = count + n + 1,
+        *queue = mark + n, *free_label = queue + 2 * n;
+    int top = comp[0], nfree = comp[1];
+
+    if (!top) {
+        for (int v = 0; v < n; v++) {
+            label[v] = v;
+            size[v] = 1;
+        }
+        count[1] = n;
+        top = 1;
+    }
+    for (int f = 0; f < k; f++) {
+        int key = keys[f] < 0 ? -keys[f] : keys[f], a = key / n, b = key % n;
+        uint64_t *row_a = rows + (size_t)a * words, *row_b = rows + (size_t)b * words;
+        if (keys[f] > 0) {
+            row_a[b >> 6] |= 1ULL << (b & 63);
+            row_b[a >> 6] |= 1ULL << (a & 63);
+            int keep = label[a], gone = label[b];
+            if (keep != gone) {
+                if (size[keep] < size[gone]) {
+                    int c = keep;
+                    keep = gone;
+                    gone = c;
+                    b = a;
+                }
+                /* relabel the smaller component, searched from its end b */
+                int tail = 1;
+                queue[0] = b;
+                label[b] = keep;
+                for (int h = 0; h < tail; h++) {
+                    const uint64_t *row = rows + (size_t)queue[h] * words;
+                    for (int i = 0; i < words; i++)
+                        for (uint64_t bits = row[i]; bits; bits &= bits - 1) {
+                            int w = i << 6 | __builtin_ctzll(bits);
+                            if (label[w] == gone) {
+                                label[w] = keep;
+                                queue[tail++] = w;
+                            }
+                        }
+                }
+                count[size[keep]]--;
+                count[size[gone]]--;
+                size[keep] += size[gone];
+                count[size[keep]]++;
+                free_label[nfree++] = gone;
+                if (size[keep] > top)
+                    top = size[keep];
+            }
+        } else {
+            row_a[b >> 6] &= ~(1ULL << (b & 63));
+            row_b[a >> 6] &= ~(1ULL << (a & 63));
+            /* side s marks s + 1 and stops at a mark of the other side */
+            int *q[2] = {queue, queue + n}, head[2] = {0, 0}, tail[2] = {1, 1}, s = 0,
+                split = 0;
+            q[0][0] = a;
+            q[1][0] = b;
+            mark[a] = 1;
+            mark[b] = 2;
+            for (;; s ^= 1) {
+                if (head[s] == tail[s]) {
+                    split = tail[s];
+                    break;
+                }
+                const uint64_t *row = rows + (size_t)q[s][head[s]++] * words;
+                for (int i = 0; i < words; i++)
+                    for (uint64_t bits = row[i]; bits; bits &= bits - 1) {
+                        int w = i << 6 | __builtin_ctzll(bits);
+                        if (mark[w] == 2 - s)
+                            goto searched;
+                        if (!mark[w]) {
+                            mark[w] = s + 1;
+                            q[s][tail[s]++] = w;
+                        }
+                    }
+            }
+        searched:
+            for (int i = 0; i < tail[0]; i++)
+                mark[q[0][i]] = 0;
+            for (int i = 0; i < tail[1]; i++)
+                mark[q[1][i]] = 0;
+            if (split) {
+                int old = label[a], side = free_label[--nfree];
+                for (int i = 0; i < split; i++)
+                    label[q[s][i]] = side;
+                count[size[old]]--;
+                size[old] -= split;
+                size[side] = split;
+                count[size[old]]++;
+                count[split]++;
+                while (!count[top])
+                    top--;
+            }
+        }
+        largest[f] = top;
+    }
+    comp[0] = top;
+    comp[1] = nfree;
 }
 
 int passage(int n, int N, int threshold, const double *rate, double *time, int *count,
@@ -543,9 +699,9 @@ _FLIP_LOG = 4096  # flips a logged passage keeps before it returns LOGGED
 
 
 def _compiled_passage(n: int):
-    """The compiled library of `_PASSAGE_SOURCE`, with `passage` and
-    `largest_of_pairs`, where `simulate._compiled_walk` can build it and
-    n <= `_PASSAGE_MAX_N`, else None."""
+    """The compiled library of `_PASSAGE_SOURCE`, with `passage`,
+    `largest_of_pairs` and `components`, where `simulate._compiled_walk` can
+    build it and n <= `_PASSAGE_MAX_N`, else None."""
     return simulate._compiled_walk(_PASSAGE_SOURCE) if n <= _PASSAGE_MAX_N else None
 
 
@@ -571,7 +727,7 @@ def _passage(d: DerivedParams, seed: int, replica: int, cap: float, threshold: i
 
 
 def _run_compiled(compiled, d: DerivedParams, key, cap: float, threshold: int,
-                  edge_target=math.inf, on_flips=None) -> tuple:
+                  edge_target=math.inf, on_flips=None, present_edges=None) -> tuple:
     """The compiled passage from the empty graph on the PCG64 stream keyed by
     `key`, a replica's `_replica_key`, to the cap: `_passage`'s
     (tau_component, tau_edges, m, uniform).
@@ -583,7 +739,9 @@ def _run_compiled(compiled, d: DerivedParams, key, cap: float, threshold: int,
     each finished flip, and `on_flips(times, keys)` is called with the log
     each time it holds `_FLIP_LOG` flips and once at the end: numpy views of
     the flips' times and keys a*n+b, negated for a deletion (a key is at
-    least 1, since b > a), valid until the call returns.  The returned
+    least 1, since b > a), valid until the call returns.  With
+    `present_edges`, a list, the keys of the edges present at the end are
+    appended to it.  The returned
     `uniform` reads on from the passage's last state, through a Generator
     built on its first call, so a caller that reads none builds none.
     """
@@ -614,6 +772,8 @@ def _run_compiled(compiled, d: DerivedParams, key, cap: float, threshold: int,
                 count[2] = 0
             if status != _LOGGED:
                 break
+    if present_edges is not None:
+        present_edges.extend(edges[:count[0]])
     t, tau_edges = time
     return (t if status == _FOUND else None, None if math.isnan(tau_edges) else tau_edges,
             count[0], _stream(lambda: _generator_at(key[:4], bytes(stream)[32:])))

@@ -1,3 +1,5 @@
+import contextlib
+import ctypes
 import math
 import os
 import sys
@@ -6,7 +8,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.stats import binom, chisquare, ks_2samp
 
@@ -835,10 +837,10 @@ def test_compiled_flip_log_matches_python_flips(call):
 
 @pytest.mark.parametrize("cap, threshold", [(1.0, 101), (math.inf, 10), (30.0, 101)])
 def test_compiled_stream_reads_on_from_the_passages_first_unread_uniform(cap, threshold):
-    # at the real block size: passages capped or at their threshold inside
-    # the first block, and one capped past two refills; the returned stream
-    # gives the Generator's uniforms from the first one the passage left
-    # unread
+    # passages capped or at their threshold within the Python reference's
+    # first `_BLOCK` uniforms, and one capped past it, so that the handed-on
+    # tail starts in a later `_stream` block; the returned stream gives the
+    # Generator's uniforms from the first one the passage left unread
     _compiled_passage_or_skip()
     d, seed, replica = _d(100), 31, 4
     reads, stream, edges = 0, comp._uniforms(seed, replica), []
@@ -874,13 +876,16 @@ def test_only_a_stream_read_on_builds_a_generator():
         assert built.call_count == 1
 
 
-@pytest.mark.parametrize("n, horizon, seed", [(2, 3.0, 1), (12, 2.0, 73), (200, 30.0, 75)])
+@pytest.mark.parametrize("n, horizon, seed", [(2, 3.0, 1), (12, 2.0, 73), (200, 30.0, 75),
+                                              (120, 0.2, 77)])
 def test_simulate_graph_gives_one_run_on_every_path(n, horizon, seed, monkeypatch):
     # the compiled flip log (more than one log's worth at n=200), the Python
     # flips with no compiled passage, and those of a graph above the
     # compiled passage's largest n
     _compiled_passage_or_skip()
     d = _d(n)
+    if n == 120:  # dense: about 94% of the pairs present at the horizon
+        d = _d(n, beta=2000.0)
 
     def run():
         events = []
@@ -896,6 +901,78 @@ def test_simulate_graph_gives_one_run_on_every_path(n, horizon, seed, monkeypatc
     events = compiled[3]
     assert len(events) > (comp._FLIP_LOG if n == 200 else 0)
     assert all(list(map(type, event)) == [float, bool, int, int, int, int] for event in events)
+
+
+@pytest.mark.parametrize("python", [False, True])
+def test_simulate_graph_gives_one_graph_with_or_without_observers(python):
+    # without observers the compiled run keeps no flip log and no component
+    # state; the graph at the horizon is the one an observed run returns
+    if not python:
+        _compiled_passage_or_skip()
+    d = _d(60)
+    with _python_passage() if python else contextlib.nullcontext(), \
+            mock.patch.object(comp, "_graph_events", wraps=comp._graph_events) as bookkeeping:
+        events = []
+        graphs = [comp.simulate_graph(d, 20.0, 41, observers=obs, replica=3)
+                  for obs in ((events.append,), ())]
+    assert bookkeeping.call_count == (0 if python else 1)
+    assert len(events) > 100
+    watched, bare = [(g.adj, g._largest, g.edge_count, g.time) for g in graphs]
+    assert watched == bare
+
+
+@st.composite
+def _graph_runs(draw):
+    # about `events` flips from the empty graph, sparse or dense, logged a
+    # few flips at a time
+    n = draw(st.integers(2, 130))
+    beta = draw(st.sampled_from([1.0, 200.0]))
+    return (n, beta, draw(st.integers(1, 1500)), draw(st.integers(1, 7)),
+            draw(st.integers(0, 2**32 - 1)), draw(st.integers(0, 7)))
+
+
+@given(call=_graph_runs())
+@example(call=(63, 1.0, 1500, 3, 1, 0))
+@example(call=(64, 200.0, 1500, 1, 2, 1))
+@example(call=(65, 1.0, 1500, 7, 3, 2))
+@example(call=(128, 200.0, 1500, 2, 4, 3))
+@example(call=(129, 1.0, 1500, 5, 5, 4))
+@settings(max_examples=150, deadline=None)
+def test_compiled_graph_bookkeeping_matches_graphstate(call):
+    # the compiled component state, at row widths of one and more words and
+    # at their edges, gives every event of `GraphState`, the reference, and
+    # the graph at the horizon is the reference's
+    _compiled_passage_or_skip()
+    n, beta, events, log, seed, replica = call
+    d = _d(n, beta=beta)
+    horizon = events / (d.N * d.beta / (n - 1) + d.N * d.p * d.alpha)
+
+    def run():
+        got = []
+        state = comp.simulate_graph(d, horizon, seed, observers=(got.append,), replica=replica)
+        return state.adj, state._largest, state.edge_count, got
+
+    with mock.patch.object(comp, "_FLIP_LOG", log):
+        compiled = run()
+    with _python_passage():
+        python = run()
+    assert compiled == python
+
+
+def test_compiled_merge_relabels_the_smaller_component():
+    # labels reach no event, so they are read from the state: the path that
+    # starts as vertex 1's component keeps its label 1 while it grows, from
+    # the larger end of a key (2-3, 3-4) and from the smaller (0-1)
+    _compiled_passage_or_skip()
+    n = 5
+    keys = np.array([1 * n + 2, 2 * n + 3, 0 * n + 1, 3 * n + 4], np.intc)
+    largest = np.zeros(len(keys), np.intc)
+    rows, state = np.zeros(n, np.uint64), np.zeros(7 * n + 3, np.intc)
+    comp._compiled_passage(n).components(
+        n, 1, ctypes.c_void_p(keys.ctypes.data), len(keys), ctypes.c_void_p(largest.ctypes.data),
+        ctypes.c_void_p(rows.ctypes.data), ctypes.c_void_p(state.ctypes.data))
+    assert largest.tolist() == [2, 3, 4, 5]
+    assert state[2:2 + n].tolist() == [1] * n
 
 
 def test_concurrent_graph_runs_keep_their_own_buffers(monkeypatch):
